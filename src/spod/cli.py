@@ -15,7 +15,7 @@ import numpy as np
 
 from . import generators, io
 from .core import FrameShifts, reconstruct
-from .greedy import GreedyConfig, spod_decompose
+from .greedy import spod_decompose
 from .pod import modes_for_tolerance, truncation_curve
 from .shifts import ShiftSpec
 from .snapshots import SnapshotSet, center_rows, relative_error, scale_variables
@@ -213,9 +213,7 @@ def _cmd_spod(args) -> int:
         print(f"variable scaling factors: {factors}", file=sys.stderr)
     shifts = _resolve_frames(cfg, snaps)
     masks = _frame_masks(cfg, snaps)
-    greedy = GreedyConfig(r0=list(cfg.r0), tol=cfg.tol, p_max=cfg.p_max,
-                          optimizer=cfg.optimizer, rank_tol=cfg.rank_tol,
-                          warm_start=cfg.warm_start, threads=cfg.threads)
+    greedy = cfg.greedy()
 
     def progress(info):
         if info["stage"] == "initial":

@@ -2,37 +2,45 @@
 
 Snapshot files are binary: a text header of key=value lines terminated
 by an ``end-header`` line, followed by the matrix entries as
-little-endian 64-bit floats in column-major order.  Header keys:
+little-endian 64-bit floats in column-major order.  Layout keys:
 
     m         number of grid points (required)
     n         number of snapshots (required)
     h         mesh width (required)
     boundary  periodic | non-periodic (required)
-    blocks    comma-separated name:rows pairs (default: one block "var0"
-              spanning all m rows)
-    time      comma-separated snapshot times (default: 0..n-1)
+    blocks    comma-separated name:rows pairs, m rows each (default: one
+              block "var0")
+    time      comma-separated, strictly increasing snapshot times
+              (default: 0..n-1)
 
-The same layout (plus per-frame mode counts) is used for decomposition
-files.  Text floats are written with repr() so round trips are exact.
-CSV outputs carry a header row naming every column; shift files hold one
-row per snapshot and one column per frame, in space units.
+Decomposition files use the same layout plus ``ranks`` (modes per
+frame), ``shift_boundary`` and ``interp_degree``; their payload holds
+each frame's modes and amplitudes, then the shift matrix.  The CSV
+snapshot export carries the same keys in its comment lines.  Text floats
+are written with repr() so round trips are exact.  CSV outputs carry a
+header row naming every column; shift files hold one row per snapshot
+and one column per frame, in space units.
 
 Run configuration files use INI sections ([input], [spod], [optimizer],
 [frame.0], [frame.1], ..., [output]); every frame section provides
 either a ``shifts`` CSV path or a tracker recipe (``track`` plus
-optional statistic / windows / smooth), never both.
+optional statistic / windows / smooth), never both.  Unknown sections
+and keys are errors; a key left out or left empty takes its default.
 """
 
 import configparser
 import json
 import os
+from dataclasses import dataclass, field
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
 from .core import Decomposition, FrameBasis, FrameShifts
+from .greedy import GreedyConfig
 from .lbfgs import OptimizerOptions
 from .shifts import ShiftSpec
-from .snapshots import Grid1D, SnapshotSet, VariableBlock
+from .snapshots import Grid1D, SnapshotSet, TimeAxis, VariableBlock
 from .tracking import STATISTICS, WindowSchedule
 
 
@@ -48,8 +56,31 @@ def _fmt(x):
     return repr(float(x))
 
 
-def _parse_header(f, path):
-    """Read key=value lines up to end-header. Returns (dict, line count)."""
+def _join(values):
+    return ",".join(str(v) for v in values)
+
+
+def _build(error, where, cls, *args, **kwargs):
+    """cls(*args, **kwargs), with its ValueError raised as error."""
+    try:
+        return cls(*args, **kwargs)
+    except ValueError as e:
+        raise error(f"{where}: {e}") from None
+
+
+def _int_list(text):
+    try:
+        return tuple(int(v) for v in text.split(","))
+    except ValueError:
+        raise ValueError("must be a comma-separated integer list") from None
+
+
+def _float_list(text):
+    return np.array([float(v) for v in text.split(",")])
+
+
+def _read_header(f, path):
+    """Read key=value lines up to end-header into a dict."""
     header = {}
     lineno = 0
     while True:
@@ -64,7 +95,7 @@ def _parse_header(f, path):
         if not line or line.startswith("#"):
             continue
         if line == "end-header":
-            return header, lineno
+            return header
         if "=" not in line:
             raise FormatError(f"{path}: expected key=value (line {lineno})")
         key, value = line.split("=", 1)
@@ -74,105 +105,102 @@ def _parse_header(f, path):
         header[key] = value.strip()
 
 
-def _header_int(header, key, path):
+_KINDS = {int: "an integer", float: "a number",
+          _int_list: "an integer list", _float_list: "a number list"}
+
+
+def _header_value(header, key, path, convert=str, what="header"):
     if key not in header:
-        raise FormatError(f"{path}: missing header key '{key}'")
+        raise FormatError(f"{path}: missing {what} key '{key}'")
     try:
-        return int(header[key])
+        return convert(header[key])
     except ValueError:
-        raise FormatError(f"{path}: header key '{key}' is not an integer")
+        raise FormatError(f"{path}: {what} key '{key}' is not"
+                          f" {_KINDS[convert]}") from None
 
 
-def _header_float(header, key, path):
-    if key not in header:
-        raise FormatError(f"{path}: missing header key '{key}'")
-    try:
-        return float(header[key])
-    except ValueError:
-        raise FormatError(f"{path}: header key '{key}' is not a number")
+def _read_layout(header, path, what="header"):
+    """Parse the layout keys. Returns (grid, blocks, rows, n, time)."""
+    def value(key, convert=str):
+        return _header_value(header, key, path, convert, what)
 
-
-def _parse_blocks(text, path):
-    out = []
-    start = 0
-    for part in text.split(","):
+    m, n = value("m", int), value("n", int)
+    grid = _build(FormatError, path, Grid1D, m, value("h", float),
+                  value("boundary"))
+    time = value("time", _float_list) if "time" in header else np.arange(n)
+    time = _build(FormatError, path, TimeAxis, time).values
+    if time.size != n:
+        raise FormatError(
+            f"{path}: time axis has {time.size} entries, expected {n}")
+    blocks = []
+    for part in header.get("blocks", f"var0:{m}").split(","):
+        start = len(blocks) * m
         name, _, rows = part.partition(":")
         try:
             rows = int(rows)
         except ValueError:
-            raise FormatError(f"{path}: bad block entry '{part}'")
-        out.append(VariableBlock(name.strip(), start, start + rows))
-        start += rows
-    return tuple(out), start
+            raise FormatError(f"{path}: bad block entry '{part}'") from None
+        if rows != m:
+            raise FormatError(f"{path}: block '{name.strip()}' has {rows}"
+                              f" rows, expected m={m}")
+        blocks.append(VariableBlock(name.strip(), start, start + m))
+    return grid, tuple(blocks), len(blocks) * m, n, time
 
 
-def _read_matrix(f, rows, cols, path):
+def _format_layout(grid, blocks, time):
+    """Layout keys as text, in file order."""
+    return {"m": grid.m, "n": len(time), "h": _fmt(grid.h),
+            "boundary": grid.boundary,
+            "blocks": _join(f"{b.name}:{b.stop - b.start}" for b in blocks),
+            "time": _join(_fmt(v) for v in time)}
+
+
+def _read_payload(f, shapes, path):
+    """The data section as one column-major array per shape; the value
+    count must match exactly and every value must be finite."""
+    sizes = [rows * cols for rows, cols in shapes]
     payload = f.read()
-    found = len(payload) // 8
-    expected = rows * cols
-    if len(payload) % 8 or found != expected:
+    if len(payload) != 8 * sum(sizes):
         raise FormatError(
-            f"{path}: data section holds {found} float64 values,"
-            f" expected {expected}")
-    data = np.frombuffer(payload, dtype="<f8").reshape((rows, cols), order="F")
-    if not np.all(np.isfinite(data)):
+            f"{path}: data section holds {len(payload) // 8} float64 values,"
+            f" expected {sum(sizes)}")
+    values = np.frombuffer(payload, dtype="<f8")
+    if not np.all(np.isfinite(values)):
         raise FormatError(f"{path}: non-finite entries in data section")
-    return data.copy()
+    parts = np.split(values, np.cumsum(sizes)[:-1])
+    return [p.reshape(s, order="F").copy() for p, s in zip(parts, shapes)]
+
+
+def _write_binary(path, header, arrays):
+    """Header lines, end-header, then each array in column-major order."""
+    if not all(np.all(np.isfinite(a)) for a in arrays):
+        raise FormatError("refusing to write non-finite data")
+    text = "".join(f"{k}={v}\n" for k, v in header.items()) + "end-header\n"
+    with open(path, "wb") as f:
+        f.write(text.encode("ascii"))
+        for a in arrays:
+            f.write(np.asarray(a, dtype="<f8").tobytes(order="F"))
 
 
 def read_snapshots(path) -> SnapshotSet:
     with open(path, "rb") as f:
-        header, _ = _parse_header(f, path)
-        m = _header_int(header, "m", path)
-        n = _header_int(header, "n", path)
-        h = _header_float(header, "h", path)
-        boundary = header.get("boundary")
-        if boundary is None:
-            raise FormatError(f"{path}: missing header key 'boundary'")
-        try:
-            grid = Grid1D(m, h, boundary)
-        except ValueError as e:
-            raise FormatError(f"{path}: {e}")
-        if "blocks" in header:
-            blocks, total = _parse_blocks(header["blocks"], path)
-        else:
-            blocks, total = (VariableBlock("var0", 0, m),), m
-        if "time" in header:
-            time = np.array([float(v) for v in header["time"].split(",")])
-            if time.size != n:
-                raise FormatError(
-                    f"{path}: time axis has {time.size} entries, expected {n}")
-        else:
-            time = np.arange(n, dtype=float)
-        data = _read_matrix(f, total, n, path)
-    try:
-        return SnapshotSet(data, grid, time, blocks)
-    except ValueError as e:
-        raise FormatError(f"{path}: {e}")
+        grid, blocks, rows, n, time = _read_layout(_read_header(f, path), path)
+        data, = _read_payload(f, [(rows, n)], path)
+    return SnapshotSet(data, grid, time, blocks)
 
 
 def write_snapshots(snaps: SnapshotSet, path):
-    if not np.all(np.isfinite(snaps.data)):
-        raise FormatError("refusing to write non-finite data")
-    g = snaps.grid
-    blocks = ",".join(f"{b.name}:{b.stop - b.start}" for b in snaps.blocks)
-    time = ",".join(_fmt(v) for v in snaps.time.values)
-    header = (f"m={g.m}\nn={snaps.n_snapshots}\nh={_fmt(g.h)}\n"
-              f"boundary={g.boundary}\nblocks={blocks}\ntime={time}\n"
-              "end-header\n")
-    with open(path, "wb") as f:
-        f.write(header.encode("ascii"))
-        f.write(np.asarray(snaps.data, dtype="<f8").tobytes(order="F"))
+    layout = _format_layout(snaps.grid, snaps.blocks, snaps.time.values)
+    _write_binary(path, layout, [snaps.data])
 
 
 def write_snapshots_csv(snaps: SnapshotSet, path):
     """Plain-text interoperability export; repr floats keep round trips exact."""
-    g = snaps.grid
-    blocks = ",".join(f"{b.name}:{b.stop - b.start}" for b in snaps.blocks)
+    layout = _format_layout(snaps.grid, snaps.blocks, snaps.time.values)
+    time = layout.pop("time")
     with open(path, "w") as f:
-        f.write(f"# snapshots m={g.m} n={snaps.n_snapshots} h={_fmt(g.h)}"
-                f" boundary={g.boundary} blocks={blocks}\n")
-        f.write("# time=" + ",".join(_fmt(v) for v in snaps.time.values) + "\n")
+        f.write("# snapshots " + " ".join(f"{k}={v}" for k, v in layout.items())
+                + f"\n# time={time}\n")
         f.write("row," + ",".join(f"snapshot{j}"
                                   for j in range(snaps.n_snapshots)) + "\n")
         for i in range(snaps.n_rows):
@@ -183,14 +211,13 @@ def write_snapshots_csv(snaps: SnapshotSet, path):
 def read_snapshots_csv(path) -> SnapshotSet:
     meta = {}
     rows = []
-    time = None
     with open(path) as f:
         for lineno, line in enumerate(f, 1):
             line = line.strip()
             if not line:
                 continue
             if line.startswith("# time="):
-                time = np.array([float(v) for v in line[7:].split(",")])
+                meta["time"] = line[len("# time="):]
             elif line.startswith("# snapshots "):
                 for item in line[len("# snapshots "):].split():
                     k, _, v = item.partition("=")
@@ -202,19 +229,10 @@ def read_snapshots_csv(path) -> SnapshotSet:
                     rows.append([float(v) for v in line.split(",")][1:])
                 except ValueError:
                     raise FormatError(f"{path}: bad data row (line {lineno})")
-    for key in ("m", "n", "h", "boundary"):
-        if key not in meta:
-            raise FormatError(f"{path}: missing metadata key '{key}'")
-    grid = Grid1D(int(meta["m"]), float(meta["h"]), meta["boundary"])
-    blocks, total = _parse_blocks(meta["blocks"], path) if "blocks" in meta \
-        else ((VariableBlock("var0", 0, grid.m),), grid.m)
-    data = np.array(rows)
-    n = int(meta["n"])
-    if data.shape != (total, n):
-        raise FormatError(f"{path}: data is {data.shape}, expected ({total}, {n})")
-    if time is None:
-        time = np.arange(n, dtype=float)
-    return SnapshotSet(data, grid, time, blocks)
+    grid, blocks, total, n, time = _read_layout(meta, path, "metadata")
+    if len(rows) != total or any(len(r) != n for r in rows):
+        raise FormatError(f"{path}: data is not {total} rows of {n} values")
+    return SnapshotSet(np.array(rows), grid, time, blocks)
 
 
 def write_shifts(d, path, frame_names=None):
@@ -252,64 +270,34 @@ def read_shifts(path):
 
 
 def write_decomposition(dec: Decomposition, path, times=None):
-    g = dec.grid
-    blocks = ",".join(f"{b.name}:{b.stop - b.start}" for b in dec.blocks)
-    n = dec.shifts.n_snapshots
     spec = dec.shifts.spec
     if times is None:
-        times = np.arange(n, dtype=float)
-    header = (f"m={g.m}\nn={n}\nh={_fmt(g.h)}\nboundary={g.boundary}\n"
-              f"blocks={blocks}\n"
-              f"ranks={','.join(str(f.n_modes) for f in dec.frames)}\n"
-              f"shift_boundary={spec.boundary}\n"
-              f"interp_degree={spec.interp_degree}\n"
-              f"time={','.join(_fmt(v) for v in np.asarray(times))}\n"
-              "end-header\n")
-    with open(path, "wb") as f:
-        f.write(header.encode("ascii"))
-        for frame, amps in zip(dec.frames, dec.amplitudes):
-            f.write(np.asarray(frame.modes, dtype="<f8").tobytes(order="F"))
-            f.write(np.asarray(amps, dtype="<f8").tobytes(order="F"))
-        f.write(np.asarray(dec.shifts.d, dtype="<f8").tobytes(order="F"))
+        times = np.arange(dec.shifts.n_snapshots)
+    header = _format_layout(dec.grid, dec.blocks, times)
+    header.update(ranks=_join(f.n_modes for f in dec.frames),
+                  shift_boundary=spec.boundary,
+                  interp_degree=spec.interp_degree)
+    arrays = [a for frame, amps in zip(dec.frames, dec.amplitudes)
+              for a in (frame.modes, amps)]
+    _write_binary(path, header, arrays + [dec.shifts.d])
 
 
 def read_decomposition(path):
     """Returns (Decomposition, time axis)."""
     with open(path, "rb") as f:
-        header, _ = _parse_header(f, path)
-        m = _header_int(header, "m", path)
-        n = _header_int(header, "n", path)
-        h = _header_float(header, "h", path)
-        grid = Grid1D(m, h, header.get("boundary", "periodic"))
-        blocks, total = _parse_blocks(header.get("blocks", f"var0:{m}"), path)
-        if "ranks" not in header:
-            raise FormatError(f"{path}: missing header key 'ranks'")
-        ranks = [int(r) for r in header["ranks"].split(",")]
-        spec = ShiftSpec(header["shift_boundary"],
-                         _header_int(header, "interp_degree", path))
-        if "time" in header:
-            times = np.array([float(v) for v in header["time"].split(",")])
-        else:
-            times = np.arange(n, dtype=float)
-        payload = f.read()
-    expected = sum(total * r + r * n for r in ranks) + len(ranks) * n
-    found = len(payload) // 8
-    if len(payload) % 8 or found != expected:
-        raise FormatError(f"{path}: data section holds {found} float64 values,"
-                          f" expected {expected}")
-    vals = np.frombuffer(payload, dtype="<f8")
-    pos = 0
-    frames, amplitudes = [], []
-    for r in ranks:
-        modes = vals[pos:pos + total * r].reshape((total, r), order="F")
-        pos += total * r
-        amps = vals[pos:pos + r * n].reshape((r, n), order="F")
-        pos += r * n
-        frames.append(FrameBasis(modes.copy()))
-        amplitudes.append(amps.copy())
-    d = vals[pos:].reshape((len(ranks), n), order="F").copy()
-    dec = Decomposition(tuple(frames), tuple(amplitudes),
-                        FrameShifts(d, spec), grid, blocks)
+        header = _read_header(f, path)
+        grid, blocks, rows, n, times = _read_layout(header, path)
+        ranks = _header_value(header, "ranks", path, _int_list)
+        if min(ranks) < 0:
+            raise FormatError(f"{path}: negative mode count in 'ranks'")
+        spec = _build(FormatError, path, ShiftSpec,
+                      _header_value(header, "shift_boundary", path),
+                      _header_value(header, "interp_degree", path, int))
+        # per frame: modes (rows, r) then amplitudes (r, n); then the shifts
+        shapes = [s for r in ranks for s in ((rows, r), (r, n))]
+        *arrays, d = _read_payload(f, shapes + [(len(ranks), n)], path)
+    dec = Decomposition(tuple(FrameBasis(m) for m in arrays[::2]),
+                        tuple(arrays[1::2]), FrameShifts(d, spec), grid, blocks)
     return dec, times
 
 
@@ -347,7 +335,8 @@ def parse_windows(text) -> WindowSchedule:
             raise ConfigError(f"bad window entry '{part}'"
                               " (expected j0:j1@i0:i1)")
         intervals.append(((j0, j1), (i0, i1)))
-    return WindowSchedule(intervals)
+    return _build(ConfigError, f"bad window schedule '{text}'",
+                  WindowSchedule, intervals)
 
 
 def format_windows(windows: WindowSchedule) -> str:
@@ -355,206 +344,213 @@ def format_windows(windows: WindowSchedule) -> str:
                     for (j0, j1), (i0, i1) in windows.entries)
 
 
-_TRUE = ("1", "true", "yes", "on")
-_FALSE = ("0", "false", "no", "off")
-
-
-def _as_bool(text, key):
-    low = text.strip().lower()
-    if low in _TRUE:
-        return True
-    if low in _FALSE:
-        return False
-    raise ConfigError(f"{key}: expected a boolean, got '{text}'")
-
-
+@dataclass
 class FrameConfig:
     """Resolved per-frame configuration: shift file XOR tracker recipe."""
 
-    def __init__(self, shifts_path=None, track_block=None,
-                 statistic="difference", windows=None, smooth=0, mask=()):
-        if (shifts_path is None) == (track_block is None):
+    shifts_path: Optional[str] = None
+    track_block: Optional[str] = None
+    statistic: str = "difference"
+    windows: Optional[str] = None  # raw spec string
+    smooth: int = 0
+    mask: tuple = ()
+
+    def __post_init__(self):
+        if (self.shifts_path is None) == (self.track_block is None):
             raise ConfigError("each frame needs either 'shifts' or 'track',"
                               " never both")
-        if statistic not in STATISTICS:
-            raise ConfigError(f"unknown tracking statistic '{statistic}'")
-        self.shifts_path = shifts_path
-        self.track_block = track_block
-        self.statistic = statistic
-        self.windows = windows  # raw spec string or None
-        self.smooth = int(smooth)
-        self.mask = tuple(mask)
+        if self.statistic not in STATISTICS:
+            raise ConfigError(f"unknown tracking statistic '{self.statistic}'")
+        if self.windows:
+            parse_windows(self.windows)  # fail at load time, not mid-run
+        self.mask = tuple(self.mask)
 
 
+@dataclass
 class RunConfig:
     """Fully resolved run configuration for the end-to-end pipeline."""
 
-    def __init__(self, snapshots, frames, r0, tol=0.01, p_max=None,
-                 warm_start=True, threads=1, rank_tol=1e-10,
-                 scale_variables=False, boundary=None, degree=3,
-                 optimizer=OptimizerOptions(), output_dir="."):
-        if len(frames) == 0:
+    snapshots: str
+    frames: tuple
+    r0: tuple
+    tol: float = GreedyConfig.tol
+    p_max: Optional[int] = GreedyConfig.p_max
+    warm_start: bool = GreedyConfig.warm_start
+    threads: int = GreedyConfig.threads
+    rank_tol: float = GreedyConfig.rank_tol
+    scale_variables: bool = False
+    boundary: Optional[str] = None  # None: follow the grid
+    degree: int = ShiftSpec.interp_degree
+    optimizer: OptimizerOptions = field(default_factory=OptimizerOptions)
+    output_dir: str = "."
+
+    def __post_init__(self):
+        self.frames = tuple(self.frames)
+        self.r0 = tuple(int(r) for r in self.r0)
+        if not self.frames:
             raise ConfigError("no frame sections")
-        if len(r0) != len(frames):
-            raise ConfigError(f"r0 has {len(r0)} entries for"
-                              f" {len(frames)} frames")
-        self.snapshots = snapshots
-        self.frames = tuple(frames)
-        self.r0 = tuple(int(r) for r in r0)
-        self.tol = float(tol)
-        self.p_max = None if p_max is None else int(p_max)
-        self.warm_start = bool(warm_start)
-        self.threads = int(threads)
-        self.rank_tol = float(rank_tol)
-        self.scale_variables = bool(scale_variables)
-        self.boundary = boundary  # None: follow the grid
-        self.degree = int(degree)
-        self.optimizer = optimizer
-        self.output_dir = output_dir
+        if len(self.r0) != len(self.frames):
+            raise ConfigError(f"r0 has {len(self.r0)} entries for"
+                              f" {len(self.frames)} frames")
+        self.greedy()
+        _build(ConfigError, "[spod]", ShiftSpec,
+               self.boundary or ShiftSpec.boundary, self.degree)
+
+    def greedy(self) -> GreedyConfig:
+        """The greedy driver's settings; raises ConfigError when invalid."""
+        return _build(ConfigError, "[spod]", GreedyConfig, r0=list(self.r0),
+                      tol=self.tol, p_max=self.p_max, optimizer=self.optimizer,
+                      rank_tol=self.rank_tol, warm_start=self.warm_start,
+                      threads=self.threads)
 
 
-def _frame_sections(cp):
-    names = [s for s in cp.sections() if s.startswith("frame.")]
+def _bool(text):
+    try:
+        return configparser.ConfigParser.BOOLEAN_STATES[text.lower()]
+    except KeyError:
+        raise ValueError(f"expected a boolean, got '{text}'") from None
 
-    def index(name):
+
+def _path(text, base):
+    """Relative paths are taken from the config file's directory."""
+    return os.path.normpath(os.path.join(base, text))
+
+
+def _names(text):
+    return tuple(v.strip() for v in text.split(",") if v.strip())
+
+
+_REQUIRED = object()
+
+
+class _Key(NamedTuple):
+    """How one config key is parsed and written back.  An absent key is
+    parsed from ``default`` text, is an error when that is _REQUIRED, and
+    otherwise keeps the default of the object it sets.  A ``shared`` key
+    may be set by [spod] and by any frame section; all must agree."""
+
+    parse: Callable
+    format: Callable = str
+    attr: Optional[str] = None  # attribute set, when named unlike the key
+    default: object = None
+    shared: Optional[str] = None  # what the value is, for the error
+
+
+_SHIFT_KEYS = {
+    "boundary": _Key(str, shared="shift boundary mode"),
+    "degree": _Key(int, shared="interpolation degree"),
+}
+_FRAMES = "frame.N"
+# section -> key -> _Key.  Defaults live in RunConfig (whose [spod]
+# defaults are GreedyConfig's), OptimizerOptions and FrameConfig.
+_KEYS = {
+    "input": {
+        "snapshots": _Key(_path, os.path.abspath, default=_REQUIRED),
+        "scale_variables": _Key(_bool),
+    },
+    "spod": {
+        "r0": _Key(_int_list, _join, default=_REQUIRED),
+        "tol": _Key(float, _fmt),
+        "warm_start": _Key(_bool),
+        "threads": _Key(int),
+        "rank_tol": _Key(float, _fmt),
+        "p_max": _Key(int),
+        **_SHIFT_KEYS,
+    },
+    "optimizer": {
+        "memory": _Key(int),
+        "grad_tol": _Key(float, _fmt),
+        "max_iters": _Key(int),
+        "sufficient_decrease": _Key(float, _fmt),
+        "curvature": _Key(float, _fmt),
+    },
+    _FRAMES: {
+        "shifts": _Key(_path, os.path.abspath, "shifts_path"),
+        "track": _Key(str, attr="track_block"),
+        "statistic": _Key(str),
+        "windows": _Key(str),
+        "smooth": _Key(int),
+        "mask": _Key(_names, _join),
+    },
+    "output": {"directory": _Key(_path, os.path.abspath, "output_dir", ".")},
+}
+
+
+def _read_section(cp, name, keys, base):
+    """Parsed values of one section, by attribute name."""
+    section = cp[name] if cp.has_section(name) else {}
+    unknown = set(section) - set(keys)
+    if unknown:
+        raise ConfigError(f"[{name}]: unknown keys {sorted(unknown)}")
+    values = {}
+    for key, k in keys.items():
+        text = section.get(key) or k.default
+        if text is _REQUIRED:
+            raise ConfigError(f"missing [{name}] {key}")
+        if text is None:
+            continue
         try:
-            return int(name.split(".", 1)[1])
-        except ValueError:
-            raise ConfigError(f"bad frame section name [{name}]")
-
-    names.sort(key=index)
-    if [index(s) for s in names] != list(range(len(names))):
-        raise ConfigError("frame sections must be numbered 0..Ns-1")
-    return names
+            values[k.attr or key] = (k.parse(text, base) if k.parse is _path
+                                     else k.parse(text))
+        except ValueError as e:
+            raise ConfigError(f"[{name}] {key}: {e}") from None
+    return values
 
 
 def load_config(path) -> RunConfig:
     cp = configparser.ConfigParser(interpolation=None)
-    read = cp.read(path)
-    if not read:
-        raise ConfigError(f"cannot read config file {path}")
-    base = os.path.dirname(os.path.abspath(path))
-
-    def resolve(p):
-        return os.path.normpath(p if os.path.isabs(p) else os.path.join(base, p))
-
-    if not cp.has_option("input", "snapshots"):
-        raise ConfigError("missing [input] snapshots")
-    snapshots = resolve(cp.get("input", "snapshots"))
-    scale = _as_bool(cp.get("input", "scale_variables", fallback="false"),
-                     "scale_variables")
-
-    frames = []
-    boundaries = set()
-    degrees = set()
-    for section in _frame_sections(cp):
-        sec = cp[section]
-        unknown = set(sec) - {"shifts", "track", "statistic", "windows",
-                              "smooth", "mask", "boundary", "degree"}
-        if unknown:
-            raise ConfigError(f"[{section}]: unknown keys {sorted(unknown)}")
-        mask = tuple(v.strip() for v in sec.get("mask", "").split(",")
-                     if v.strip())
-        fc = FrameConfig(
-            shifts_path=(resolve(sec["shifts"]) if "shifts" in sec else None),
-            track_block=sec.get("track"),
-            statistic=sec.get("statistic", "difference"),
-            windows=sec.get("windows"),
-            smooth=sec.getint("smooth", fallback=0),
-            mask=mask)
-        if fc.windows:
-            parse_windows(fc.windows)  # fail at load time, not mid-run
-        frames.append(fc)
-        if "boundary" in sec:
-            boundaries.add(sec["boundary"])
-        if "degree" in sec:
-            degrees.add(sec.getint("degree"))
-
-    sp = cp["spod"] if cp.has_section("spod") else {}
-    if "boundary" in sp:
-        boundaries.add(sp["boundary"])
-    if "degree" in sp:
-        degrees.add(int(sp["degree"]))
-    if len(boundaries) > 1:
-        raise ConfigError("frames must agree on the shift boundary mode")
-    if len(degrees) > 1:
-        raise ConfigError("frames must agree on the interpolation degree")
-
-    if "r0" not in sp:
-        raise ConfigError("missing [spod] r0")
     try:
-        r0 = [int(v) for v in sp["r0"].split(",")]
-    except ValueError:
-        raise ConfigError("[spod] r0 must be a comma-separated integer list")
+        if not cp.read(path):
+            raise ConfigError(f"cannot read config file {path}")
+    except (configparser.Error, UnicodeError) as e:
+        raise ConfigError(f"{path}: {e}") from None
+    base = os.path.dirname(os.path.abspath(path))
+    found = {s for s in cp.sections() if s.startswith("frame.")}
+    frame_sections = [f"frame.{l}" for l in range(len(found))]
+    if found != set(frame_sections):
+        raise ConfigError("frame sections must be numbered 0..Ns-1")
+    unknown = set(cp.sections()) - set(_KEYS) - found
+    if unknown:
+        raise ConfigError(f"unknown sections {sorted(unknown)}")
 
-    opt = OptimizerOptions(
-        memory=cp.getint("optimizer", "memory", fallback=10),
-        grad_tol=cp.getfloat("optimizer", "grad_tol", fallback=1e-6),
-        max_iters=cp.getint("optimizer", "max_iters", fallback=500),
-        sufficient_decrease=cp.getfloat("optimizer", "sufficient_decrease",
-                                        fallback=1e-4),
-        curvature=cp.getfloat("optimizer", "curvature", fallback=0.9))
+    values = {name: _read_section(cp, name, keys, base)
+              for name, keys in _KEYS.items() if name != _FRAMES}
+    shift_values = [values["spod"]]
+    frames = []
+    for name in frame_sections:
+        fv = _read_section(cp, name, {**_KEYS[_FRAMES], **_SHIFT_KEYS}, base)
+        shift_values.append({k: fv.pop(k) for k in _SHIFT_KEYS if k in fv})
+        frames.append(_build(ConfigError, f"[{name}]", FrameConfig, **fv))
+    for key, k in _SHIFT_KEYS.items():
+        found = {v[key] for v in shift_values if key in v}
+        if len(found) > 1:
+            raise ConfigError(f"frames must agree on the {k.shared}")
+        if found:
+            values["spod"][key] = found.pop()
 
-    p_max = sp.get("p_max") if sp else None
-    return RunConfig(
-        snapshots=snapshots,
-        frames=frames,
-        r0=r0,
-        tol=float(sp.get("tol", 0.01)),
-        p_max=None if p_max in (None, "") else int(p_max),
-        warm_start=_as_bool(sp.get("warm_start", "true"), "warm_start"),
-        threads=int(sp.get("threads", 1)),
-        rank_tol=float(sp.get("rank_tol", 1e-10)),
-        scale_variables=scale,
-        boundary=(next(iter(boundaries)) if boundaries else None),
-        degree=(next(iter(degrees)) if degrees else 3),
-        optimizer=opt,
-        output_dir=resolve(cp.get("output", "directory", fallback=".")))
+    optimizer = _build(ConfigError, "[optimizer]", OptimizerOptions,
+                       **values.pop("optimizer"))
+    run = {a: v for section in values.values() for a, v in section.items()}
+    return RunConfig(frames=frames, optimizer=optimizer, **run)
+
+
+def _format_section(obj, keys):
+    """Key -> text for every attribute of obj that holds a value."""
+    values = {key: getattr(obj, k.attr or key) for key, k in keys.items()}
+    return {key: keys[key].format(v) for key, v in values.items()
+            if v is not None and v != ()}
 
 
 def write_manifest(cfg: RunConfig, path):
     """Echo the resolved configuration as a config file that reproduces
     the run (paths are written absolute)."""
     cp = configparser.ConfigParser(interpolation=None)
-    cp["input"] = {
-        "snapshots": os.path.abspath(cfg.snapshots),
-        "scale_variables": str(cfg.scale_variables).lower(),
-    }
-    spod = {
-        "r0": ",".join(str(r) for r in cfg.r0),
-        "tol": _fmt(cfg.tol),
-        "warm_start": str(cfg.warm_start).lower(),
-        "threads": str(cfg.threads),
-        "rank_tol": _fmt(cfg.rank_tol),
-        "degree": str(cfg.degree),
-    }
-    if cfg.p_max is not None:
-        spod["p_max"] = str(cfg.p_max)
-    if cfg.boundary is not None:
-        spod["boundary"] = cfg.boundary
-    cp["spod"] = spod
-    o = cfg.optimizer
-    cp["optimizer"] = {
-        "memory": str(o.memory),
-        "grad_tol": _fmt(o.grad_tol),
-        "max_iters": str(o.max_iters),
-        "sufficient_decrease": _fmt(o.sufficient_decrease),
-        "curvature": _fmt(o.curvature),
-    }
-    for l, fc in enumerate(cfg.frames):
-        sec = {}
-        if fc.shifts_path is not None:
-            sec["shifts"] = os.path.abspath(fc.shifts_path)
+    for name, keys in _KEYS.items():
+        if name == _FRAMES:
+            for l, fc in enumerate(cfg.frames):
+                cp[f"frame.{l}"] = _format_section(fc, keys)
         else:
-            sec["track"] = fc.track_block
-            sec["statistic"] = fc.statistic
-            if fc.windows:
-                sec["windows"] = fc.windows
-            if fc.smooth:
-                sec["smooth"] = str(fc.smooth)
-        if fc.mask:
-            sec["mask"] = ",".join(fc.mask)
-        cp[f"frame.{l}"] = sec
-    cp["output"] = {"directory": os.path.abspath(cfg.output_dir)}
+            target = cfg.optimizer if name == "optimizer" else cfg
+            cp[name] = _format_section(target, keys)
     with open(path, "w") as f:
         cp.write(f)

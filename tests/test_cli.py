@@ -227,6 +227,38 @@ shifts = {wave_dir / 'd1.csv'}
 """)
         assert run_cli(["spod", "--config", str(cfg)]) == 2
 
+    @pytest.mark.parametrize("section,line", [
+        ("spod", "tol = abc"), ("spod", "tol = -1"), ("spod", "threads = 0"),
+        ("spod", "degree = 2"), ("spod", "boundary = foo"),
+        ("frame.1", "smooth = x"), ("optimizer", "memory = x"),
+        ("optimizer", "curvature = 1e-5"), ("optimizer", "max_iter = 5"),
+        ("spod", "tl = 5"),
+    ])
+    def test_invalid_config_value_exits_1(self, wave_dir, capsys, section,
+                                          line):
+        text = (wave_dir / "run.cfg").read_text()
+        header = f"[{section}]\n"
+        text = (text.replace(header, header + line + "\n") if header in text
+                else text + header + line + "\n")
+        cfg = wave_dir / "bad_value.cfg"
+        cfg.write_text(text)
+        assert run_cli(["spod", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert "configuration error" in err
+        assert "Traceback" not in err
+
+    def test_decomposition_without_shift_boundary_is_data_error(
+            self, wave_dir, tmp_path, capsys):
+        assert run_cli(["spod", "--config", str(wave_dir / "run.cfg")]) == 0
+        data = (wave_dir / "out" / "decomposition.bin").read_bytes()
+        bad = tmp_path / "bad.bin"
+        bad.write_bytes(data.replace(b"shift_boundary=periodic\n", b""))
+        capsys.readouterr()
+        rc = run_cli(["reconstruct", str(bad), "--out",
+                      str(tmp_path / "r.snap")])
+        assert rc == 2
+        assert "missing header key 'shift_boundary'" in capsys.readouterr().err
+
     def test_export_curves(self, wave_dir, capsys):
         cfg = str(wave_dir / "run.cfg")
         assert run_cli(["spod", "--config", cfg]) == 0

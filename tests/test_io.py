@@ -11,6 +11,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from spod.core import Decomposition, FrameBasis, FrameShifts
 from spod.greedy import GreedyReport
@@ -27,6 +29,7 @@ from spod.io import (
     read_snapshots,
     read_snapshots_csv,
     write_curve,
+    write_decomposition,
     write_manifest,
     write_report,
     write_shifts,
@@ -204,6 +207,29 @@ class TestDecompositionFile:
         for aa, ab in zip(dec.amplitudes, back.amplitudes):
             np.testing.assert_array_equal(aa, ab)
 
+    @pytest.mark.parametrize("edit,match", [
+        (lambda h, p: (h.replace(b"shift_boundary=periodic\n", b""), p),
+         "missing header key 'shift_boundary'"),
+        (lambda h, p: (h.replace(b"\nboundary=periodic", b""), p),
+         "missing header key 'boundary'"),
+        (lambda h, p: (h.replace(b"time=0.0,", b"time="), p),
+         "time axis has 3 entries, expected 4"),
+        (lambda h, p: (h.replace(b"interp_degree=3", b"interp_degree=2"), p),
+         "interpolation degree 2"),
+        (lambda h, p: (h.replace(b"ranks=2,1", b"ranks=2,x"), p),
+         "'ranks' is not an integer list"),
+        (lambda h, p: (h, p[:-8] + struct.pack("<d", np.nan)), "non-finite"),
+    ])
+    def test_header_errors(self, tmp_path, edit, match):
+        from spod.io import write_decomposition
+        path = tmp_path / "dec.bin"
+        write_decomposition(_sample_decomposition(), path)
+        header, sep, payload = path.read_bytes().partition(b"end-header\n")
+        header, payload = edit(header, payload)
+        path.write_bytes(header + sep + payload)
+        with pytest.raises(FormatError, match=match):
+            read_decomposition(path)
+
     def test_payload_size_checked(self, tmp_path):
         dec = _sample_decomposition()
         path = tmp_path / "dec.bin"
@@ -263,6 +289,16 @@ class TestWindowSpec:
         for bad in ["5@1:2", "a:b@1:2", "0:1@", "0:1", ""]:
             with pytest.raises(ConfigError, match="bad window entry"):
                 parse_windows(bad)
+
+
+_VALID = ("[input]\nsnapshots = x\n[spod]\nr0 = 1,1\n"
+          "[frame.0]\ntrack = v\n[frame.1]\ntrack = v\n")
+
+
+def _valid_with(section, line):
+    """A loadable two-frame config with one line added to section."""
+    body = _VALID.replace(f"[{section}]\n", f"[{section}]\n{line}\n")
+    return body if body != _VALID else f"{_VALID}[{section}]\n{line}\n"
 
 
 def _write_config(tmp_path, body):
@@ -374,10 +410,39 @@ track = var0
          "[frame.0]\ntrack = v\n", "expected a boolean"),
         ("[input]\nsnapshots = x\n[spod]\nr0 = 1,1\n[frame.0]\ntrack = v\n",
          "r0 has 2 entries"),
+        (_valid_with("spod", "tol = abc"), r"\[spod\] tol: could not convert"),
+        (_valid_with("spod", "tol = -1"), "tolerance must be positive"),
+        (_valid_with("spod", "threads = 0"), "thread count must be at least 1"),
+        (_valid_with("spod", "degree = 2"), "interpolation degree 2"),
+        (_valid_with("spod", "boundary = foo"), "unknown operator boundary"),
+        (_valid_with("frame.1", "smooth = x"),
+         r"\[frame.1\] smooth: invalid literal"),
+        (_valid_with("optimizer", "memory = x"),
+         r"\[optimizer\] memory: invalid literal"),
+        (_valid_with("optimizer", "curvature = 1e-5"),
+         "sufficient_decrease < curvature"),
+        (_valid_with("optimizer", "max_iter = 5"),
+         r"\[optimizer\]: unknown keys \['max_iter'\]"),
+        (_valid_with("spod", "tl = 5"), r"\[spod\]: unknown keys \['tl'\]"),
+        (_valid_with("input", "color = red"), "unknown keys"),
+        (_valid_with("output", "dir = out"), "unknown keys"),
+        (_valid_with("spodd", "tol = 0.1"), "unknown sections"),
+        (_valid_with("frame", "track = v"), "unknown sections"),
+        (_valid_with("frame.x", "track = v"), "numbered 0..Ns-1"),
+        (_valid_with("frame.1", "windows = 3:1@0:4"),
+         "bad window schedule"),
+        ("[input]\nsnapshots = x\n[input]\nsnapshots = y\n", "already exists"),
+        ("snapshots = x\n", "no section headers"),
     ])
     def test_invalid_configs(self, tmp_path, body, match):
         with pytest.raises(ConfigError, match=match):
             load_config(_write_config(tmp_path, body))
+
+    def test_empty_value_takes_default(self, tmp_path):
+        cfg = load_config(_write_config(tmp_path,
+                                        _valid_with("spod", "p_max =")))
+        assert cfg.p_max is None
+        assert cfg.r0 == (1, 1)
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="cannot read"):
@@ -409,3 +474,93 @@ track = var0
         assert back.frames[1].windows == "0:2@0:8"
         assert back.frames[1].smooth == 2
         assert back.frames[1].mask == ("u",)
+
+
+# Loader fuzzing: malformed input may only end in the documented error
+# type, which the command line maps to its exit code (1 config, 2 data).
+_SECTIONS = st.sampled_from(["input", "spod", "optimizer", "output", "frame.0",
+                             "frame.1", "frame.x", "frame", "DEFAULT", "misc"])
+_CONFIG_KEYS = st.sampled_from([
+    "snapshots", "scale_variables", "r0", "tol", "p_max", "warm_start",
+    "threads", "rank_tol", "boundary", "degree", "memory", "grad_tol",
+    "max_iters", "sufficient_decrease", "curvature", "shifts", "track",
+    "statistic", "windows", "smooth", "mask", "directory", "tl", "Max_Iters"])
+_WORDS = ["", "1", "1,1", "0", "-1", "2", "abc", "1e-5", "nan", "inf", "yes",
+          "maybe", "periodic", "constant", "non-periodic", "foo", "peak",
+          "0:4@0:8", "3:1@0:4", "0:1", "x.bin", ",", "a:4", "a:4,b:4",
+          "0.0,0.5,1.0", "1.0,0.5,0.0", "0.0,0.5"]
+# values stay short: without a time key the readers allocate an n-entry
+# time axis before they check the payload length
+_VALUES = st.one_of(st.sampled_from(_WORDS), st.integers(-3, 40).map(str),
+                    st.text("0123456789.,:@-=abex \t", max_size=6))
+
+
+@st.composite
+def _ini_text(draw):
+    lines = []
+    for section in draw(st.lists(_SECTIONS, max_size=6)):
+        lines.append(f"[{section}]")
+        for key, value in draw(st.lists(st.tuples(_CONFIG_KEYS, _VALUES),
+                                        max_size=5)):
+            lines.append(f"{key} = {value}")
+    return "\n".join(lines) + "\n"
+
+
+def _mutate(data, draw):
+    """Apply a few header edits and payload cuts to a binary file."""
+    header, sep, payload = data.partition(b"end-header\n")
+    lines = header.splitlines()
+    for _ in range(draw(st.integers(1, 3))):
+        i = draw(st.integers(0, len(lines) - 1)) if lines else 0
+        op = draw(st.sampled_from(["drop", "value", "dup", "insert", "cut",
+                                   "nan"]))
+        if op == "drop" and lines:
+            del lines[i]
+        elif op == "value" and lines:
+            key = lines[i].partition(b"=")[0]
+            lines[i] = key + b"=" + draw(_VALUES).encode()
+        elif op == "dup" and lines:
+            lines.insert(i, lines[i])
+        elif op == "insert":
+            lines.insert(i, draw(st.sampled_from(
+                [b"novalue", b"# note", b"end-header", b"x=1", b"\xff"])))
+        elif op == "cut":
+            payload = payload[:draw(st.integers(0, len(payload)))]
+        elif op == "nan" and len(payload) >= 8:
+            j = 8 * draw(st.integers(0, len(payload) // 8 - 1))
+            payload = payload[:j] + struct.pack("<d", np.nan) + payload[j + 8:]
+    return b"\n".join(lines) + b"\n" + sep + payload
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+class TestLoaderFuzz:
+    @given(st.one_of(_ini_text(), st.text(
+        st.characters(blacklist_categories=("Cs",)), max_size=200)))
+    def test_load_config_raises_only_config_error(self, fuzz_dir, text):
+        path = fuzz_dir / "run.cfg"
+        path.write_text(text, encoding="utf-8")
+        try:
+            load_config(path)
+        except ConfigError:
+            pass
+
+    @pytest.mark.parametrize("write,read", [
+        (lambda path: write_snapshots(_sample_snapshots(), path),
+         read_snapshots),
+        (lambda path: write_decomposition(_sample_decomposition(), path),
+         read_decomposition),
+    ])
+    @given(data=st.data())
+    def test_binary_readers_raise_only_format_error(self, fuzz_dir, write,
+                                                    read, data):
+        path = fuzz_dir / "file.bin"
+        write(path)
+        path.write_bytes(_mutate(path.read_bytes(), data.draw))
+        try:
+            read(path)
+        except FormatError:
+            pass
