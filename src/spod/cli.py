@@ -236,6 +236,11 @@ def _cmd_spod(args) -> int:
     print(f"termination: {report.termination}")
     print(f"relative error: {err:.6e}")
     print(f"modes per frame: {report.r_final}")
+    for st in report.stages:  # results that depend on the solver settings
+        if st["termination"] == "iteration cap" or st["rank_deficient_evals"]:
+            print(f"warning: {st['label']} solve ended by {st['termination']}"
+                  f" with {st['rank_deficient_evals']} rank-deficient"
+                  " evaluations", file=sys.stderr)
     print(f"runtime: {report.runtime_seconds:.1f} s", file=sys.stderr)
     return 0 if report.converged else 3
 

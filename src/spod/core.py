@@ -146,6 +146,27 @@ def assemble_frame_matrix(frames, shifts: FrameShifts, grid: Grid1D, j: int) -> 
     return np.concatenate(cols, axis=1)
 
 
+def _least_squares(K: np.ndarray, XT: np.ndarray, rank_tol: float):
+    """Minimum-norm least squares K[j] a_j ~= XT[j] for a stack of systems.
+
+    K has shape (n, M, R) and XT shape (n, M); one stacked SVD covers every
+    system.  Singular values at or below rank_tol times the largest of
+    their system count as zero, so an all-zero K[j] gives a_j = 0.  Returns
+    the amplitudes (n, R), the residuals XT[j] - K[j] a_j as an (n, M)
+    array, the coefficients c_j = U_j1^T XT[j] (zero past each rank) and
+    the ranks (n,).
+    """
+    U, s, Vt = np.linalg.svd(K, full_matrices=False)
+    keep = (s > rank_tol * s[:, :1]) & (s[:, :1] > 0.0)
+    c = np.matmul(XT[:, None, :], U)[:, 0]
+    c *= keep
+    resid = np.matmul(U, c[:, :, None])[..., 0]
+    np.subtract(XT, resid, out=resid)
+    scaled = np.divide(c, s, out=np.zeros_like(c), where=keep)
+    amps = np.matmul(scaled[:, None, :], Vt)[:, 0]
+    return amps, resid, c, keep.sum(axis=1)
+
+
 def optimal_amplitudes(K: np.ndarray, x: np.ndarray, rank_tol: float = 1e-10) -> np.ndarray:
     """Minimum-norm least-squares amplitudes of one snapshot.
 
@@ -157,13 +178,7 @@ def optimal_amplitudes(K: np.ndarray, x: np.ndarray, rank_tol: float = 1e-10) ->
     x = np.asarray(x, dtype=float)
     if K.ndim != 2 or x.shape != (K.shape[0],):
         raise ValueError(f"shape mismatch: K {K.shape}, x {x.shape}")
-    if K.shape[1] == 0:
-        return np.zeros(0)
-    U, s, Vt = np.linalg.svd(K, full_matrices=False)
-    if s.size == 0 or s[0] <= 0.0:
-        return np.zeros(K.shape[1])
-    rank = int(np.sum(s > rank_tol * s[0]))
-    return Vt[:rank].T @ ((U[:, :rank].T @ x) / s[:rank])
+    return _least_squares(K[None], x[None], rank_tol)[0][0]
 
 
 class _FramePlan:
@@ -180,26 +195,22 @@ class _FramePlan:
         ops = [shift_operator(d, grid, spec) for d in d_row]
         self.stacked = sparse.vstack(ops, format="csr")
         self.stacked_T = self.stacked.T.tocsr()
-        self.n = len(ops)
 
-    def shifted_modes(self, W: np.ndarray) -> np.ndarray:
-        """(n, nb, m, r) array S with S[j, b] = T(d_j) applied to block b of W."""
+    def shifted_modes(self, W: np.ndarray, out: np.ndarray):
+        """Fill out, shaped (n, nb, m, r), with T(d_j) applied to block b of W."""
         m = self.grid.m
-        nb = _block_count(W.shape[0], self.grid)
-        r = W.shape[1]
-        S = np.empty((self.n, nb, m, r))
-        for b in range(nb):
-            S[:, b] = (self.stacked @ W[b * m:(b + 1) * m]).reshape(self.n, m, r)
-        return S
+        for b in range(out.shape[1]):
+            out[:, b] = (self.stacked @ W[b * m:(b + 1) * m]).reshape(out[:, b].shape)
 
-    def accumulate_transpose(self, Z: np.ndarray) -> np.ndarray:
-        """sum_j T(d_j)^T Z[j] for block-structured Z of shape (n, nb, m, r)."""
-        n, nb, m, r = Z.shape
+    def accumulate_transpose(self, R: np.ndarray, A: np.ndarray) -> np.ndarray:
+        """sum_j T(d_j)^T R[j, b] a_j^T per block, for residual blocks R of
+        shape (n, nb, m) and amplitudes A of shape (n, r)."""
+        n, nb, m = R.shape
+        r = A.shape[1]
         out = np.empty((nb * m, r))
         for b in range(nb):
-            out[b * m:(b + 1) * m] = self.stacked_T @ np.ascontiguousarray(
-                Z[:, b]
-            ).reshape(n * m, r)
+            Z = R[:, b, :, None] * A[:, None, :]
+            out[b * m:(b + 1) * m] = self.stacked_T @ Z.reshape(n * m, r)
         return out
 
 
@@ -207,11 +218,13 @@ class ReducedObjective:
     """Reduced objective and gradient for fixed shifts and mode counts.
 
     Holds the cached shift operators so that repeated evaluations (line
-    searches) only pay sparse products plus one small SVD per snapshot.
-    value_and_gradient works on the flat variable vector (frames in order,
-    each frame's modes raveled column by column) and returns the full
-    squared residual J = sum_j ||X_j||^2 + Jt, which is the quantity the
-    optimizer traces; the reduced part Jt is available from evaluate().
+    searches) only pay sparse products plus one stacked SVD of all frame
+    matrices K_j.  value_and_gradient works on the flat variable vector
+    (frames in order, each frame's modes raveled column by column) and
+    returns the full squared residual J = sum_j ||X_j - K_j a_j||^2, summed
+    from the explicit residual rather than as ||X||^2 + Jt, which cancels
+    to noise once the fit is close; J is the quantity the optimizer traces
+    and the reduced part Jt is available from evaluate().
 
     rank_events collects (eval_index, snapshot, rank) whenever some K_j
     was numerically rank-deficient, since the objective is not smooth
@@ -258,14 +271,7 @@ class ReducedObjective:
             return [None] * len(self.mode_counts)
         if len(masks) != len(self.mode_counts):
             raise ValueError(f"{len(masks)} masks for {len(self.mode_counts)} frames")
-        out = []
-        for mk in masks:
-            if mk is None:
-                out.append(None)
-            else:
-                mk = np.asarray(mk, dtype=bool)
-                out.append(mk)
-        return out
+        return [None if mk is None else np.asarray(mk, dtype=bool) for mk in masks]
 
     # --- flat variable layout -------------------------------------------
     def pack(self, modes_list) -> np.ndarray:
@@ -304,60 +310,30 @@ class ReducedObjective:
         (I - U_j1 U_j1^T) X_j.
         """
         self.n_evals += 1
-        X = self.X
-        n = self.n
+        n, m_total = self.n, self.m_total
         total_r = sum(self.mode_counts)
-        amps = [np.zeros((r, n)) for r in self.mode_counts]
-        if total_r == 0:
-            resid = X.copy()
-            grads = [np.zeros((self.m_total, 0)) for _ in self.mode_counts] \
-                if need_gradient else None
-            return 0.0, grads, amps, resid
-
-        S = []  # per frame: (n, nb, m, r_l) shifted modes
-        for plan, W in zip(self.plans, self._masked(modes_list)):
-            S.append(plan.shifted_modes(W) if W.shape[1] else None)
-        K_all = np.concatenate(
-            [s.reshape(n, self.m_total, -1) for s in S if s is not None], axis=2
-        )
-
-        Jt = 0.0
-        resid = np.empty_like(X)
-        col_of = np.cumsum([0] + self.mode_counts)
-        for j in range(n):
-            Kj = K_all[j]
-            xj = X[:, j]
-            U, s, Vt = np.linalg.svd(Kj, full_matrices=False)
-            if s[0] <= 0.0:
-                rank = 0
-            else:
-                rank = int(np.sum(s > self.rank_tol * s[0]))
-            if rank < min(Kj.shape):
-                self.rank_events.append((self.n_evals, j, rank))
-            c = U[:, :rank].T @ xj
-            Jt -= float(c @ c)
-            resid[:, j] = xj - U[:, :rank] @ c
-            aj = Vt[:rank].T @ (c / s[:rank])
-            for l, r in enumerate(self.mode_counts):
-                if r:
-                    amps[l][:, j] = aj[col_of[l]:col_of[l + 1]]
+        cols = np.cumsum([0] + self.mode_counts)
+        frame_cols = [slice(a, b) for a, b in zip(cols, cols[1:])]
+        K = np.empty((n, self.n_blocks, self.grid.m, total_r))
+        for plan, W, cl in zip(self.plans, self._masked(modes_list), frame_cols):
+            plan.shifted_modes(W, K[..., cl])
+        A, resid, coef, ranks = _least_squares(
+            K.reshape(n, m_total, total_r), np.ascontiguousarray(self.X.T),
+            self.rank_tol)
+        del K  # freed before the gradient allocates its products
+        for j in np.flatnonzero(ranks < min(m_total, total_r)):
+            self.rank_events.append((self.n_evals, int(j), int(ranks[j])))
 
         grads = None
         if need_gradient:
-            grads = []
-            resid_blocks = np.ascontiguousarray(resid.T).reshape(
-                n, self.n_blocks, self.grid.m
-            )
-            for l, (plan, r) in enumerate(zip(self.plans, self.mode_counts)):
-                if r == 0:
-                    grads.append(np.zeros((self.m_total, 0)))
-                    continue
-                Z = resid_blocks[..., None] * amps[l].T[:, None, None, :]
-                G = -2.0 * plan.accumulate_transpose(Z)
-                if self.masks[l] is not None:
-                    G[self.masks[l]] = 0.0
-                grads.append(G)
-        return Jt, grads, amps, resid
+            resid_blocks = resid.reshape(n, self.n_blocks, self.grid.m)
+            grads = [-2.0 * plan.accumulate_transpose(resid_blocks, A[:, cl])
+                     for plan, cl in zip(self.plans, frame_cols)]
+            for G, mk in zip(grads, self.masks):
+                if mk is not None:
+                    G[mk] = 0.0
+        amps = [A[:, cl].T.copy() for cl in frame_cols]
+        return -float(np.vdot(coef, coef)), grads, amps, resid.T
 
     def _masked(self, modes_list):
         out = []
@@ -371,9 +347,10 @@ class ReducedObjective:
     def value_and_gradient(self, z: np.ndarray):
         """Optimizer callback: full squared residual J and its flat gradient."""
         modes_list = self.unpack(z)
-        Jt, grads, _, _ = self.evaluate(modes_list, need_gradient=True)
+        _, grads, _, resid = self.evaluate(modes_list, need_gradient=True)
         g = np.concatenate([G.ravel(order="F") for G in grads]) if grads else np.zeros(0)
-        return self.norm2 + Jt, g
+        r = resid.ravel(order="K")  # memory order: a view, not a copy
+        return float(r @ r), g
 
     def relative_error_of(self, value: float) -> float:
         """Map an objective value J to the relative squared error J / ||X||^2."""

@@ -120,18 +120,21 @@ def _header_value(header, key, path, convert=str, what="header"):
 
 
 def _read_layout(header, path, what="header"):
-    """Parse the layout keys. Returns (grid, blocks, rows, n, time)."""
+    """Parse the layout keys. Returns (grid, blocks, rows, n, time), where
+    time is None when the header has no time axis."""
     def value(key, convert=str):
         return _header_value(header, key, path, convert, what)
 
     m, n = value("m", int), value("n", int)
     grid = _build(FormatError, path, Grid1D, m, value("h", float),
                   value("boundary"))
-    time = value("time", _float_list) if "time" in header else np.arange(n)
-    time = _build(FormatError, path, TimeAxis, time).values
-    if time.size != n:
-        raise FormatError(
-            f"{path}: time axis has {time.size} entries, expected {n}")
+    time = None  # the default axis is built once n is checked against the data
+    if "time" in header:
+        time = _build(FormatError, path, TimeAxis,
+                      value("time", _float_list)).values
+        if time.size != n:
+            raise FormatError(
+                f"{path}: time axis has {time.size} entries, expected {n}")
     blocks = []
     for part in header.get("blocks", f"var0:{m}").split(","):
         start = len(blocks) * m
@@ -147,12 +150,26 @@ def _read_layout(header, path, what="header"):
     return grid, tuple(blocks), len(blocks) * m, n, time
 
 
+def _time_values(time, n, path):
+    """The header's time axis, else 0..n-1; called once the data has been
+    checked against n, so that a bad n fails before it allocates."""
+    if time is None:
+        time = _build(FormatError, path, TimeAxis, np.arange(n)).values
+    return time
+
+
 def _format_layout(grid, blocks, time):
     """Layout keys as text, in file order."""
     return {"m": grid.m, "n": len(time), "h": _fmt(grid.h),
             "boundary": grid.boundary,
             "blocks": _join(f"{b.name}:{b.stop - b.start}" for b in blocks),
             "time": _join(_fmt(v) for v in time)}
+
+
+def _finite(values, path, what):
+    if not np.all(np.isfinite(values)):
+        raise FormatError(f"{path}: non-finite entries in {what}")
+    return values
 
 
 def _read_payload(f, shapes, path):
@@ -164,9 +181,7 @@ def _read_payload(f, shapes, path):
         raise FormatError(
             f"{path}: data section holds {len(payload) // 8} float64 values,"
             f" expected {sum(sizes)}")
-    values = np.frombuffer(payload, dtype="<f8")
-    if not np.all(np.isfinite(values)):
-        raise FormatError(f"{path}: non-finite entries in data section")
+    values = _finite(np.frombuffer(payload, dtype="<f8"), path, "data section")
     parts = np.split(values, np.cumsum(sizes)[:-1])
     return [p.reshape(s, order="F").copy() for p, s in zip(parts, shapes)]
 
@@ -186,7 +201,7 @@ def read_snapshots(path) -> SnapshotSet:
     with open(path, "rb") as f:
         grid, blocks, rows, n, time = _read_layout(_read_header(f, path), path)
         data, = _read_payload(f, [(rows, n)], path)
-    return SnapshotSet(data, grid, time, blocks)
+    return SnapshotSet(data, grid, _time_values(time, n, path), blocks)
 
 
 def write_snapshots(snaps: SnapshotSet, path):
@@ -232,7 +247,8 @@ def read_snapshots_csv(path) -> SnapshotSet:
     grid, blocks, total, n, time = _read_layout(meta, path, "metadata")
     if len(rows) != total or any(len(r) != n for r in rows):
         raise FormatError(f"{path}: data is not {total} rows of {n} values")
-    return SnapshotSet(np.array(rows), grid, time, blocks)
+    data = _finite(np.array(rows), path, "data rows")
+    return SnapshotSet(data, grid, _time_values(time, n, path), blocks)
 
 
 def write_shifts(d, path, frame_names=None):
@@ -266,7 +282,7 @@ def read_shifts(path):
         raise FormatError(f"{path}: no shift rows")
     if any(len(r) != len(rows[0]) for r in rows):
         raise FormatError(f"{path}: ragged shift rows")
-    return np.array(rows).T.copy()
+    return _finite(np.array(rows).T.copy(), path, "shift rows")
 
 
 def write_decomposition(dec: Decomposition, path, times=None):
@@ -296,6 +312,7 @@ def read_decomposition(path):
         # per frame: modes (rows, r) then amplitudes (r, n); then the shifts
         shapes = [s for r in ranks for s in ((rows, r), (r, n))]
         *arrays, d = _read_payload(f, shapes + [(len(ranks), n)], path)
+    times = _time_values(times, n, path)
     dec = Decomposition(tuple(FrameBasis(m) for m in arrays[::2]),
                         tuple(arrays[1::2]), FrameShifts(d, spec), grid, blocks)
     return dec, times

@@ -209,6 +209,19 @@ directory = strict_out
         assert rc == 3
         assert "iteration cap" in capsys.readouterr().out
 
+    def test_capped_solve_warns_on_stderr_only(self, wave_dir, capsys):
+        text = (wave_dir / "run.cfg").read_text().replace(
+            "directory = out", "directory = capped_out")
+        cfg = wave_dir / "capped.cfg"
+        cfg.write_text(text + "\n[optimizer]\nmax_iters = 1\n")
+        assert run_cli(["spod", "--config", str(cfg)]) == 0
+        captured = capsys.readouterr()
+        lines = captured.out.splitlines()
+        assert [line.split(":")[0] for line in lines] == [
+            "termination", "relative error", "modes per frame"]
+        assert lines[0] == "termination: tolerance"
+        assert "warning: initial solve ended by iteration cap" in captured.err
+
     def test_shift_length_mismatch_is_data_error(self, wave_dir, tmp_path,
                                                  capsys):
         io.write_shifts(np.zeros((1, 5)), str(tmp_path / "short.csv"))

@@ -169,6 +169,35 @@ class TestObjective:
         prob.evaluate(modes, need_gradient=False)
         assert len(prob.rank_events) == snaps.n_snapshots
 
+    def test_batched_projection_matches_per_snapshot_pinv(self):
+        # frames share their mode, and their shifts agree at snapshot 3
+        # only, so K_3 alone is rank-deficient
+        snaps, shifts, rng = random_problem(m=12, n=6, n_s=2, n_blocks=2,
+                                            seed=14)
+        d = shifts.d.copy()
+        d[1, 3] = d[0, 3]
+        shifts = FrameShifts(d, shifts.spec)
+        w = rng.standard_normal((snaps.n_rows, 1))
+        frames = [FrameBasis(w), FrameBasis(w.copy())]
+        prob = ReducedObjective(snaps, shifts, [1, 1])
+        Jt, _, amps, resid = prob.evaluate([f.modes for f in frames])
+        assert prob.rank_events == [(1, 3, 1)]
+
+        ref_a = np.empty((2, snaps.n_snapshots))
+        ref_r = np.empty_like(snaps.data)
+        for j in range(snaps.n_snapshots):
+            K = assemble_frame_matrix(frames, shifts, snaps.grid, j)
+            ref_a[:, j] = np.linalg.pinv(K, rtol=1e-10) @ snaps.data[:, j]
+            ref_r[:, j] = snaps.data[:, j] - K @ ref_a[:, j]
+        ref_Jt = -np.sum((snaps.data - ref_r) ** 2)
+
+        def close(a, b):
+            return np.linalg.norm(a - b) <= 1e-12 * np.linalg.norm(b)
+
+        assert abs(Jt - ref_Jt) <= 1e-12 * abs(ref_Jt)
+        assert close(np.vstack(amps), ref_a)
+        assert close(resid, ref_r)
+
     def test_masked_rows_stay_zero_and_carry_no_gradient(self):
         snaps, shifts, rng = random_problem(m=8, n=4, n_s=2, n_blocks=2,
                                             seed=12)

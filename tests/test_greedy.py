@@ -151,6 +151,19 @@ class TestGreedyLoop:
         err = relative_error(snaps.data, reconstruct(dec))
         assert err == pytest.approx(rep.error_history[-1], rel=1e-6, abs=1e-12)
 
+    def test_reported_error_is_the_explicit_residual(self):
+        # at an error near 1e-16 the value ||X||^2 + Jt is cancellation
+        # noise; the report must carry the error of the returned model
+        from spod.core import reconstruct
+        from spod.generators import WaveParams, wave_shifts, wave_snapshots
+        from spod.snapshots import relative_error
+        params = WaveParams(m=256, n=64)
+        snaps = wave_snapshots(params)
+        dec, rep = spod_decompose(snaps, wave_shifts(params),
+                                  GreedyConfig(r0=[1, 1], tol=1e-6))
+        err = relative_error(snaps.data, reconstruct(dec))
+        assert rep.error_history[-1] == pytest.approx(err, rel=1e-6, abs=0.0)
+
     def test_optimizer_failure_reported(self):
         snaps, shifts = two_transport_set(m=16, n=4)
         big = SnapshotSet(snaps.data * 1e200, snaps.grid, snaps.time.values,

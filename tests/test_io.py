@@ -105,6 +105,17 @@ class TestSnapshotBinary:
         with pytest.raises(FormatError, match="non-finite"):
             read_snapshots(path)
 
+    def test_huge_n_without_time_fails_on_size_before_allocating(self,
+                                                                  tmp_path):
+        # the default time axis 0..n-1 would need 8 PB; the payload size
+        # check has to come first
+        header = (b"m=2\nn=1000000000000000\nh=0.5\nboundary=periodic\n"
+                  b"end-header\n")
+        path = tmp_path / "huge.bin"
+        path.write_bytes(header + struct.pack("<2d", 1.0, 2.0))
+        with pytest.raises(FormatError, match="holds 2 float64 values"):
+            read_snapshots(path)
+
     def test_file_ends_inside_header(self, tmp_path):
         path = tmp_path / "h.bin"
         path.write_bytes(b"m=2\nn=1\nh=0.5\nboundary=periodic\n")
@@ -146,6 +157,14 @@ class TestSnapshotCsv:
         with pytest.raises(FormatError, match="bad data row"):
             read_snapshots_csv(path)
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_rejected(self, tmp_path, value):
+        path = tmp_path / "nonfinite.csv"
+        path.write_text("# snapshots m=2 n=1 h=0.5 boundary=periodic\n"
+                        f"row,snapshot0\n0,1.0\n1,{value}\n")
+        with pytest.raises(FormatError, match="non-finite"):
+            read_snapshots_csv(path)
+
     def test_missing_metadata(self, tmp_path):
         path = tmp_path / "meta.csv"
         path.write_text("row,snapshot0\n0,1.0\n")
@@ -170,6 +189,13 @@ class TestShiftCsv:
         path = tmp_path / "r.csv"
         path.write_text("a,b\n1.0,2.0\n3.0\n")
         with pytest.raises(FormatError, match="ragged"):
+            read_shifts(path)
+
+    @pytest.mark.parametrize("row", ["inf,0.5", "0.5,nan"])
+    def test_non_finite_rejected(self, tmp_path, row):
+        path = tmp_path / "n.csv"
+        path.write_text(f"a,b\n0.0,0.1\n{row}\n")
+        with pytest.raises(FormatError, match="non-finite"):
             read_shifts(path)
 
     def test_empty(self, tmp_path):
