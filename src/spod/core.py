@@ -306,8 +306,8 @@ class ReducedObjective:
 
         gradients is a per-frame list of (m_total, r_l) arrays (only when
         requested, else None); amplitudes a per-frame list of (r_l, n)
-        arrays; residual the (m_total, n) matrix of projection residuals
-        (I - U_j1 U_j1^T) X_j.
+        arrays; residual the (m_total, n) projection residuals
+        (I - U_j1 U_j1^T) X_j, a transposed view of an (n, m_total) array.
         """
         self.n_evals += 1
         n, m_total = self.n, self.m_total
