@@ -206,7 +206,9 @@ def _frame_masks(cfg, snaps):
 def _cmd_spod(args) -> int:
     cfg = io.load_config(args.config)
     if args.threads is not None:
-        cfg.threads = max(1, args.threads)
+        if args.threads < 1:
+            raise _Usage(f"--threads must be at least 1, got {args.threads}")
+        cfg.threads = args.threads
     snaps = io.read_snapshots(cfg.snapshots)
     if cfg.scale_variables:
         snaps, factors = scale_variables(snaps)

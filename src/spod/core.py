@@ -32,7 +32,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy import sparse
 
 from .shifts import ShiftSpec, apply_shift, shift_operator
 from .snapshots import Grid1D, SnapshotSet, VariableBlock
@@ -191,6 +190,8 @@ class _FramePlan:
     """
 
     def __init__(self, d_row: np.ndarray, grid: Grid1D, spec: ShiftSpec):
+        from scipy import sparse  # local: keeps scipy out of start-up
+
         self.grid = grid
         ops = [shift_operator(d, grid, spec) for d in d_row]
         self.stacked = sparse.vstack(ops, format="csr")

@@ -120,7 +120,7 @@ def _stage_info(label: str, r, trace, prob, seconds: float) -> dict:
         "objective": float(trace.values[-1]),
         "grad_norm": float(trace.grad_norms[-1]),
         "termination": trace.termination,
-        "line_search_ok": bool(trace.success),
+        "converged": trace.termination == "gradient",
         "rank_deficient_evals": len(prob.rank_events),
         "seconds": float(seconds),
     }

@@ -23,11 +23,14 @@ shifting by -d.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy import sparse
 
 from .snapshots import Grid1D
+
+if TYPE_CHECKING:
+    from scipy import sparse
 
 OPERATOR_BOUNDARIES = ("periodic", "constant")
 
@@ -163,6 +166,8 @@ def dense_shift_matrix(d: float, grid: Grid1D, spec: ShiftSpec) -> np.ndarray:
 
 def shift_operator(d: float, grid: Grid1D, spec: ShiftSpec) -> sparse.csr_matrix:
     """T(d) as a CSR matrix, the workhorse for repeated applications."""
+    from scipy import sparse  # local: keeps scipy out of start-up
+
     st = build_stencil(d, grid, spec)
     idx = _node_indices(st, grid.m)
     nw = st.weights.size

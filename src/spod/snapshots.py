@@ -55,6 +55,8 @@ class TimeAxis:
         vals = np.atleast_1d(np.asarray(self.values, dtype=float))
         if vals.ndim != 1 or vals.size < 1:
             raise ValueError("time axis must be a nonempty 1-d array")
+        if not np.all(np.isfinite(vals)):
+            raise ValueError("snapshot times must be finite")
         if vals.size > 1 and not np.all(np.diff(vals) > 0):
             raise ValueError("snapshot times must be strictly increasing")
         object.__setattr__(self, "values", vals)

@@ -6,6 +6,9 @@ meanings: 0 success, 1 usage or configuration, 2 data, 3 convergence.
 """
 
 import os
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
@@ -57,6 +60,16 @@ class TestUsage:
 
     def test_unknown_scenario(self):
         assert run_cli(["generate", "vortex", "--out", "x"]) == 1
+
+    @pytest.mark.parametrize("threads", ["0", "-3"])
+    def test_threads_below_one_is_usage_error(self, wave_dir, capsys,
+                                              threads):
+        rc = run_cli(["spod", "--config", str(wave_dir / "run.cfg"),
+                      "--threads", threads])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert f"--threads must be at least 1, got {threads}" in err
+        assert "Traceback" not in err
 
     def test_missing_snapshot_file_is_data_error(self, tmp_path, capsys):
         rc = run_cli(["pod", str(tmp_path / "missing.bin"), "--tol", "0.1"])
@@ -291,3 +304,45 @@ shifts = {wave_dir / 'd1.csv'}
         modes, energy, _ = spod_lines[1].split(",")
         assert modes == "2"
         assert float(energy) < 1e-10
+
+
+_COLD_START = textwrap.dedent("""
+    import os
+    import sys
+
+    import numpy as np
+
+    import spod
+    from spod import io
+    from spod.cli import run_cli
+
+    out = sys.argv[1]
+    snap = os.path.join(out, "wave.snap")
+    assert run_cli(["generate", "wave", "--out", out, "--n", "8"]) == 0
+    assert run_cli(["pod", snap, "--tol", "0.1"]) == 0
+    snaps = io.read_snapshots(snap)
+    dec = spod.Decomposition(
+        [spod.FrameBasis(snaps.data[:, :1])], [np.ones((1, snaps.time.n))],
+        spod.FrameShifts(np.zeros((1, snaps.time.n)), spod.ShiftSpec()),
+        snaps.grid, list(snaps.blocks))
+    io.write_decomposition(dec, os.path.join(out, "dec.bin"),
+                           times=snaps.time.values)
+    recon = os.path.join(out, "recon.snap")
+    assert run_cli(["reconstruct", os.path.join(out, "dec.bin"),
+                    "--out", recon]) == 0
+    assert run_cli(["error", snap, recon]) == 0
+    assert "scipy" not in sys.modules, "scipy loaded before any solve"
+    spod.shift_operator(0.5, snaps.grid, spod.ShiftSpec())
+    assert "scipy" in sys.modules, "building an operator did not load scipy"
+""")
+
+
+def test_commands_without_a_solve_start_without_scipy(tmp_path):
+    # scipy costs about half of a cold start; only the CSR shift operators
+    # need it, so the other commands must not import it
+    src = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", _COLD_START, str(tmp_path)],
+                          env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr

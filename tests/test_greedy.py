@@ -164,6 +164,21 @@ class TestGreedyLoop:
         err = relative_error(snaps.data, reconstruct(dec))
         assert rep.error_history[-1] == pytest.approx(err, rel=1e-6, abs=0.0)
 
+    def test_stage_converged_only_when_the_gradient_test_stops_it(self):
+        # a solve stopped by max_iters counts as success in OptimizerTrace,
+        # but its stage must not read as converged
+        from spod.generators import WaveParams, wave_shifts, wave_snapshots
+        params = WaveParams(m=256, n=64)
+        snaps, shifts = wave_snapshots(params), wave_shifts(params)
+        _, capped = spod_decompose(snaps, shifts, GreedyConfig(
+            r0=[1, 1], optimizer=OptimizerOptions(max_iters=1)))
+        assert capped.stages[0]["termination"] == "iteration cap"
+        assert capped.stages[0]["converged"] is False
+        assert "line_search_ok" not in capped.stages[0]
+        _, free = spod_decompose(snaps, shifts, GreedyConfig(r0=[1, 1]))
+        assert free.stages[0]["termination"] == "gradient"
+        assert free.stages[0]["converged"] is True
+
     def test_optimizer_failure_reported(self):
         snaps, shifts = two_transport_set(m=16, n=4)
         big = SnapshotSet(snaps.data * 1e200, snaps.grid, snaps.time.values,

@@ -131,6 +131,10 @@ class TestSnapshotBinary:
             (b"m=2\nn=1\nh=0.5\nend-header\n", "missing header key 'boundary'"),
             (b"m=2\nn=2\nh=0.5\nboundary=periodic\ntime=0.0\nend-header\n",
              "time axis has 1 entries"),
+            (b"m=2\nn=2\nh=0.5\nboundary=periodic\ntime=0,inf\nend-header\n",
+             "snapshot times must be finite"),
+            (b"m=2\nn=2\nh=0.5\nboundary=periodic\ntime=-inf,0\nend-header\n",
+             "snapshot times must be finite"),
         ]
         for body, match in cases:
             path = tmp_path / "h.bin"

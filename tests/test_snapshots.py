@@ -44,6 +44,12 @@ class TestTimeAxis:
         with pytest.raises(ValueError):
             TimeAxis(np.array([1.0, 0.5]))
 
+    @pytest.mark.parametrize("values", [
+        [0.0, np.inf], [-np.inf, 0.0], [np.inf], [0.0, np.nan]])
+    def test_finite_required(self, values):
+        with pytest.raises(ValueError, match="finite"):
+            TimeAxis(np.array(values))
+
     def test_n(self):
         assert TimeAxis(np.array([0.0, 0.5, 2.0])).n == 3
 
