@@ -1,0 +1,90 @@
+"""Fingerprint of every shift-dependent result on the benchmark scenarios.
+
+    PYTHONPATH=src python scripts/shift_fingerprint.py OUT.npz
+    python scripts/shift_fingerprint.py --compare A.npz B.npz
+
+The first form decomposes the default wave-pair and crossing-fronts
+scenarios of bench/workloads.py with the package found on the path, and
+saves the error history, candidate errors, modes, amplitudes,
+reconstruction, every frame's back-shifted snapshot matrix and the
+indptr/indices/data of every frame's stacked sparse operators.  The
+second form reports every array that is not bit-for-bit equal
+(np.array_equal) between two fingerprints, so two checkouts can be
+compared after a refactoring that must not change any result.
+"""
+
+import argparse
+import os
+import sys
+
+import numpy as np
+
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                                os.pardir, "bench"))
+import workloads as wl  # noqa: E402
+
+
+def scenarios():
+    import spod
+    from spod.lbfgs import OptimizerOptions
+
+    params = spod.WaveParams()
+    yield "wave", spod.wave_snapshots(params), spod.wave_shifts(params), \
+        spod.GreedyConfig(r0=[1, 1], tol=wl.WAVE_TOL, threads=wl.GREEDY_THREADS)
+    snaps, shifts = spod.crossing_fronts(spod.CrossingFrontsParams())
+    yield "crossing", snaps, shifts, spod.GreedyConfig(
+        r0=[1, 1, 1, 1, 0], tol=wl.CROSSING_TOL, threads=wl.GREEDY_THREADS,
+        optimizer=OptimizerOptions(max_iters=wl.CROSSING_MAX_ITERS))
+
+
+def fingerprint() -> dict:
+    from spod.core import _FramePlan, reconstruct
+    from spod.greedy import back_shifted_matrix, spod_decompose
+
+    out = {}
+    for name, snaps, shifts, config in scenarios():
+        dec, report = spod_decompose(snaps, shifts, config)
+        out[f"{name}/error_history"] = np.array(report.error_history)
+        out[f"{name}/candidate_errors"] = np.array(report.candidate_errors)
+        out[f"{name}/reconstruct"] = reconstruct(dec)
+        for l in range(shifts.n_frames):
+            out[f"{name}/modes{l}"] = dec.frames[l].modes
+            out[f"{name}/amplitudes{l}"] = dec.amplitudes[l]
+            out[f"{name}/backshift{l}"] = back_shifted_matrix(
+                snaps.data, shifts, l, snaps.grid, len(snaps.blocks))
+            plan = _FramePlan(shifts.d[l], snaps.grid, shifts.spec)
+            for op in ("stacked", "stacked_T"):
+                for part in ("indptr", "indices", "data"):
+                    out[f"{name}/{op}{l}.{part}"] = getattr(getattr(plan, op), part)
+    return out
+
+
+def compare(a_path: str, b_path: str) -> int:
+    a, b = np.load(a_path), np.load(b_path)
+    bad = sorted(set(a.files) ^ set(b.files))
+    bad += [k for k in sorted(set(a.files) & set(b.files))
+            if not np.array_equal(a[k], b[k])]
+    for k in bad:
+        print(f"differs: {k}")
+    print(f"{len(a.files)} arrays, {len(bad)} differ")
+    return 1 if bad else 0
+
+
+def main() -> int:
+    ap = argparse.ArgumentParser(description=__doc__,
+                                 formatter_class=argparse.RawDescriptionHelpFormatter)
+    ap.add_argument("paths", nargs="+", help="OUT.npz, or A.npz B.npz with --compare")
+    ap.add_argument("--compare", action="store_true")
+    args = ap.parse_args()
+    if args.compare:
+        if len(args.paths) != 2:
+            ap.error("--compare takes two fingerprints")
+        return compare(*args.paths)
+    if len(args.paths) != 1:
+        ap.error("give one output path")
+    np.savez(args.paths[0], **fingerprint())
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -269,6 +269,14 @@ def _cmd_export_curves(args) -> int:
     snaps = io.read_snapshots(args.snapshots)
     with open(args.report) as f:
         report = json.load(f)
+    try:
+        base = sum(report["r0"])
+        errors = np.asarray(report["error_history"], dtype=float)
+        if errors.ndim != 1:
+            raise ValueError("error_history is not a flat list")
+    except (KeyError, TypeError, ValueError) as e:
+        raise io.FormatError(f"{args.report}: not a spod report with lists 'r0' and "
+                             f"'error_history' ({type(e).__name__}: {e})") from None
     os.makedirs(args.outdir, exist_ok=True)
 
     X = center_rows(snaps)[0].data if args.center else snaps.data
@@ -277,9 +285,7 @@ def _cmd_export_curves(args) -> int:
     io.write_curve(pod_path, [np.arange(squared.size), squared, root],
                    ["modes", "relative_error_energy", "relative_error_norm"])
 
-    base = sum(report["r0"])
-    modes = [base + i for i in range(len(report["error_history"]))]
-    errors = np.asarray(report["error_history"], dtype=float)
+    modes = [base + i for i in range(errors.size)]
     spod_path = os.path.join(args.outdir, "spod_curve.csv")
     io.write_curve(spod_path,
                    [np.asarray(modes), errors, np.sqrt(errors)],

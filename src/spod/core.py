@@ -110,12 +110,6 @@ class Decomposition:
                 )
 
 
-def _block_count(m_total: int, grid: Grid1D) -> int:
-    if m_total % grid.m:
-        raise ValueError(f"{m_total} rows is not a multiple of m={grid.m}")
-    return m_total // grid.m
-
-
 def assemble_frame_matrix(frames, shifts: FrameShifts, grid: Grid1D, j: int) -> np.ndarray:
     """Frame matrix K_j: columns are the shifted modes T(d^l_j) w^l_k.
 
@@ -126,23 +120,11 @@ def assemble_frame_matrix(frames, shifts: FrameShifts, grid: Grid1D, j: int) -> 
         raise ValueError(f"snapshot index {j} outside 0..{shifts.n_snapshots - 1}")
     if len(frames) != shifts.n_frames:
         raise ValueError(f"{len(frames)} frames but {shifts.n_frames} shift rows")
-    m = grid.m
-    m_total = frames[0].modes.shape[0]
-    cols = []
-    for l, fb in enumerate(frames):
-        if fb.modes.shape[0] != m_total:
-            raise ValueError("all frames must share the stacked row count")
-        nb = _block_count(fb.modes.shape[0], grid)
-        if fb.n_modes == 0:
-            continue
-        shifted = np.empty_like(fb.modes)
-        for b in range(nb):
-            rows = slice(b * m, (b + 1) * m)
-            shifted[rows] = apply_shift(fb.modes[rows], shifts.d[l, j], grid, shifts.spec)
-        cols.append(shifted)
-    if not cols:
-        return np.zeros((m_total, 0))
-    return np.concatenate(cols, axis=1)
+    if len({fb.modes.shape[0] for fb in frames}) != 1:
+        raise ValueError("all frames must share the stacked row count")
+    return np.concatenate(
+        [apply_shift(fb.modes, shifts.d[l, j], grid, shifts.spec)
+         for l, fb in enumerate(frames)], axis=1)
 
 
 def _least_squares(K: np.ndarray, XT: np.ndarray, rank_tol: float):
@@ -183,18 +165,15 @@ def optimal_amplitudes(K: np.ndarray, x: np.ndarray, rank_tol: float = 1e-10) ->
 class _FramePlan:
     """Cached sparse shift operators for one frame's whole shift sequence.
 
-    stacked is the (n*m, m) vertical stack of the per-snapshot operators,
-    so one spgemm shifts a block of modes for every snapshot at once;
-    stacked_T = [T_1^T ... T_n^T] accumulates transposed applications the
-    same way.
+    stacked is shift_operator(d_row), the (n*m, m) vertical stack
+    [T(d_1); ...; T(d_n)], so one spgemm shifts a block of modes for every
+    snapshot at once; stacked_T = [T_1^T ... T_n^T] accumulates transposed
+    applications the same way.
     """
 
     def __init__(self, d_row: np.ndarray, grid: Grid1D, spec: ShiftSpec):
-        from scipy import sparse  # local: keeps scipy out of start-up
-
         self.grid = grid
-        ops = [shift_operator(d, grid, spec) for d in d_row]
-        self.stacked = sparse.vstack(ops, format="csr")
+        self.stacked = shift_operator(d_row, grid, spec)
         self.stacked_T = self.stacked.T.tocsr()
 
     def shifted_modes(self, W: np.ndarray, out: np.ndarray):
@@ -376,18 +355,8 @@ def objective_and_gradient(snaps: SnapshotSet, frames, shifts: FrameShifts,
 
 def reconstruct(dec: Decomposition) -> np.ndarray:
     """Evaluate the decomposition: X~_j = sum_l T(d^l_j) W^l a^l_j."""
-    m = dec.grid.m
-    n = dec.shifts.n_snapshots
-    m_total = dec.frames[0].modes.shape[0] if dec.frames else 0
-    out = np.zeros((m_total, n))
-    for l, (fb, A) in enumerate(zip(dec.frames, dec.amplitudes)):
-        if fb.n_modes == 0:
-            continue
-        contrib = fb.modes @ A  # (m_total, n), still in frame coordinates
-        nb = _block_count(m_total, dec.grid)
-        for j in range(n):
-            d = dec.shifts.d[l, j]
-            for b in range(nb):
-                rows = slice(b * m, (b + 1) * m)
-                out[rows, j] += apply_shift(contrib[rows, j], d, dec.grid, dec.shifts.spec)
+    out = np.zeros((dec.frames[0].modes.shape[0], dec.shifts.n_snapshots))
+    for fb, A, d_row in zip(dec.frames, dec.amplitudes, dec.shifts.d):
+        # fb.modes @ A is still in frame coordinates
+        out += apply_shift(fb.modes @ A, d_row, dec.grid, dec.shifts.spec)
     return out

@@ -76,14 +76,11 @@ def back_shifted_matrix(data: np.ndarray, shifts: FrameShifts, frame: int,
                         grid, n_blocks: int) -> np.ndarray:
     """Columns T(-d^l_j) X_j: the snapshots moved into the frame's own
     coordinates, shifted blockwise like everything else."""
-    m = grid.m
-    out = np.empty_like(data)
-    for j in range(data.shape[1]):
-        d = -shifts.d[frame, j]
-        for b in range(n_blocks):
-            rows = slice(b * m, (b + 1) * m)
-            out[rows, j] = apply_shift(data[rows, j], d, grid, shifts.spec)
-    return out
+    if data.shape[0] != n_blocks * grid.m:
+        raise ValueError(
+            f"data has {data.shape[0]} rows, expected {n_blocks} blocks of m={grid.m}"
+        )
+    return apply_shift(data, -shifts.d[frame], grid, shifts.spec)
 
 
 def initialize_frames(snaps: SnapshotSet, shifts: FrameShifts, r0,

@@ -64,7 +64,7 @@ class OptimizerTrace:
 
 
 class _Eval:
-    """Wraps the callback with counting and non-finite detection."""
+    """Wraps the callback: counts calls and returns (float, float array)."""
 
     def __init__(self, fg):
         self.fg = fg

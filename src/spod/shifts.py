@@ -22,6 +22,7 @@ shifting by -d.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -67,62 +68,88 @@ class ShiftStencil:
     boundary: str
 
 
-def build_stencil(d: float, grid: Grid1D, spec: ShiftSpec) -> ShiftStencil:
-    """Decompose d into integer offset plus Lagrange interpolation weights.
+_MAX_CELLS = 2.0 ** 62  # largest |d / h|: node indices stay inside int64
 
-    The shift is split as g = k + rho with rho in [0, 1), where g is the
+
+def _stencils(d, grid: Grid1D, spec: ShiftSpec):
+    """Integer offsets (k,) and Lagrange weights (k, n_weights) of T(d)
+    for every shift of the 1-d sequence d, plus the mask of grid multiples.
+
+    Each shift is split as g = k + rho with rho in [0, 1), where g is the
     shift in mesh units along the sampling direction of the boundary
-    convention (+d/h periodic, -d/h constant extrapolation).
+    convention (+d/h periodic, -d/h constant extrapolation).  If every
+    shift is a grid multiple (rho = 0) n_weights is 1; otherwise those
+    shifts carry the rho = 0 weights, a single 1 among exact zeros.
     """
-    if spec.boundary == "periodic":
-        g = d / grid.h
-    else:
-        g = -d / grid.h
-    k = int(np.floor(g))
+    d = np.asarray(d, dtype=float)
+    g = d / grid.h if spec.boundary == "periodic" else -d / grid.h
+    bad = ~(np.abs(g) <= _MAX_CELLS)  # nan compares false
+    if bad.any():
+        raise ValueError(f"shift {d[bad][0]!r} is not finite or exceeds 2**62 cells")
+    k = np.floor(g)
     rho = g - k
-    if rho >= 1.0:  # guard against floor rounding at the interval edge
-        k += 1
-        rho -= 1.0
-    if rho == 0.0:
-        return ShiftStencil(k, np.array([1.0]), spec.boundary)
+    edge = rho >= 1.0  # guard against floor rounding at the interval edge
+    k = (k + edge).astype(np.int64)
+    rho = np.where(edge, rho - 1.0, rho)
+    exact = rho == 0.0
+    if exact.all():
+        return k, np.ones((d.size, 1)), exact
     if spec.interp_degree == 1:
-        return ShiftStencil(k, np.array([1.0 - rho, rho]), spec.boundary)
+        return k, np.stack([1.0 - rho, rho], axis=1), exact
     # degree 3: nodes {k-1, k, k+1, k+2}, Lagrange basis evaluated at s = rho
     s = rho
-    w = np.array(
+    w = np.stack(
         [
             -s * (s - 1.0) * (s - 2.0) / 6.0,
             (s + 1.0) * (s - 1.0) * (s - 2.0) / 2.0,
             -(s + 1.0) * s * (s - 2.0) / 2.0,
             (s + 1.0) * s * (s - 1.0) / 6.0,
-        ]
+        ],
+        axis=1,
     )
-    return ShiftStencil(k - 1, w, spec.boundary)
+    return k - 1, w, exact
 
 
-def _node_indices(stencil: ShiftStencil, m: int) -> np.ndarray:
-    """(m, n_weights) array of source node indices, wrapped or clamped."""
-    base = (
-        np.arange(m)[:, None]
-        + stencil.offset
-        + np.arange(stencil.weights.size)[None, :]
-    )
-    if stencil.boundary == "periodic":
-        return np.mod(base, m)
-    return np.clip(base, 0, m - 1)
+def build_stencil(d: float, grid: Grid1D, spec: ShiftSpec) -> ShiftStencil:
+    """Decompose d into integer offset plus Lagrange interpolation weights."""
+    offset, weights, _ = _stencils([d], grid, spec)
+    return ShiftStencil(int(offset[0]), weights[0], spec.boundary)
 
 
-def apply_shift(v, d: float, grid: Grid1D, spec: ShiftSpec):
-    """Apply T(d) to a length-m vector or to each column of an (m, k) array."""
+def _node_indices(offset, n_weights: int, m: int, boundary: str) -> np.ndarray:
+    """Source node indices, wrapped or clamped, shaped offset.shape +
+    (m, n_weights): leg q of row i reads node i + offset + q."""
+    base = np.add.outer(offset, np.arange(m)[:, None] + np.arange(n_weights))
+    if boundary == "periodic":
+        return np.mod(base, m, out=base)
+    return np.clip(base, 0, m - 1, out=base)
+
+
+def apply_shift(v, d, grid: Grid1D, spec: ShiftSpec):
+    """Apply T(d) to every m-row variable block of v, shaped (nb*m,) or
+    (nb*m, ...).  d is one shift for the whole array, or a 1-d sequence
+    with one shift per entry of v's last axis (one per snapshot column)."""
     v = np.asarray(v, dtype=float)
-    if v.shape[0] != grid.m:
-        raise ValueError(f"vector has {v.shape[0]} rows, grid has m={grid.m}")
-    st = build_stencil(d, grid, spec)
-    idx = _node_indices(st, grid.m)
-    out = st.weights[0] * v[idx[:, 0]]
-    for q in range(1, st.weights.size):
-        out += st.weights[q] * v[idx[:, q]]
-    return out
+    d = np.asarray(d, dtype=float)
+    m = grid.m
+    if v.ndim == 0 or v.shape[0] % m:
+        raise ValueError(f"array of shape {v.shape} is not a stack of m={m} row blocks")
+    if d.ndim > 1 or d.ndim == 1 and (v.ndim < 2 or d.size != v.shape[-1]):
+        raise ValueError(f"shifts of shape {d.shape} for an array of shape {v.shape}")
+    offset, weights, _ = _stencils(d.reshape(-1), grid, spec)
+    mid = math.prod(v.shape[1:-1] if d.ndim else v.shape[1:])
+    blocks = v.reshape(v.shape[0] // m, m, mid, d.size)
+    idx = _node_indices(offset, weights.shape[1], m, spec.boundary)
+
+    def leg(q):  # weight q of every column times its gathered source nodes
+        out = np.take_along_axis(blocks, idx[:, :, q].T[None, :, None, :], axis=1)
+        out *= weights[:, q]
+        return out
+
+    out = leg(0)
+    for q in range(1, weights.shape[1]):
+        out += leg(q)
+    return out.reshape(v.shape)
 
 
 def apply_shift_transpose(v, d: float, grid: Grid1D, spec: ShiftSpec):
@@ -131,22 +158,8 @@ def apply_shift_transpose(v, d: float, grid: Grid1D, spec: ShiftSpec):
     if v.shape[0] != grid.m:
         raise ValueError(f"vector has {v.shape[0]} rows, grid has m={grid.m}")
     st = build_stencil(d, grid, spec)
-    m = grid.m
-    if st.boundary == "periodic":
-        # adjoint of a circulant gather is the gather with mirrored offsets
-        pos = (
-            np.arange(m)[:, None]
-            - st.offset
-            - np.arange(st.weights.size)[None, :]
-        )
-        idx = np.mod(pos, m)
-        out = st.weights[0] * v[idx[:, 0]]
-        for q in range(1, st.weights.size):
-            out += st.weights[q] * v[idx[:, q]]
-        return out
-    # clamped stencils are not translation invariant: scatter explicitly
-    idx = _node_indices(st, m)
-    out = np.zeros_like(v, dtype=float)
+    idx = _node_indices(st.offset, st.weights.size, grid.m, st.boundary)
+    out = np.zeros_like(v)
     for q in range(st.weights.size):
         np.add.at(out, idx[:, q], st.weights[q] * v)
     return out
@@ -156,7 +169,7 @@ def dense_shift_matrix(d: float, grid: Grid1D, spec: ShiftSpec) -> np.ndarray:
     """Materialize T(d) as a dense (m, m) array.  Meant for tests and
     small problems; the solvers use the sparse form below."""
     st = build_stencil(d, grid, spec)
-    idx = _node_indices(st, grid.m)
+    idx = _node_indices(st.offset, st.weights.size, grid.m, st.boundary)
     M = np.zeros((grid.m, grid.m))
     rows = np.arange(grid.m)
     for q in range(st.weights.size):
@@ -164,16 +177,22 @@ def dense_shift_matrix(d: float, grid: Grid1D, spec: ShiftSpec) -> np.ndarray:
     return M
 
 
-def shift_operator(d: float, grid: Grid1D, spec: ShiftSpec) -> sparse.csr_matrix:
-    """T(d) as a CSR matrix, the workhorse for repeated applications."""
+def shift_operator(d, grid: Grid1D, spec: ShiftSpec) -> sparse.csr_matrix:
+    """T(d) as an (m, m) CSR matrix, the workhorse for repeated
+    applications; for a 1-d sequence of k shifts the (k*m, m) stack
+    [T(d_1); ...; T(d_k)].  Grid multiples store one entry per row."""
     from scipy import sparse  # local: keeps scipy out of start-up
 
-    st = build_stencil(d, grid, spec)
-    idx = _node_indices(st, grid.m)
-    nw = st.weights.size
-    rows = np.repeat(np.arange(grid.m), nw)
-    vals = np.tile(st.weights, grid.m)
-    op = sparse.coo_matrix(
-        (vals, (rows, idx.ravel())), shape=(grid.m, grid.m)
-    )
-    return op.tocsr()
+    d = np.asarray(d, dtype=float)
+    if d.ndim > 1:
+        raise ValueError(f"shifts of shape {d.shape}: need one shift or a 1-d sequence")
+    offset, weights, exact = _stencils(d.reshape(-1), grid, spec)
+    m, k = grid.m, d.size
+    idx = _node_indices(offset, weights.shape[1], m, spec.boundary)
+    vals = np.broadcast_to(weights[:, None, :], idx.shape)
+    keep = (vals != 0.0) | ~exact[:, None, None]  # drop the padding of exact shifts
+    counts = np.where(exact, 1, weights.shape[1]).repeat(m)
+    indptr = np.concatenate([[0], np.cumsum(counts)])
+    op = sparse.csr_matrix((vals[keep], idx[keep], indptr), shape=(k * m, m))
+    op.sum_duplicates()  # clamped legs that meet on a boundary node
+    return op

@@ -305,6 +305,21 @@ shifts = {wave_dir / 'd1.csv'}
         assert modes == "2"
         assert float(energy) < 1e-10
 
+    @pytest.mark.parametrize("text", [
+        "{}", "[1]", '{"r0": 1}', '{"r0": [1, 1]}',
+        '{"r0": [1, 1], "error_history": [[0.1]]}',
+    ])
+    def test_malformed_report_is_data_error(self, wave_dir, tmp_path, capsys,
+                                            text):
+        report = tmp_path / "report.json"
+        report.write_text(text)
+        rc = run_cli(["export-curves", str(wave_dir / "wave.snap"),
+                      "--report", str(report), "--outdir", str(tmp_path / "c")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and err.count("\n") == 1
+        assert not (tmp_path / "c").exists()
+
 
 _COLD_START = textwrap.dedent("""
     import os

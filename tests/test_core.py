@@ -246,6 +246,19 @@ class TestReconstruct:
         np.testing.assert_array_equal(reconstruct(dec),
                                       np.zeros((snaps.n_rows, 3)))
 
+    def test_zero_mode_frame_adds_nothing(self):
+        snaps, shifts, rng = random_problem(m=8, n=4, n_s=2, n_blocks=2,
+                                            seed=18)
+        W = rng.standard_normal((snaps.n_rows, 2))
+        A = rng.standard_normal((2, 4))
+        both = Decomposition([FrameBasis(W), FrameBasis(np.zeros((snaps.n_rows, 0)))],
+                             [A, np.zeros((0, 4))], shifts, snaps.grid,
+                             list(snaps.blocks))
+        alone = Decomposition([FrameBasis(W)], [A],
+                              FrameShifts(shifts.d[:1], shifts.spec),
+                              snaps.grid, list(snaps.blocks))
+        np.testing.assert_array_equal(reconstruct(both), reconstruct(alone))
+
     def test_single_frame_zero_shift_is_plain_product(self):
         snaps, _, rng = random_problem(m=8, n=4, n_s=1, seed=16)
         W = rng.standard_normal((snaps.n_rows, 2))

@@ -55,6 +55,14 @@ class TestBackShift:
                 expected = apply_shift(X[rows, j], -shifts.d[0, j], grid, PER3)
                 np.testing.assert_allclose(B[rows, j], expected, atol=1e-13)
 
+    def test_row_count_must_match_blocks(self):
+        grid = Grid1D(8, 1.0 / 8, "periodic")
+        X = np.ones((2 * grid.m, 3))
+        shifts = FrameShifts(np.zeros((1, 3)), PER3)
+        for n_blocks in (1, 3):
+            with pytest.raises(ValueError):
+                back_shifted_matrix(X, shifts, 0, grid, n_blocks)
+
 
 class TestInitialize:
     def test_recovers_transport_profile(self):

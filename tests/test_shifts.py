@@ -19,6 +19,16 @@ PER3 = ShiftSpec("periodic", 3)
 CON1 = ShiftSpec("constant", 1)
 CON3 = ShiftSpec("constant", 3)
 
+SPECS = pytest.mark.parametrize("boundary,spec", [
+    ("periodic", PER1), ("periodic", PER3),
+    ("non-periodic", CON1), ("non-periodic", CON3),
+])
+
+# shifts in mesh units: grid multiples mixed with fractional shifts, and
+# a row of grid multiples only
+MIXED_CELLS = np.array([0.0, 2.0, -0.4, 3.0, 1.75, -5.0, -2.3, 0.5])
+EXACT_CELLS = np.array([0.0, 2.0, -3.0, 7.0, -1.0])
+
 
 class TestWorkedExamples:
     """Hand-computed 4-point fixtures pinning the sampling conventions."""
@@ -134,10 +144,7 @@ class TestStencils:
 
 
 class TestOperators:
-    @pytest.mark.parametrize("boundary,spec", [
-        ("periodic", PER1), ("periodic", PER3),
-        ("non-periodic", CON1), ("non-periodic", CON3),
-    ])
+    @SPECS
     def test_matrix_matches_apply(self, boundary, spec):
         rng = np.random.default_rng(3)
         g = grid(m=17, boundary=boundary)
@@ -147,10 +154,7 @@ class TestOperators:
             np.testing.assert_allclose(T @ v, apply_shift(v, d, g, spec),
                                        atol=1e-14)
 
-    @pytest.mark.parametrize("boundary,spec", [
-        ("periodic", PER1), ("periodic", PER3),
-        ("non-periodic", CON1), ("non-periodic", CON3),
-    ])
+    @SPECS
     def test_sparse_matches_dense(self, boundary, spec):
         g = grid(m=13, boundary=boundary)
         for d in np.linspace(-3.3 * g.h, 3.3 * g.h, 7):
@@ -158,10 +162,7 @@ class TestOperators:
             np.testing.assert_allclose(A, dense_shift_matrix(d, g, spec),
                                        atol=1e-15)
 
-    @pytest.mark.parametrize("boundary,spec", [
-        ("periodic", PER1), ("periodic", PER3),
-        ("non-periodic", CON1), ("non-periodic", CON3),
-    ])
+    @SPECS
     def test_adjoint_identity(self, boundary, spec):
         rng = np.random.default_rng(11)
         g = grid(m=50, boundary=boundary)
@@ -210,6 +211,63 @@ class TestOperators:
                                     3 * g.h, g, PER3)
         np.testing.assert_allclose(out, v, atol=1e-15)
 
+    @SPECS
+    @pytest.mark.parametrize("cells", [MIXED_CELLS, EXACT_CELLS])
+    def test_per_column_shifts_match_scalar_calls(self, boundary, spec, cells):
+        g = grid(m=17, boundary=boundary)
+        d_row = cells * g.h
+        V = np.random.default_rng(4).standard_normal((g.m, d_row.size))
+        out = apply_shift(V, d_row, g, spec)
+        for c, d in enumerate(d_row):
+            assert np.array_equal(out[:, c], apply_shift(V[:, c], d, g, spec))
+
+    @SPECS
+    def test_stacked_blocks_match_per_block_calls(self, boundary, spec):
+        g = grid(m=11, boundary=boundary)
+        d_row = MIXED_CELLS * g.h
+        V = np.random.default_rng(6).standard_normal((2 * g.m, d_row.size))
+        for d in (d_row[4], d_row):
+            out = apply_shift(V, d, g, spec)
+            for b in range(2):
+                rows = slice(b * g.m, (b + 1) * g.m)
+                assert np.array_equal(out[rows], apply_shift(V[rows], d, g, spec))
+
+    @SPECS
+    @pytest.mark.parametrize("cells", [MIXED_CELLS, EXACT_CELLS])
+    def test_sequence_operator_is_stack_of_scalar_operators(self, boundary,
+                                                             spec, cells):
+        from scipy import sparse
+
+        g = grid(m=13, boundary=boundary)
+        d_row = cells * g.h
+        op = shift_operator(d_row, g, spec)
+        ref = sparse.vstack([shift_operator(d, g, spec) for d in d_row],
+                            format="csr")
+        assert op.shape == (d_row.size * g.m, g.m)
+        for part in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(op, part), getattr(ref, part))
+        assert np.all(op.data != 0.0)
+        if cells is EXACT_CELLS:
+            assert op.nnz == d_row.size * g.m
+
+    def test_wrong_shift_count_rejected(self):
+        g = grid(m=9)
+        V = np.ones((g.m, 3))
+        for d in (np.zeros(2), np.zeros(4), np.zeros((1, 3))):
+            with pytest.raises(ValueError):
+                apply_shift(V, d, g, PER3)
+        with pytest.raises(ValueError):
+            apply_shift(np.ones(g.m), np.zeros(g.m), g, PER3)
+        with pytest.raises(ValueError):
+            apply_shift(np.ones((g.m + 1, 3)), 0.0, g, PER3)
+        with pytest.raises(ValueError):
+            shift_operator(np.zeros((2, 3)), g, PER3)
+
+    def test_zero_columns_keep_their_shape(self):
+        g = grid(m=9)
+        assert apply_shift(np.ones((2 * g.m, 0)), 0.3, g, PER3).shape == (2 * g.m, 0)
+        assert apply_shift(np.ones((g.m, 0)), np.zeros(0), g, PER3).shape == (g.m, 0)
+
     def test_matrix_columns_accepted(self):
         g = grid(m=9)
         rng = np.random.default_rng(2)
@@ -228,6 +286,28 @@ class TestValidation:
     def test_bad_degree_rejected(self):
         with pytest.raises(ValueError):
             ShiftSpec("periodic", 2)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e300])
+    @pytest.mark.parametrize("spec", [PER3, CON1])
+    def test_non_finite_and_huge_shifts_rejected(self, bad, spec):
+        g = grid(m=8)
+        with pytest.raises(ValueError, match="not finite or exceeds"):
+            build_stencil(bad, g, spec)
+        with pytest.raises(ValueError, match="not finite or exceeds"):
+            apply_shift(np.ones(g.m), bad, g, spec)
+        with pytest.raises(ValueError, match="not finite or exceeds"):
+            shift_operator(bad, g, spec)
+        row = np.array([0.1, bad, 0.0])
+        with pytest.raises(ValueError, match="not finite or exceeds"):
+            apply_shift(np.ones((g.m, 3)), row, g, spec)
+        with pytest.raises(ValueError, match="not finite or exceeds"):
+            shift_operator(row, g, spec)
+
+    def test_large_finite_shift_accepted(self):
+        # 1e18 cells is inside the int64 index range and a multiple of m
+        g = grid(m=8)
+        v = np.arange(8.0)
+        assert np.array_equal(apply_shift(v, 1e18 * g.h, g, PER3), v)
 
     def test_boundary_mismatch_tolerated_by_grid(self):
         # the operator boundary is a property of the shift spec, not the grid
