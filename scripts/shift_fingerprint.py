@@ -7,10 +7,13 @@ The first form decomposes the default wave-pair and crossing-fronts
 scenarios of bench/workloads.py with the package found on the path, and
 saves the error history, candidate errors, modes, amplitudes,
 reconstruction, every frame's back-shifted snapshot matrix and the
-indptr/indices/data of every frame's stacked sparse operators.  The
-second form reports every array that is not bit-for-bit equal
-(np.array_equal) between two fingerprints, so two checkouts can be
-compared after a refactoring that must not change any result.
+indptr/indices/data of every frame's stacked sparse operators.  It also
+saves the work of each run: every stage's iterations, evaluations and
+rank-deficient evaluations, the chosen frames, the final mode counts and
+the number of ReducedObjective.evaluate calls.  The second form reports
+every array that is not bit-for-bit equal (np.array_equal) between two
+fingerprints, so two checkouts can be compared after a refactoring that
+must change neither a result nor the work that produced it.
 """
 
 import argparse
@@ -37,15 +40,41 @@ def scenarios():
         optimizer=OptimizerOptions(max_iters=wl.CROSSING_MAX_ITERS))
 
 
+def counted_decompose(snaps, shifts, config):
+    """spod_decompose plus the number of ReducedObjective.evaluate calls."""
+    from spod.core import ReducedObjective
+    from spod.greedy import spod_decompose
+
+    calls = 0
+    evaluate = ReducedObjective.evaluate
+
+    def counting(self, *args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return evaluate(self, *args, **kwargs)
+
+    ReducedObjective.evaluate = counting
+    try:
+        dec, report = spod_decompose(snaps, shifts, config)
+    finally:
+        ReducedObjective.evaluate = evaluate
+    return dec, report, calls
+
+
 def fingerprint() -> dict:
     from spod.core import _FramePlan, reconstruct
-    from spod.greedy import back_shifted_matrix, spod_decompose
+    from spod.greedy import back_shifted_matrix
 
     out = {}
     for name, snaps, shifts, config in scenarios():
-        dec, report = spod_decompose(snaps, shifts, config)
+        dec, report, calls = counted_decompose(snaps, shifts, config)
         out[f"{name}/error_history"] = np.array(report.error_history)
         out[f"{name}/candidate_errors"] = np.array(report.candidate_errors)
+        out[f"{name}/chosen_frames"] = np.array(report.chosen_frames)
+        out[f"{name}/r_final"] = np.array(report.r_final)
+        out[f"{name}/evaluate_calls"] = np.array(calls)
+        for key in ("iterations", "evaluations", "rank_deficient_evals"):
+            out[f"{name}/stage_{key}"] = np.array([st[key] for st in report.stages])
         out[f"{name}/reconstruct"] = reconstruct(dec)
         for l in range(shifts.n_frames):
             out[f"{name}/modes{l}"] = dec.frames[l].modes

@@ -93,26 +93,30 @@ def _build_parser() -> _Parser:
 
 
 def _cmd_generate(args) -> int:
-    os.makedirs(args.out, exist_ok=True)
-
     def override(cls, **extra):
         kw = {k: v for k, v in extra.items() if v is not None}
         return cls(**kw)
 
-    if args.scenario == "wave":
-        kw = {"m": args.m, "n": args.n, "t_final": args.t_final}
-        params = override(generators.WaveParams, **kw)
-        snaps = generators.wave_snapshots(params)
-        shifts = generators.wave_shifts(params)
-    elif args.scenario == "three-signal":
-        kw = {"m": args.m, "n": args.n}
-        kw = {k: v for k, v in kw.items() if v is not None}
-        snaps, shifts = generators.three_signal_default(**kw)
-    else:
-        kw = {"m": args.m, "n": args.n, "t_final": args.t_final}
-        params = override(generators.CrossingFrontsParams, **kw)
-        snaps, shifts = generators.crossing_fronts(params)
+    try:  # generation reads no file, so a ValueError comes from a flag
+        if args.scenario == "wave":
+            kw = {"m": args.m, "n": args.n, "t_final": args.t_final}
+            params = override(generators.WaveParams, **kw)
+            snaps = generators.wave_snapshots(params)
+            shifts = generators.wave_shifts(params)
+        elif args.scenario == "three-signal":
+            if args.t_final is not None:
+                raise _Usage("generate three-signal: takes no --t-final")
+            kw = {"m": args.m, "n": args.n}
+            kw = {k: v for k, v in kw.items() if v is not None}
+            snaps, shifts = generators.three_signal_default(**kw)
+        else:
+            kw = {"m": args.m, "n": args.n, "t_final": args.t_final}
+            params = override(generators.CrossingFrontsParams, **kw)
+            snaps, shifts = generators.crossing_fronts(params)
+    except ValueError as e:
+        raise _Usage(f"generate {args.scenario}: {e}") from None
 
+    os.makedirs(args.out, exist_ok=True)
     snap_path = os.path.join(args.out, args.scenario + ".snap")
     shift_path = os.path.join(args.out, "true_shifts.csv")
     io.write_snapshots(snaps, snap_path)
@@ -140,10 +144,12 @@ def _cmd_track(args) -> int:
 
 
 def _cmd_pod(args) -> int:
-    snaps = io.read_snapshots(args.snapshots)
-    X = center_rows(snaps)[0].data if args.center else snaps.data
     if args.tol is None and args.curve is None:
         raise _Usage("pod: give --tol and/or --curve")
+    if args.tol is not None and not 0.0 < args.tol <= 1.0:
+        raise _Usage(f"pod: --tol must lie in (0, 1], got {args.tol:g}")
+    snaps = io.read_snapshots(args.snapshots)
+    X = center_rows(snaps)[0].data if args.center else snaps.data
     if args.tol is not None:
         count = modes_for_tolerance(X, args.tol)
         print(f"modes for tolerance {args.tol:g}: {count}")

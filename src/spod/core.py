@@ -28,6 +28,7 @@ eliminating variables.
 """
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 from typing import Optional
 
@@ -197,14 +198,17 @@ class _FramePlan:
 class ReducedObjective:
     """Reduced objective and gradient for fixed shifts and mode counts.
 
-    Holds the cached shift operators so that repeated evaluations (line
-    searches) only pay sparse products plus one stacked SVD of all frame
-    matrices K_j.  value_and_gradient works on the flat variable vector
-    (frames in order, each frame's modes raveled column by column) and
-    returns the full squared residual J = sum_j ||X_j - K_j a_j||^2, summed
-    from the explicit residual rather than as ||X||^2 + Jt, which cancels
-    to noise once the fit is close; J is the quantity the optimizer traces
-    and the reduced part Jt is available from evaluate().
+    Holds the cached shift operators and one contiguous copy of X^T, so
+    that repeated evaluations (line searches) only pay sparse products
+    plus one stacked SVD of all frame matrices K_j.  The operators and
+    the data depend on the shifts alone, never on the mode counts:
+    with_counts returns the same problem with other mode counts, sharing
+    both with this one.  value_and_gradient works on the flat variable
+    vector (frames in order, each frame's modes raveled column by column)
+    and returns the full squared residual J = sum_j ||X_j - K_j a_j||^2,
+    summed from the explicit residual rather than as ||X||^2 + Jt, which
+    cancels to noise once the fit is close; J is the quantity the
+    optimizer traces and the reduced part Jt is available from evaluate().
 
     rank_events collects (eval_index, snapshot, rank) whenever some K_j
     was numerically rank-deficient, since the objective is not smooth
@@ -212,45 +216,50 @@ class ReducedObjective:
     """
 
     def __init__(self, snaps: SnapshotSet, shifts: FrameShifts, mode_counts,
-                 masks=None, rank_tol: float = 1e-10, plans=None):
+                 masks=None, rank_tol: float = 1e-10):
         if shifts.n_snapshots != snaps.n_snapshots:
             raise ValueError(
                 f"shifts cover {shifts.n_snapshots} snapshots, data has "
                 f"{snaps.n_snapshots}"
             )
-        if len(mode_counts) != shifts.n_frames:
-            raise ValueError(
-                f"{len(mode_counts)} mode counts for {shifts.n_frames} frames"
-            )
         self.X = snaps.data
+        self.XT = np.ascontiguousarray(self.X.T)  # one row per snapshot
         self.grid = snaps.grid
         self.n_blocks = len(snaps.blocks)
-        self.mode_counts = [int(r) for r in mode_counts]
-        if any(r < 0 for r in self.mode_counts):
-            raise ValueError("mode counts must be nonnegative")
         self.rank_tol = rank_tol
+        self.plans = [
+            _FramePlan(shifts.d[l], snaps.grid, shifts.spec)
+            for l in range(shifts.n_frames)
+        ]
         self.masks = self._check_masks(masks)
-        # plans may be shared across objectives with different mode counts:
-        # the operators depend on the shifts alone
-        if plans is None:
-            plans = [
-                _FramePlan(shifts.d[l], snaps.grid, shifts.spec)
-                for l in range(shifts.n_frames)
-            ]
-        elif len(plans) != shifts.n_frames:
-            raise ValueError(f"{len(plans)} plans for {shifts.n_frames} frames")
-        self.plans = plans
         self.norm2 = float(np.sum(self.X * self.X))
         self.m_total = snaps.n_rows
         self.n = snaps.n_snapshots
+        self._set_counts(mode_counts)
+
+    def with_counts(self, mode_counts) -> "ReducedObjective":
+        """The same problem with other mode counts and fresh n_evals and
+        rank_events; the data, masks, operators and X^T are shared."""
+        other = copy.copy(self)
+        other._set_counts(mode_counts)
+        return other
+
+    def _set_counts(self, mode_counts):
+        if len(mode_counts) != len(self.plans):
+            raise ValueError(
+                f"{len(mode_counts)} mode counts for {len(self.plans)} frames"
+            )
+        self.mode_counts = [int(r) for r in mode_counts]
+        if any(r < 0 for r in self.mode_counts):
+            raise ValueError("mode counts must be nonnegative")
         self.n_evals = 0
         self.rank_events = []
 
     def _check_masks(self, masks):
         if masks is None:
-            return [None] * len(self.mode_counts)
-        if len(masks) != len(self.mode_counts):
-            raise ValueError(f"{len(masks)} masks for {len(self.mode_counts)} frames")
+            return [None] * len(self.plans)
+        if len(masks) != len(self.plans):
+            raise ValueError(f"{len(masks)} masks for {len(self.plans)} frames")
         return [None if mk is None else np.asarray(mk, dtype=bool) for mk in masks]
 
     # --- flat variable layout -------------------------------------------
@@ -298,8 +307,7 @@ class ReducedObjective:
         for plan, W, cl in zip(self.plans, self._masked(modes_list), frame_cols):
             plan.shifted_modes(W, K[..., cl])
         A, resid, coef, ranks = _least_squares(
-            K.reshape(n, m_total, total_r), np.ascontiguousarray(self.X.T),
-            self.rank_tol)
+            K.reshape(n, m_total, total_r), self.XT, self.rank_tol)
         del K  # freed before the gradient allocates its products
         for j in np.flatnonzero(ranks < min(m_total, total_r)):
             self.rank_events.append((self.n_evals, int(j), int(ranks[j])))

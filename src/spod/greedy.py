@@ -7,6 +7,13 @@ error drops to the tolerance or the iteration cap is hit.  Candidate
 solves warm-start from the incumbent plus one new mode initialized from
 the back-shifted residual; a flag switches to cold starts from fresh
 back-shifted-snapshot SVDs.
+
+A run builds one ReducedObjective: its shift operators and data depend
+on the shifts alone, so every solve takes it with its own mode counts
+through with_counts.  A solve yields the modes, their error and the
+stage record; the incumbent's amplitudes and residual come from one
+value-only evaluation, which serves the next warm start and, on the
+last incumbent, the returned Decomposition.
 """
 from __future__ import annotations
 
@@ -17,7 +24,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import Decomposition, FrameBasis, FrameShifts, ReducedObjective, _FramePlan
+from .core import Decomposition, FrameBasis, FrameShifts, ReducedObjective
 from .lbfgs import OptimizerAbort, OptimizerOptions, minimize
 from .shifts import apply_shift
 from .snapshots import SnapshotSet
@@ -43,6 +50,8 @@ class GreedyConfig:
             raise ValueError("iteration cap must be nonnegative")
         if self.threads < 1:
             raise ValueError("thread count must be at least 1")
+        if not 0.0 <= self.rank_tol < 1.0:
+            raise ValueError(f"rank_tol must lie in [0, 1), got {self.rank_tol}")
 
 
 @dataclass
@@ -108,21 +117,6 @@ def initialize_frames(snaps: SnapshotSet, shifts: FrameShifts, r0,
     return frames
 
 
-def _stage_info(label: str, r, trace, prob, seconds: float) -> dict:
-    return {
-        "label": label,
-        "r": [int(v) for v in r],
-        "iterations": trace.iterations,
-        "evaluations": trace.n_evals,
-        "objective": float(trace.values[-1]),
-        "grad_norm": float(trace.grad_norms[-1]),
-        "termination": trace.termination,
-        "converged": trace.termination == "gradient",
-        "rank_deficient_evals": len(prob.rank_events),
-        "seconds": float(seconds),
-    }
-
-
 def spod_decompose(snaps: SnapshotSet, shifts: FrameShifts, config: GreedyConfig,
                    masks=None, progress=None):
     """Run the full greedy decomposition; returns (Decomposition, GreedyReport).
@@ -132,38 +126,43 @@ def spod_decompose(snaps: SnapshotSet, shifts: FrameShifts, config: GreedyConfig
     initial solve and after every greedy iteration.
     """
     t_start = time.perf_counter()
-    n_s = shifts.n_frames
-    r = [int(v) for v in config.r0]
-    if len(r) != n_s:
-        raise ValueError(f"r0 has {len(r)} entries for {n_s} frames")
+    base = ReducedObjective(snaps, shifts, config.r0, masks=masks,
+                            rank_tol=config.rank_tol)
     p_max = config.p_max if config.p_max is not None else snaps.n_snapshots
+    history, cand_hist, chosen, stages = [], [], [], []
 
-    # the sparse operators depend only on the shifts, never on the mode
-    # counts, so one plan set serves every solve of the run
-    plans = [_FramePlan(shifts.d[l], snaps.grid, shifts.spec) for l in range(n_s)]
-
-    def objective(counts):
-        return ReducedObjective(snaps, shifts, counts, masks=masks,
-                                rank_tol=config.rank_tol, plans=plans)
-
-    def solve(counts, init_modes):
+    def solve(label, counts, init):
+        """Optimized modes, their relative error and the stage record."""
         t0 = time.perf_counter()
-        prob = objective(counts)
-        z, trace = minimize(prob.value_and_gradient, prob.pack(init_modes),
+        prob = base.with_counts(counts)
+        z, trace = minimize(prob.value_and_gradient, prob.pack(init),
                             config.optimizer)
-        return (prob.unpack(z), float(trace.values[-1]), trace, prob,
-                time.perf_counter() - t0)
+        modes = prob.unpack(z)
+        return modes, prob.relative_error_of(trace.values[-1]), {
+            "label": label,
+            "r": prob.mode_counts,
+            "iterations": trace.iterations,
+            "evaluations": trace.n_evals,
+            "objective": float(trace.values[-1]),
+            "grad_norm": float(trace.grad_norms[-1]),
+            "termination": trace.termination,
+            "converged": trace.termination == "gradient",
+            "rank_deficient_evals": len(prob.rank_events),
+            "seconds": time.perf_counter() - t0,
+        }
 
-    def finish(modes_list, termination, history, cand_hist, chosen, stages):
-        prob = objective([W.shape[1] for W in modes_list])
-        _, _, amps, _ = prob.evaluate(modes_list, need_gradient=False)
-        frames = [
-            FrameBasis(W, masks[l] if masks is not None else None)
-            for l, W in enumerate(modes_list)
-        ]
-        dec = Decomposition(frames, amps, shifts, snaps.grid, list(snaps.blocks))
+    def fit(modes):
+        """Amplitudes and residual of the incumbent modes."""
+        prob = base.with_counts([W.shape[1] for W in modes])
+        return prob.evaluate(modes, need_gradient=False)[2:]
+
+    def finish(modes, termination, amps=None):
+        frames = [FrameBasis(W, None if masks is None else masks[l])
+                  for l, W in enumerate(modes)]
+        dec = Decomposition(frames, fit(modes)[0] if amps is None else amps,
+                            shifts, snaps.grid, list(snaps.blocks))
         report = GreedyReport(
-            r0=list(config.r0), r_final=[W.shape[1] for W in modes_list],
+            r0=list(config.r0), r_final=[W.shape[1] for W in modes],
             error_history=history, candidate_errors=cand_hist,
             chosen_frames=chosen, termination=termination,
             converged=termination == "tolerance", stages=stages,
@@ -171,33 +170,24 @@ def spod_decompose(snaps: SnapshotSet, shifts: FrameShifts, config: GreedyConfig
         )
         return dec, report
 
-    frames0 = initialize_frames(snaps, shifts, r, masks)
+    frames0 = initialize_frames(snaps, shifts, config.r0, masks)
     try:
-        modes, value, trace, prob, secs = solve(r, [f.modes for f in frames0])
+        modes, err, stage = solve("initial", config.r0, [f.modes for f in frames0])
     except OptimizerAbort:
-        zero_amps = [np.zeros((f.n_modes, snaps.n_snapshots)) for f in frames0]
-        dec = Decomposition(frames0, zero_amps, shifts, snaps.grid,
-                            list(snaps.blocks))
-        report = GreedyReport(list(config.r0), [f.n_modes for f in frames0],
-                              [], [], [], "optimizer failure", False, [],
-                              time.perf_counter() - t_start)
-        return dec, report
-
-    err = prob.relative_error_of(value)
-    history = [err]
-    cand_hist, chosen, stages = [], [], [_stage_info("initial", r, trace, prob, secs)]
+        return finish([f.modes for f in frames0], "optimizer failure",
+                      [np.zeros((f.n_modes, snaps.n_snapshots)) for f in frames0])
+    history.append(err)
+    stages.append(stage)
     if progress:
-        progress({"stage": "initial", "r": list(r), "error": err})
+        progress({"stage": "initial", "r": list(stage["r"]), "error": err})
 
-    p = 0
-    failed = False
-    while err > config.tol and p < p_max:
+    amps = None
+    while err > config.tol and len(chosen) < p_max:
         if config.warm_start:
-            cur = objective([W.shape[1] for W in modes])
-            resid = cur.evaluate(modes, need_gradient=False)[3]
+            amps, resid = fit(modes)
 
         def run_candidate(i):
-            counts = list(r)
+            counts = [W.shape[1] for W in modes]
             counts[i] += 1
             if config.warm_start:
                 B = back_shifted_matrix(resid, shifts, i, snaps.grid,
@@ -206,38 +196,28 @@ def spod_decompose(snaps: SnapshotSet, shifts: FrameShifts, config: GreedyConfig
                 init = [W if l != i else np.hstack([W, w_new])
                         for l, W in enumerate(modes)]
             else:
-                fresh = initialize_frames(snaps, shifts, counts, masks)
-                init = [f.modes for f in fresh]
-            return solve(counts, init)
+                init = [f.modes for f in initialize_frames(snaps, shifts,
+                                                           counts, masks)]
+            return solve(f"iteration {len(chosen) + 1}", counts, init)
 
         try:
             if config.threads > 1:
                 with ThreadPoolExecutor(max_workers=config.threads) as pool:
-                    results = list(pool.map(run_candidate, range(n_s)))
+                    results = list(pool.map(run_candidate, range(shifts.n_frames)))
             else:
-                results = [run_candidate(i) for i in range(n_s)]
+                results = [run_candidate(i) for i in range(shifts.n_frames)]
         except OptimizerAbort:
-            failed = True
-            break
+            return finish(modes, "optimizer failure", amps)
 
-        errors = [res[3].relative_error_of(res[1]) for res in results]
+        errors = [e for _, e, _ in results]
         q = int(np.argmin(errors))  # argmin takes the lowest index on ties
-        modes, value, trace, prob, secs = results[q]
-        r[q] += 1
-        err = errors[q]
+        modes, err, stage = results[q]
         history.append(err)
         cand_hist.append(errors)
         chosen.append(q)
-        stages.append(_stage_info(f"iteration {p + 1}", r, trace, prob, secs))
-        p += 1
+        stages.append(stage)
         if progress:
-            progress({"stage": "greedy", "p": p, "r": list(r), "error": err,
-                      "candidate_errors": errors, "chosen": q})
+            progress({"stage": "greedy", "p": len(chosen), "r": list(stage["r"]),
+                      "error": err, "candidate_errors": errors, "chosen": q})
 
-    if failed:
-        termination = "optimizer failure"
-    elif err <= config.tol:
-        termination = "tolerance"
-    else:
-        termination = "iteration cap"
-    return finish(modes, termination, history, cand_hist, chosen, stages)
+    return finish(modes, "tolerance" if err <= config.tol else "iteration cap")

@@ -13,6 +13,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 
+MAX_STEP = 1e10     # largest step the line search brackets out to
+SEARCH_EVALS = 30   # evaluation budget per line search
+
+
 class OptimizerAbort(RuntimeError):
     """Raised when the objective is non-finite at the starting point."""
 
@@ -24,8 +28,6 @@ class OptimizerOptions:
     max_iters: int = 500
     sufficient_decrease: float = 1e-4
     curvature: float = 0.9
-    max_step: float = 1e10
-    search_evals: int = 30          # budget per line search
 
     def __post_init__(self):
         if self.memory < 1:
@@ -35,8 +37,11 @@ class OptimizerOptions:
                 "need 0 < sufficient_decrease < curvature < 1, got "
                 f"{self.sufficient_decrease} and {self.curvature}"
             )
-        if self.max_iters < 0 or self.grad_tol < 0:
-            raise ValueError("max_iters and grad_tol must be nonnegative")
+        if self.max_iters < 0 or not 0.0 <= self.grad_tol < np.inf:
+            raise ValueError(
+                "need max_iters >= 0 and a finite grad_tol >= 0, got "
+                f"{self.max_iters} and {self.grad_tol}"
+            )
 
 
 @dataclass
@@ -109,14 +114,13 @@ def _wolfe_search(ev, x, f0, g0, p, alpha0, opts):
     c1 = opts.sufficient_decrease
     c2 = opts.curvature
     slope0 = float(g0 @ p)
-    budget = opts.search_evals
 
     def phi(alpha):
         f, g = ev(x + alpha * p)
         return f, g, float(g @ p)
 
     def zoom(lo, f_lo, g_lo_s, gvec_lo, hi, f_hi, g_hi_s, spent):
-        while spent < budget:
+        while spent < SEARCH_EVALS:
             alpha = _cubic_step(lo, f_lo, g_lo_s, hi, f_hi, g_hi_s)
             f, gvec, gs = phi(alpha)
             spent += 1
@@ -140,7 +144,7 @@ def _wolfe_search(ev, x, f0, g0, p, alpha0, opts):
     alpha = alpha0
     spent = 0
     first = True
-    while spent < budget:
+    while spent < SEARCH_EVALS:
         f, gvec, gs = phi(alpha)
         spent += 1
         if not np.isfinite(f) or f > f0 + c1 * alpha * slope0 or (
@@ -159,9 +163,9 @@ def _wolfe_search(ev, x, f0, g0, p, alpha0, opts):
             return a, x + a * p, fv, gv, ok
         alpha_prev, f_prev, gs_prev, gvec_prev = alpha, f, gs, gvec
         first = False
-        if alpha >= opts.max_step:
+        if alpha >= MAX_STEP:
             break
-        alpha = min(2.0 * alpha, opts.max_step)
+        alpha = min(2.0 * alpha, MAX_STEP)
     # ran out of budget while still descending: keep the last finite point
     if np.isfinite(f_prev) and alpha_prev > 0.0 and f_prev < f0:
         return alpha_prev, x + alpha_prev * p, f_prev, gvec_prev, True

@@ -71,6 +71,23 @@ class TestUsage:
         assert f"--threads must be at least 1, got {threads}" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("argv", [
+        ["pod", "{wave}", "--tol", "0"],
+        ["pod", "{wave}", "--tol", "1.5"],
+        ["generate", "wave", "--out", "{tmp}", "--m", "1"],
+        ["generate", "wave", "--out", "{tmp}", "--n", "0"],
+        ["generate", "crossing-fronts", "--out", "{tmp}", "--t-final", "5"],
+        ["generate", "three-signal", "--out", "{tmp}", "--t-final", "5"],
+    ])
+    def test_bad_flag_value_is_usage_error(self, wave_dir, tmp_path, capsys,
+                                           argv):
+        argv = [a.format(wave=wave_dir / "wave.snap", tmp=tmp_path / "gen")
+                for a in argv]
+        assert run_cli(argv) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert not (tmp_path / "gen").exists()
+
     def test_missing_snapshot_file_is_data_error(self, tmp_path, capsys):
         rc = run_cli(["pod", str(tmp_path / "missing.bin"), "--tol", "0.1"])
         assert rc == 2
@@ -258,7 +275,9 @@ shifts = {wave_dir / 'd1.csv'}
         ("spod", "degree = 2"), ("spod", "boundary = foo"),
         ("frame.1", "smooth = x"), ("optimizer", "memory = x"),
         ("optimizer", "curvature = 1e-5"), ("optimizer", "max_iter = 5"),
-        ("spod", "tl = 5"),
+        ("spod", "tl = 5"), ("spod", "rank_tol = nan"),
+        ("spod", "rank_tol = -1"), ("spod", "rank_tol = 1.5"),
+        ("optimizer", "grad_tol = inf"), ("optimizer", "grad_tol = nan"),
     ])
     def test_invalid_config_value_exits_1(self, wave_dir, capsys, section,
                                           line):

@@ -211,6 +211,37 @@ class TestObjective:
         np.testing.assert_array_equal(g[8:16], 0.0)
         assert np.any(g[:8] != 0.0)
 
+    def test_with_counts_shares_operators_and_data(self):
+        snaps, shifts, rng = random_problem(m=12, n=5, n_s=2, n_blocks=2,
+                                            seed=15)
+        mask = np.zeros(snaps.n_rows, dtype=bool)
+        mask[12:] = True
+        base = ReducedObjective(snaps, shifts, [2, 1], masks=[mask, None])
+        w = rng.standard_normal((snaps.n_rows, 1))
+        base.evaluate([np.hstack([w, w]), w], need_gradient=False)
+        assert base.n_evals == 1 and base.rank_events
+
+        prob = base.with_counts([1, 2])
+        assert prob.plans is base.plans and prob.XT is base.XT
+        assert prob.masks is base.masks
+        assert prob.n_evals == 0 and prob.rank_events == []
+        assert prob.mode_counts == [1, 2] and base.mode_counts == [2, 1]
+        z = rng.standard_normal(3 * snaps.n_rows)
+        fresh = ReducedObjective(snaps, shifts, [1, 2], masks=[mask, None])
+        f_shared, g_shared = prob.value_and_gradient(z)
+        f_fresh, g_fresh = fresh.value_and_gradient(z)
+        assert f_shared == f_fresh
+        assert np.array_equal(g_shared, g_fresh)
+        assert base.n_evals == 1
+
+    def test_with_counts_validates_counts(self):
+        snaps, shifts, _ = random_problem(seed=16)
+        base = ReducedObjective(snaps, shifts, [1, 1])
+        with pytest.raises(ValueError, match="3 mode counts for 2 frames"):
+            base.with_counts([1, 1, 1])
+        with pytest.raises(ValueError, match="nonnegative"):
+            base.with_counts([1, -1])
+
     def test_relative_error_of(self):
         # maps the full residual cost J to J / ||X||^2, clipped at zero
         snaps, shifts, _ = random_problem(seed=13)

@@ -212,6 +212,21 @@ class TestGreedyLoop:
         text = json.dumps(rep.to_dict())
         assert "error_history" in text
 
+    def test_one_operator_build_per_frame(self, monkeypatch):
+        import spod.core
+        snaps, shifts = two_transport_set()
+        calls = []
+        build = spod.core.shift_operator
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return build(*args, **kwargs)
+
+        monkeypatch.setattr(spod.core, "shift_operator", counting)
+        _, rep = spod_decompose(snaps, shifts, GreedyConfig(r0=[1, 0], tol=1e-4))
+        assert rep.chosen_frames  # candidate solves ran, each on its own objective
+        assert len(calls) == shifts.n_frames
+
     def test_r0_length_must_match_frames(self):
         snaps, shifts = two_transport_set(m=16, n=4)
         with pytest.raises(ValueError):
@@ -226,6 +241,11 @@ class TestConfigValidation:
     def test_nonpositive_tol_rejected(self):
         with pytest.raises(ValueError):
             GreedyConfig(r0=[1], tol=0.0)
+
+    @pytest.mark.parametrize("rank_tol", [float("nan"), -1.0, 1.0, 1.5])
+    def test_rank_tol_validated(self, rank_tol):
+        with pytest.raises(ValueError, match="rank_tol"):
+            GreedyConfig(r0=[1], rank_tol=rank_tol)
 
     def test_thread_count_validated(self):
         with pytest.raises(ValueError):

@@ -451,6 +451,11 @@ track = var0
          r"\[optimizer\] memory: invalid literal"),
         (_valid_with("optimizer", "curvature = 1e-5"),
          "sufficient_decrease < curvature"),
+        (_valid_with("spod", "rank_tol = nan"), r"rank_tol must lie in \[0, 1\)"),
+        (_valid_with("spod", "rank_tol = -1"), r"rank_tol must lie in \[0, 1\)"),
+        (_valid_with("spod", "rank_tol = 1.5"), r"rank_tol must lie in \[0, 1\)"),
+        (_valid_with("optimizer", "grad_tol = inf"), "finite grad_tol >= 0"),
+        (_valid_with("optimizer", "grad_tol = nan"), "finite grad_tol >= 0"),
         (_valid_with("optimizer", "max_iter = 5"),
          r"\[optimizer\]: unknown keys \['max_iter'\]"),
         (_valid_with("spod", "tl = 5"), r"\[spod\]: unknown keys \['tl'\]"),
