@@ -93,9 +93,8 @@ def _build_parser() -> _Parser:
 
 
 def _cmd_generate(args) -> int:
-    def override(cls, **extra):
-        kw = {k: v for k, v in extra.items() if v is not None}
-        return cls(**kw)
+    def override(make, **extra):  # flags left out keep make's defaults
+        return make(**{k: v for k, v in extra.items() if v is not None})
 
     try:  # generation reads no file, so a ValueError comes from a flag
         if args.scenario == "wave":
@@ -106,9 +105,8 @@ def _cmd_generate(args) -> int:
         elif args.scenario == "three-signal":
             if args.t_final is not None:
                 raise _Usage("generate three-signal: takes no --t-final")
-            kw = {"m": args.m, "n": args.n}
-            kw = {k: v for k, v in kw.items() if v is not None}
-            snaps, shifts = generators.three_signal_default(**kw)
+            snaps, shifts = override(generators.three_signal_default,
+                                     m=args.m, n=args.n)
         else:
             kw = {"m": args.m, "n": args.n, "t_final": args.t_final}
             params = override(generators.CrossingFrontsParams, **kw)

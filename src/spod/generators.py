@@ -122,6 +122,8 @@ def three_signal_default(m: int = 128, n: int = 48):
     Snapshot times are grid multiples (t_j = j*h) so the periodic shift
     operators act as exact permutations.
     """
+    if m < 2 or n < 1:
+        raise ValueError("need m >= 2 and n >= 1")
     L = 2.0 * np.pi
     grid = Grid1D(m, L / m, boundary="periodic")
     t = grid.h * np.arange(n)

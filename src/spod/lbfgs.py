@@ -38,10 +38,7 @@ class OptimizerOptions:
                 f"{self.sufficient_decrease} and {self.curvature}"
             )
         if self.max_iters < 0 or not 0.0 <= self.grad_tol < np.inf:
-            raise ValueError(
-                "need max_iters >= 0 and a finite grad_tol >= 0, got "
-                f"{self.max_iters} and {self.grad_tol}"
-            )
+            raise ValueError("need max_iters >= 0 and a finite grad_tol >= 0")
 
 
 @dataclass

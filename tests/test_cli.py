@@ -78,6 +78,8 @@ class TestUsage:
         ["generate", "wave", "--out", "{tmp}", "--n", "0"],
         ["generate", "crossing-fronts", "--out", "{tmp}", "--t-final", "5"],
         ["generate", "three-signal", "--out", "{tmp}", "--t-final", "5"],
+        ["generate", "three-signal", "--out", "{tmp}", "--m", "0"],
+        ["generate", "three-signal", "--out", "{tmp}", "--n", "0"],
     ])
     def test_bad_flag_value_is_usage_error(self, wave_dir, tmp_path, capsys,
                                            argv):

@@ -189,6 +189,11 @@ class TestThreeSignal:
                                    snaps.grid.h * np.arange(12))
         assert shifts.d.shape == (3, 12)
 
+    @pytest.mark.parametrize("m,n", [(0, 12), (1, 12), (64, 0)])
+    def test_default_instance_sizes_validated(self, m, n):
+        with pytest.raises(ValueError, match="need m >= 2 and n >= 1"):
+            three_signal_default(m=m, n=n)
+
 
 class TestCrossingFronts:
     def test_shapes_and_blocks(self):
