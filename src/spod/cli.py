@@ -124,19 +124,26 @@ def _cmd_generate(args) -> int:
     return 0
 
 
+def _tracked_shifts(fc, snaps, negate):
+    """The shift row of a tracker recipe (FrameConfig), negated on
+    request so that it feeds T(d) under the operator's sign rule."""
+    windows = io.parse_windows(fc.windows) if fc.windows else None
+    positions = track_front(snaps.block(fc.track_block), snaps.grid,
+                            windows=windows, statistic=fc.statistic,
+                            smooth=fc.smooth)
+    d = center_shifts(positions, snaps.grid)
+    return -d if negate else d
+
+
 def _cmd_track(args) -> int:
     snaps = io.read_snapshots(args.snapshots)
-    name = args.block or snaps.blocks[0].name
-    block = snaps.block(name)
-    windows = io.parse_windows(args.windows) if args.windows else None
-    positions = track_front(block, snaps.grid, windows=windows,
-                            statistic=args.statistic, smooth=args.smooth)
-    d = center_shifts(positions, snaps.grid)
+    fc = io.FrameConfig(track_block=args.block or snaps.blocks[0].name,
+                        statistic=args.statistic, windows=args.windows,
+                        smooth=args.smooth)
     negate = (snaps.grid.boundary == "periodic") if args.negate == "auto" \
         else args.negate == "yes"
-    if negate:
-        d = -d
-    io.write_shifts(d[None, :], args.out, frame_names=[name])
+    d = _tracked_shifts(fc, snaps, negate)
+    io.write_shifts(d[None, :], args.out, frame_names=[fc.track_block])
     print(args.out)
     return 0
 
@@ -183,12 +190,7 @@ def _resolve_frames(cfg, snaps) -> FrameShifts:
             if fc.track_block not in snaps.block_names():
                 raise io.ConfigError(
                     f"frame {l}: no variable block '{fc.track_block}'")
-            windows = io.parse_windows(fc.windows) if fc.windows else None
-            pos = track_front(snaps.block(fc.track_block), snaps.grid,
-                              windows=windows, statistic=fc.statistic,
-                              smooth=fc.smooth)
-            d = center_shifts(pos, snaps.grid)
-            rows.append(-d if boundary == "periodic" else d)
+            rows.append(_tracked_shifts(fc, snaps, boundary == "periodic"))
     return FrameShifts(np.vstack(rows), ShiftSpec(boundary, cfg.degree))
 
 
@@ -212,14 +214,13 @@ def _cmd_spod(args) -> int:
     if args.threads is not None:
         if args.threads < 1:
             raise _Usage(f"--threads must be at least 1, got {args.threads}")
-        cfg.threads = args.threads
+        cfg.greedy.threads = args.threads
     snaps = io.read_snapshots(cfg.snapshots)
     if cfg.scale_variables:
         snaps, factors = scale_variables(snaps)
         print(f"variable scaling factors: {factors}", file=sys.stderr)
     shifts = _resolve_frames(cfg, snaps)
     masks = _frame_masks(cfg, snaps)
-    greedy = cfg.greedy()
 
     def progress(info):
         if info["stage"] == "initial":
@@ -229,7 +230,7 @@ def _cmd_spod(args) -> int:
             print(f"iteration {info['p']}: frame {info['chosen']} ->"
                   f" r={info['r']} error={info['error']:.3e}", file=sys.stderr)
 
-    dec, report = spod_decompose(snaps, shifts, greedy, masks=masks,
+    dec, report = spod_decompose(snaps, shifts, cfg.greedy, masks=masks,
                                  progress=progress)
     out = cfg.output_dir
     os.makedirs(out, exist_ok=True)

@@ -31,7 +31,7 @@ and keys are errors; a key left out or left empty takes its default.
 import configparser
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
@@ -378,6 +378,8 @@ class FrameConfig:
                               " never both")
         if self.statistic not in STATISTICS:
             raise ConfigError(f"unknown tracking statistic '{self.statistic}'")
+        if self.smooth < 0:
+            raise ConfigError(f"smooth must be at least 0, got {self.smooth}")
         if self.windows:
             parse_windows(self.windows)  # fail at load time, not mid-run
         self.mask = tuple(self.mask)
@@ -385,40 +387,26 @@ class FrameConfig:
 
 @dataclass
 class RunConfig:
-    """Fully resolved run configuration for the end-to-end pipeline."""
+    """Fully resolved run configuration for the end-to-end pipeline: the
+    greedy driver's own GreedyConfig plus what only the pipeline needs."""
 
     snapshots: str
     frames: tuple
-    r0: tuple
-    tol: float = GreedyConfig.tol
-    p_max: Optional[int] = GreedyConfig.p_max
-    warm_start: bool = GreedyConfig.warm_start
-    threads: int = GreedyConfig.threads
-    rank_tol: float = GreedyConfig.rank_tol
+    greedy: GreedyConfig
     scale_variables: bool = False
     boundary: Optional[str] = None  # None: follow the grid
     degree: int = ShiftSpec.interp_degree
-    optimizer: OptimizerOptions = field(default_factory=OptimizerOptions)
     output_dir: str = "."
 
     def __post_init__(self):
         self.frames = tuple(self.frames)
-        self.r0 = tuple(int(r) for r in self.r0)
         if not self.frames:
             raise ConfigError("no frame sections")
-        if len(self.r0) != len(self.frames):
-            raise ConfigError(f"r0 has {len(self.r0)} entries for"
+        if len(self.greedy.r0) != len(self.frames):
+            raise ConfigError(f"r0 has {len(self.greedy.r0)} entries for"
                               f" {len(self.frames)} frames")
-        self.greedy()
         _build(ConfigError, "[spod]", ShiftSpec,
                self.boundary or ShiftSpec.boundary, self.degree)
-
-    def greedy(self) -> GreedyConfig:
-        """The greedy driver's settings; raises ConfigError when invalid."""
-        return _build(ConfigError, "[spod]", GreedyConfig, r0=list(self.r0),
-                      tol=self.tol, p_max=self.p_max, optimizer=self.optimizer,
-                      rank_tol=self.rank_tol, warm_start=self.warm_start,
-                      threads=self.threads)
 
 
 def _bool(text):
@@ -453,27 +441,27 @@ class _Key(NamedTuple):
     shared: Optional[str] = None  # what the value is, for the error
 
 
+_GREEDY_KEYS = {
+    "r0": _Key(_int_list, _join, default=_REQUIRED),
+    "tol": _Key(float, _fmt),
+    "warm_start": _Key(_bool),
+    "threads": _Key(int),
+    "rank_tol": _Key(float, _fmt),
+    "p_max": _Key(int),
+}
 _SHIFT_KEYS = {
     "boundary": _Key(str, shared="shift boundary mode"),
     "degree": _Key(int, shared="interpolation degree"),
 }
 _FRAMES = "frame.N"
-# section -> key -> _Key.  Defaults live in RunConfig (whose [spod]
-# defaults are GreedyConfig's), OptimizerOptions and FrameConfig.
+# section -> key -> _Key.  Defaults live in the objects the keys set:
+# GreedyConfig, OptimizerOptions, RunConfig and FrameConfig.
 _KEYS = {
     "input": {
         "snapshots": _Key(_path, os.path.abspath, default=_REQUIRED),
         "scale_variables": _Key(_bool),
     },
-    "spod": {
-        "r0": _Key(_int_list, _join, default=_REQUIRED),
-        "tol": _Key(float, _fmt),
-        "warm_start": _Key(_bool),
-        "threads": _Key(int),
-        "rank_tol": _Key(float, _fmt),
-        "p_max": _Key(int),
-        **_SHIFT_KEYS,
-    },
+    "spod": {**_GREEDY_KEYS, **_SHIFT_KEYS},
     "optimizer": {
         "memory": _Key(int),
         "grad_tol": _Key(float, _fmt),
@@ -532,23 +520,26 @@ def load_config(path) -> RunConfig:
 
     values = {name: _read_section(cp, name, keys, base)
               for name, keys in _KEYS.items() if name != _FRAMES}
-    shift_values = [values["spod"]]
+    spod = values.pop("spod")
+    shift_values = [{k: spod.pop(k) for k in _SHIFT_KEYS if k in spod}]
     frames = []
     for name in frame_sections:
         fv = _read_section(cp, name, {**_KEYS[_FRAMES], **_SHIFT_KEYS}, base)
         shift_values.append({k: fv.pop(k) for k in _SHIFT_KEYS if k in fv})
         frames.append(_build(ConfigError, f"[{name}]", FrameConfig, **fv))
+    run = {**values["input"], **values["output"]}
     for key, k in _SHIFT_KEYS.items():
         found = {v[key] for v in shift_values if key in v}
         if len(found) > 1:
             raise ConfigError(f"frames must agree on the {k.shared}")
         if found:
-            values["spod"][key] = found.pop()
+            run[key] = found.pop()
 
     optimizer = _build(ConfigError, "[optimizer]", OptimizerOptions,
-                       **values.pop("optimizer"))
-    run = {a: v for section in values.values() for a, v in section.items()}
-    return RunConfig(frames=frames, optimizer=optimizer, **run)
+                       **values["optimizer"])
+    greedy = _build(ConfigError, "[spod]", GreedyConfig, optimizer=optimizer,
+                    **spod)
+    return RunConfig(frames=frames, greedy=greedy, **run)
 
 
 def _format_section(obj, keys):
@@ -560,14 +551,15 @@ def _format_section(obj, keys):
 
 def write_manifest(cfg: RunConfig, path):
     """Echo the resolved configuration as a config file that reproduces
-    the run (paths are written absolute)."""
+    the run (paths are written absolute).  Each key is read from the
+    object that owns it."""
     cp = configparser.ConfigParser(interpolation=None)
-    for name, keys in _KEYS.items():
-        if name == _FRAMES:
-            for l, fc in enumerate(cfg.frames):
-                cp[f"frame.{l}"] = _format_section(fc, keys)
-        else:
-            target = cfg.optimizer if name == "optimizer" else cfg
-            cp[name] = _format_section(target, keys)
+    cp["input"] = _format_section(cfg, _KEYS["input"])
+    cp["spod"] = {**_format_section(cfg.greedy, _GREEDY_KEYS),
+                  **_format_section(cfg, _SHIFT_KEYS)}
+    cp["optimizer"] = _format_section(cfg.greedy.optimizer, _KEYS["optimizer"])
+    for l, fc in enumerate(cfg.frames):
+        cp[f"frame.{l}"] = _format_section(fc, _KEYS[_FRAMES])
+    cp["output"] = _format_section(cfg, _KEYS["output"])
     with open(path, "w") as f:
         cp.write(f)

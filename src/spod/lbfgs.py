@@ -58,11 +58,15 @@ class OptimizerTrace:
     slopes: list = field(default_factory=list)
     termination: str = ""
     n_evals: int = 0
-    success: bool = False
 
     @property
     def iterations(self) -> int:
         return len(self.step_sizes)
+
+    @property
+    def success(self) -> bool:
+        """True unless a line search failed: an iteration cap counts."""
+        return self.termination in ("gradient", "iteration cap")
 
 
 class _Eval:
@@ -197,7 +201,6 @@ def minimize(fg, x0, opts: OptimizerOptions | None = None):
     trace = OptimizerTrace()
     if x.size == 0:
         trace.termination = "gradient"
-        trace.success = True
         return x, trace
     ev = _Eval(fg)
     f, g = ev(x)
@@ -247,5 +250,4 @@ def minimize(fg, x0, opts: OptimizerOptions | None = None):
         status = "gradient"
     trace.termination = status
     trace.n_evals = ev.count
-    trace.success = status in ("gradient", "iteration cap")
     return x, trace

@@ -82,6 +82,7 @@ def track_front(block: np.ndarray, grid: Grid1D, windows: WindowSchedule | None 
 
     With the difference statistic only n-1 columns exist; the last
     position is replicated.  Argmax ties resolve to the smallest index.
+    The window schedule may not run past the n snapshots.
     smooth > 1 applies a centered moving average of that width to the
     tracked positions.
     """
@@ -91,6 +92,8 @@ def track_front(block: np.ndarray, grid: Grid1D, windows: WindowSchedule | None 
     n = X.shape[1]
     if n < 2:
         raise ValueError("tracking needs at least two snapshots")
+    if windows is not None and windows.entries[-1][0][1] > n:
+        raise ValueError(f"window schedule runs past the {n} snapshots")
     D = _column_statistic(X, grid, statistic)
     idx = np.empty(n, dtype=int)
     for j in range(D.shape[1]):

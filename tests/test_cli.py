@@ -153,6 +153,57 @@ class TestTrack:
         assert rc == 2
         assert "no variable block" in capsys.readouterr().err
 
+    def test_negative_smooth_is_config_error(self, small_wave, tmp_path,
+                                             capsys):
+        out = tmp_path / "d.csv"
+        rc = run_cli(["track", small_wave, "--smooth", "-1", "--out", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["configuration error: smooth must be at least 0,"
+                       " got -1"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("windows", ["0:99@0:10", "0:5@0:10"])
+    def test_schedule_not_matching_data_is_data_error(self, small_wave,
+                                                      tmp_path, capsys,
+                                                      windows):
+        out = tmp_path / "d.csv"
+        rc = run_cli(["track", small_wave, "--windows", windows,
+                      "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("data error: ")
+        assert not out.exists()
+
+    def test_track_matches_config_recipe(self, tmp_path, capsys):
+        # the README schedules: spod track and a [frame.N] recipe must
+        # resolve the same shifts, sign included
+        assert run_cli(["generate", "wave", "--n", "64",
+                        "--out", str(tmp_path)]) == 0
+        snap = str(tmp_path / "wave.snap")
+        windows = ["0:32@512:1024,32:64@0:512", "0:33@0:513,33:64@512:1024"]
+        frames = "".join(f"[frame.{l}]\ntrack = density\nstatistic = peak\n"
+                         f"windows = {w}\n\n" for l, w in enumerate(windows))
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"[input]\nsnapshots = wave.snap\n\n[spod]\n"
+                       f"r0 = 1,1\ntol = 1e-6\n\n{frames}")
+        assert run_cli(["spod", "--config", str(cfg)]) == 0
+        resolved = io.read_shifts(str(tmp_path / "resolved_shifts.csv"))
+        for l, w in enumerate(windows):
+            out = str(tmp_path / f"track{l}.csv")
+            assert run_cli(["track", snap, "--statistic", "peak",
+                            "--windows", w, "--out", out]) == 0
+            assert np.array_equal(io.read_shifts(out)[0], resolved[l])
+
+
+@pytest.fixture(scope="module")
+def small_wave(tmp_path_factory):
+    """A 64 x 16 wave snapshot file."""
+    base = tmp_path_factory.mktemp("smallwave")
+    assert run_cli(["generate", "wave", "--out", str(base),
+                    "--m", "64", "--n", "16"]) == 0
+    return str(base / "wave.snap")
+
 
 @pytest.fixture(scope="module")
 def full_wave(tmp_path_factory):
@@ -275,7 +326,8 @@ shifts = {wave_dir / 'd1.csv'}
     @pytest.mark.parametrize("section,line", [
         ("spod", "tol = abc"), ("spod", "tol = -1"), ("spod", "threads = 0"),
         ("spod", "degree = 2"), ("spod", "boundary = foo"),
-        ("frame.1", "smooth = x"), ("optimizer", "memory = x"),
+        ("frame.1", "smooth = x"), ("frame.1", "smooth = -1"),
+        ("optimizer", "memory = x"),
         ("optimizer", "curvature = 1e-5"), ("optimizer", "max_iter = 5"),
         ("spod", "tl = 5"), ("spod", "rank_tol = nan"),
         ("spod", "rank_tol = -1"), ("spod", "rank_tol = 1.5"),
@@ -293,6 +345,16 @@ shifts = {wave_dir / 'd1.csv'}
         err = capsys.readouterr().err
         assert "configuration error" in err
         assert "Traceback" not in err
+
+    def test_unknown_tracked_block_is_config_error(self, wave_dir, capsys):
+        text = (wave_dir / "run.cfg").read_text().replace(
+            "shifts = d1.csv", "track = pressure")
+        cfg = wave_dir / "bad_block.cfg"
+        cfg.write_text(text)
+        assert run_cli(["spod", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["configuration error: frame 1: no variable block"
+                       " 'pressure'"]
 
     def test_decomposition_without_shift_boundary_is_data_error(
             self, wave_dir, tmp_path, capsys):

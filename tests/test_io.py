@@ -11,11 +11,11 @@ import struct
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spod.core import Decomposition, FrameBasis, FrameShifts
-from spod.greedy import GreedyReport
+from spod.greedy import GreedyConfig, GreedyReport
 from spod.io import (
     ConfigError,
     FormatError,
@@ -36,6 +36,7 @@ from spod.io import (
     write_snapshots,
     write_snapshots_csv,
 )
+from spod.lbfgs import OptimizerOptions
 from spod.shifts import ShiftSpec
 from spod.snapshots import Grid1D, SnapshotSet, VariableBlock
 
@@ -325,10 +326,11 @@ _VALID = ("[input]\nsnapshots = x\n[spod]\nr0 = 1,1\n"
           "[frame.0]\ntrack = v\n[frame.1]\ntrack = v\n")
 
 
-def _valid_with(section, line):
-    """A loadable two-frame config with one line added to section."""
-    body = _VALID.replace(f"[{section}]\n", f"[{section}]\n{line}\n")
-    return body if body != _VALID else f"{_VALID}[{section}]\n{line}\n"
+def _valid_with(section, line, body=_VALID):
+    """A loadable two-frame config (or body) with one line added to
+    section."""
+    added = body.replace(f"[{section}]\n", f"[{section}]\n{line}\n", 1)
+    return added if added != body else f"{body}[{section}]\n{line}\n"
 
 
 def _write_config(tmp_path, body):
@@ -373,16 +375,16 @@ directory = out
 """)
         cfg = load_config(path)
         assert cfg.snapshots == str(tmp_path / "snaps.bin")
-        assert cfg.r0 == (2, 1)
-        assert cfg.tol == 0.003
-        assert cfg.p_max == 7
-        assert cfg.threads == 4
+        assert cfg.greedy.r0 == [2, 1]
+        assert cfg.greedy.tol == 0.003
+        assert cfg.greedy.p_max == 7
+        assert cfg.greedy.threads == 4
         assert cfg.scale_variables is True
         assert cfg.boundary == "constant"
         assert cfg.degree == 1
-        assert cfg.optimizer.grad_tol == 1e-8
-        assert cfg.optimizer.max_iters == 250
-        assert cfg.optimizer.memory == 10  # untouched default
+        assert cfg.greedy.optimizer.grad_tol == 1e-8
+        assert cfg.greedy.optimizer.max_iters == 250
+        assert cfg.greedy.optimizer.memory == 10  # untouched default
         assert cfg.output_dir == str(tmp_path / "out")
         assert cfg.frames[0].shifts_path == str(tmp_path / "d.csv")
         assert cfg.frames[1].track_block == "density"
@@ -402,10 +404,10 @@ r0 = 1
 track = var0
 """)
         cfg = load_config(path)
-        assert cfg.tol == 0.01
-        assert cfg.p_max is None
-        assert cfg.warm_start is True
-        assert cfg.threads == 1
+        assert cfg.greedy.tol == 0.01
+        assert cfg.greedy.p_max is None
+        assert cfg.greedy.warm_start is True
+        assert cfg.greedy.threads == 1
         assert cfg.boundary is None
         assert cfg.degree == 3
         assert cfg.scale_variables is False
@@ -447,6 +449,8 @@ track = var0
         (_valid_with("spod", "boundary = foo"), "unknown operator boundary"),
         (_valid_with("frame.1", "smooth = x"),
          r"\[frame.1\] smooth: invalid literal"),
+        (_valid_with("frame.1", "smooth = -1"),
+         r"\[frame.1\]: smooth must be at least 0, got -1"),
         (_valid_with("optimizer", "memory = x"),
          r"\[optimizer\] memory: invalid literal"),
         (_valid_with("optimizer", "curvature = 1e-5"),
@@ -476,30 +480,39 @@ track = var0
     def test_empty_value_takes_default(self, tmp_path):
         cfg = load_config(_write_config(tmp_path,
                                         _valid_with("spod", "p_max =")))
-        assert cfg.p_max is None
-        assert cfg.r0 == (1, 1)
+        assert cfg.greedy.p_max is None
+        assert cfg.greedy.r0 == [1, 1]
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="cannot read"):
             load_config(tmp_path / "nope.cfg")
 
     def test_manifest_round_trip(self, tmp_path):
+        # every key away from its default, so that none can be dropped
+        optimizer = OptimizerOptions(memory=4, grad_tol=1e-9, max_iters=77,
+                                     sufficient_decrease=1e-3, curvature=0.5)
         cfg = RunConfig(
             snapshots=str(tmp_path / "snaps.bin"),
             frames=[FrameConfig(shifts_path=str(tmp_path / "d.csv")),
                     FrameConfig(track_block="density", statistic="peak",
                                 windows="0:2@0:8", smooth=2, mask=("u",))],
-            r0=[2, 1], tol=0.005, p_max=9, threads=2, boundary="constant",
-            degree=1, scale_variables=True,
+            greedy=GreedyConfig(r0=[2, 1], tol=0.005, p_max=9, threads=2,
+                                warm_start=False, rank_tol=1e-7,
+                                optimizer=optimizer),
+            boundary="constant", degree=1, scale_variables=True,
             output_dir=str(tmp_path / "out"))
         manifest = tmp_path / "manifest.cfg"
         write_manifest(cfg, manifest)
         back = load_config(manifest)
+        assert back == cfg
         assert back.snapshots == cfg.snapshots
-        assert back.r0 == cfg.r0
-        assert back.tol == cfg.tol
-        assert back.p_max == cfg.p_max
-        assert back.threads == cfg.threads
+        assert back.greedy.r0 == cfg.greedy.r0
+        assert back.greedy.tol == cfg.greedy.tol
+        assert back.greedy.p_max == cfg.greedy.p_max
+        assert back.greedy.threads == cfg.greedy.threads
+        assert back.greedy.warm_start is False
+        assert back.greedy.rank_tol == 1e-7
+        assert back.greedy.optimizer == optimizer
         assert back.boundary == "constant"
         assert back.degree == 1
         assert back.scale_variables is True
@@ -572,16 +585,51 @@ def fuzz_dir(tmp_path_factory):
     return tmp_path_factory.mktemp("fuzz")
 
 
+_FRAME_KEYS = ["statistic", "windows", "smooth", "mask", "boundary", "degree"]
+_OPTIONAL_KEYS = {
+    "input": ["scale_variables"],
+    "spod": ["tol", "p_max", "warm_start", "threads", "rank_tol", "boundary",
+             "degree"],
+    "optimizer": ["memory", "grad_tol", "max_iters", "sufficient_decrease",
+                  "curvature"],
+    "frame.0": _FRAME_KEYS, "frame.1": _FRAME_KEYS, "output": ["directory"]}
+
+
+@st.composite
+def _near_valid_text(draw):
+    """_VALID with a few known keys set, so that many examples load."""
+    body = _VALID
+    for section in draw(st.lists(st.sampled_from(sorted(_OPTIONAL_KEYS)),
+                                 max_size=4)):
+        key = draw(st.sampled_from(_OPTIONAL_KEYS[section]))
+        body = _valid_with(section, f"{key} = {draw(_VALUES)}", body)
+    return body
+
+
+def _check_load(directory, text):
+    """Load text as a config: it may only raise ConfigError, and a config
+    that loads is reproduced exactly by its manifest."""
+    path = directory / "run.cfg"
+    path.write_text(text, encoding="utf-8")
+    try:
+        cfg = load_config(path)
+    except ConfigError:
+        return
+    manifest = directory / "manifest.cfg"
+    write_manifest(cfg, manifest)
+    assert load_config(manifest) == cfg
+
+
 class TestLoaderFuzz:
-    @given(st.one_of(_ini_text(), st.text(
+    @given(st.one_of(_ini_text(), _near_valid_text(), st.text(
         st.characters(blacklist_categories=("Cs",)), max_size=200)))
     def test_load_config_raises_only_config_error(self, fuzz_dir, text):
-        path = fuzz_dir / "run.cfg"
-        path.write_text(text, encoding="utf-8")
-        try:
-            load_config(path)
-        except ConfigError:
-            pass
+        _check_load(fuzz_dir, text)
+
+    @settings(max_examples=200)  # about one example in seven loads
+    @given(_near_valid_text())
+    def test_loaded_config_round_trips(self, fuzz_dir, text):
+        _check_load(fuzz_dir, text)
 
     @pytest.mark.parametrize("write,read", [
         (lambda path: write_snapshots(_sample_snapshots(), path),

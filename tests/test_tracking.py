@@ -119,6 +119,14 @@ class TestWindows:
         with pytest.raises(ValueError):
             track_front(X, grid, windows=ws, statistic="peak")
 
+    def test_schedule_beyond_data_rejected(self):
+        X, grid = step_front_matrix(32, 8, 4, 1)
+        ws = WindowSchedule([((0, 4), (0, 32)), ((4, 9), (0, 32))])
+        with pytest.raises(ValueError, match="runs past the 8 snapshots"):
+            track_front(X, grid, windows=ws, statistic="peak")
+        ws = WindowSchedule([((0, 4), (0, 32)), ((4, 8), (0, 32))])
+        assert track_front(X, grid, windows=ws, statistic="peak").shape == (8,)
+
     def test_window_outside_grid_rejected(self):
         X, grid = step_front_matrix(32, 4, 4, 1)
         ws = WindowSchedule([((0, 4), (8, 64))])
