@@ -10,15 +10,23 @@ reconstruction, every frame's back-shifted snapshot matrix and the
 indptr/indices/data of every frame's stacked sparse operators.  It also
 saves the work of each run: every stage's iterations, evaluations and
 rank-deficient evaluations, the chosen frames, the final mode counts and
-the number of ReducedObjective.evaluate calls.  The second form reports
-every array that is not bit-for-bit equal (np.array_equal) between two
-fingerprints, so two checkouts can be compared after a refactoring that
-must change neither a result nor the work that produced it.
+the number of ReducedObjective.evaluate calls.  Last, it runs the seed-0
+cli-pipeline chain of bench/workloads.py in-process in a temporary
+directory and saves the bytes of every .csv, .cfg and .json output, with
+that directory replaced by a fixed token.  The second form reports every
+array that is not bit-for-bit equal (np.array_equal) between two
+fingerprints, with a line diff for each differing text output, so two
+checkouts can be compared after a refactoring that must change neither a
+result, nor the work that produced it, nor the bytes of a file it writes.
 """
 
 import argparse
+import contextlib
+import difflib
+import io
 import os
 import sys
+import tempfile
 
 import numpy as np
 
@@ -88,6 +96,48 @@ def fingerprint() -> dict:
     return out
 
 
+TEXT_OUTPUTS = (".csv", ".cfg", ".json")
+
+
+def cli_outputs() -> dict:
+    """Text outputs of the seed-0 cli-pipeline chain, as uint8 arrays."""
+    from spod.cli import run_cli
+
+    out, cwd = {}, os.getcwd()
+    with tempfile.TemporaryDirectory() as d:
+        with open(os.path.join(d, "run.cfg"), "w") as f:
+            f.write(wl.cli_config(0))
+        os.chdir(d)
+        try:
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(io.StringIO()):
+                for name, argv in wl.cli_chain(0):
+                    if run_cli(argv) != 0:
+                        raise RuntimeError(f"cli step '{name}' failed")
+        finally:
+            os.chdir(cwd)
+        run_dirs = sorted({d, os.path.realpath(d)}, key=len, reverse=True)
+        for root, _, files in os.walk(d):
+            for name in files:
+                path = os.path.join(root, name)
+                rel = os.path.relpath(path, d)
+                if rel == "run.cfg" or not name.endswith(TEXT_OUTPUTS):
+                    continue  # the input, or a binary output
+                with open(path, "rb") as f:
+                    data = f.read()
+                for run_dir in run_dirs:
+                    data = data.replace(run_dir.encode(), b"<run>")
+                out[f"cli/{rel}"] = np.frombuffer(data, dtype=np.uint8)
+    return out
+
+
+def _text_diff(a, b):
+    lines = difflib.unified_diff(a.tobytes().decode().splitlines(),
+                                 b.tobytes().decode().splitlines(),
+                                 lineterm="", n=0)
+    return list(lines)[2:]  # without the ---/+++ file lines
+
+
 def compare(a_path: str, b_path: str) -> int:
     a, b = np.load(a_path), np.load(b_path)
     bad = sorted(set(a.files) ^ set(b.files))
@@ -95,6 +145,9 @@ def compare(a_path: str, b_path: str) -> int:
             if not np.array_equal(a[k], b[k])]
     for k in bad:
         print(f"differs: {k}")
+        if k.startswith("cli/") and k in a.files and k in b.files:
+            for line in _text_diff(a[k], b[k]):
+                print(f"    {line}")
     print(f"{len(a.files)} arrays, {len(bad)} differ")
     return 1 if bad else 0
 
@@ -111,7 +164,7 @@ def main() -> int:
         return compare(*args.paths)
     if len(args.paths) != 1:
         ap.error("give one output path")
-    np.savez(args.paths[0], **fingerprint())
+    np.savez(args.paths[0], **fingerprint(), **cli_outputs())
     return 0
 
 

@@ -50,11 +50,10 @@ def _build_parser() -> _Parser:
     t.add_argument("snapshots")
     t.add_argument("--block", default=None,
                    help="variable block name (default: first block)")
-    t.add_argument("--statistic", choices=list(STATISTICS),
-                   default="difference")
+    t.add_argument("--statistic", choices=list(STATISTICS), default=None)
     t.add_argument("--windows", default=None,
                    help="window schedule j0:j1@i0:i1,... (index pairs)")
-    t.add_argument("--smooth", type=int, default=0)
+    t.add_argument("--smooth", type=int, default=None)
     t.add_argument("--negate", choices=["auto", "yes", "no"], default="auto",
                    help="negate centered positions; 'auto' negates on "
                         "periodic grids so the CSV feeds T(d) directly")
@@ -232,6 +231,10 @@ def _cmd_spod(args) -> int:
 
     dec, report = spod_decompose(snaps, shifts, cfg.greedy, masks=masks,
                                  progress=progress)
+    if cfg.scale_variables:  # modes back in the input's units
+        for frame in dec.frames:
+            for blk, factor in zip(snaps.blocks, factors):
+                frame.modes[blk.rows] /= factor
     out = cfg.output_dir
     os.makedirs(out, exist_ok=True)
     io.write_decomposition(dec, os.path.join(out, "decomposition.bin"),
@@ -334,10 +337,7 @@ def run_cli(argv=None) -> int:
     except io.ConfigError as e:
         print(f"configuration error: {e}", file=sys.stderr)
         return 1
-    except (io.FormatError, OSError) as e:
-        print(f"data error: {e}", file=sys.stderr)
-        return 2
-    except ValueError as e:
+    except (OSError, ValueError) as e:  # io.FormatError is a ValueError
         print(f"data error: {e}", file=sys.stderr)
         return 2
 

@@ -15,11 +15,11 @@ little-endian 64-bit floats in column-major order.  Layout keys:
 
 Decomposition files use the same layout plus ``ranks`` (modes per
 frame), ``shift_boundary`` and ``interp_degree``; their payload holds
-each frame's modes and amplitudes, then the shift matrix.  The CSV
-snapshot export carries the same keys in its comment lines.  Text floats
-are written with repr() so round trips are exact.  CSV outputs carry a
-header row naming every column; shift files hold one row per snapshot
-and one column per frame, in space units.
+each frame's modes and amplitudes, then the shift matrix.  Text outputs
+are CSV tables: '#' comment lines, a header row naming every column, one
+row per entry, floats written with repr() so round trips are exact.  The
+snapshot export keeps the layout keys in its comments; shift files hold
+one row per snapshot and one column per frame, in space units.
 
 Run configuration files use INI sections ([input], [spod], [optimizer],
 [frame.0], [frame.1], ..., [output]); every frame section provides
@@ -209,80 +209,77 @@ def write_snapshots(snaps: SnapshotSet, path):
     _write_binary(path, layout, [snaps.data])
 
 
+def _write_table(path, comments, names, columns):
+    """CSV table: '#' comment lines, a header row of column names, then
+    one row per entry of the equal-length columns (floats as repr,
+    integers as str)."""
+    cells = [map(_fmt if c.dtype.kind == "f" else str, c.tolist())
+             for c in map(np.asarray, columns)]
+    with open(path, "w") as f:
+        f.write("".join(f"# {c}\n" for c in comments) + ",".join(names) + "\n")
+        f.writelines(",".join(row) + "\n" for row in zip(*cells))
+
+
+def _read_table(path, kind):
+    """Returns (comment lines without '#', finite rows x columns array) of
+    a CSV table; the first line that is not a comment is the header row."""
+    try:
+        with open(path) as f:
+            lines = [(lineno, line.strip()) for lineno, line in enumerate(f, 1)]
+    except UnicodeDecodeError as e:
+        raise FormatError(
+            f"{path}: {kind} table is not {e.encoding} text") from None
+    comments = [line[1:].strip() for _, line in lines if line.startswith("#")]
+    table = [(lineno, line) for lineno, line in lines
+             if line and not line.startswith("#")]
+    rows = []
+    for lineno, line in table[1:]:  # table[0] is the header row
+        try:
+            rows.append([float(v) for v in line.split(",")])
+        except ValueError:
+            raise FormatError(
+                f"{path}: bad {kind} row (line {lineno})") from None
+    if not rows:
+        raise FormatError(f"{path}: no {kind} rows")
+    if any(len(r) != len(rows[0]) for r in rows):
+        raise FormatError(f"{path}: ragged {kind} rows")
+    return comments, _finite(np.array(rows), path, f"{kind} rows")
+
+
 def write_snapshots_csv(snaps: SnapshotSet, path):
     """Plain-text interoperability export; repr floats keep round trips exact."""
     layout = _format_layout(snaps.grid, snaps.blocks, snaps.time.values)
     time = layout.pop("time")
-    with open(path, "w") as f:
-        f.write("# snapshots " + " ".join(f"{k}={v}" for k, v in layout.items())
-                + f"\n# time={time}\n")
-        f.write("row," + ",".join(f"snapshot{j}"
-                                  for j in range(snaps.n_snapshots)) + "\n")
-        for i in range(snaps.n_rows):
-            f.write(str(i) + "," +
-                    ",".join(_fmt(v) for v in snaps.data[i]) + "\n")
+    meta = " ".join(f"{k}={v}" for k, v in layout.items())
+    _write_table(path, [f"snapshots {meta}", f"time={time}"],
+                 ["row"] + [f"snapshot{j}" for j in range(snaps.n_snapshots)],
+                 [np.arange(snaps.n_rows), *snaps.data.T])
 
 
 def read_snapshots_csv(path) -> SnapshotSet:
-    meta = {}
-    rows = []
-    with open(path) as f:
-        for lineno, line in enumerate(f, 1):
-            line = line.strip()
-            if not line:
-                continue
-            if line.startswith("# time="):
-                meta["time"] = line[len("# time="):]
-            elif line.startswith("# snapshots "):
-                for item in line[len("# snapshots "):].split():
-                    k, _, v = item.partition("=")
-                    meta[k] = v
-            elif line.startswith("#") or line.startswith("row,"):
-                continue
-            else:
-                try:
-                    rows.append([float(v) for v in line.split(",")][1:])
-                except ValueError:
-                    raise FormatError(f"{path}: bad data row (line {lineno})")
+    comments, table = _read_table(path, "data")
+    # metadata: the key=value words of the 'snapshots' and 'time' comments
+    meta = dict(word.partition("=")[::2] for c in comments
+                if c.startswith(("snapshots ", "time="))
+                for word in c.split() if "=" in word)
     grid, blocks, total, n, time = _read_layout(meta, path, "metadata")
-    if len(rows) != total or any(len(r) != n for r in rows):
+    if table.shape != (total, n + 1):  # row index, then the n snapshots
         raise FormatError(f"{path}: data is not {total} rows of {n} values")
-    data = _finite(np.array(rows), path, "data rows")
-    return SnapshotSet(data, grid, _time_values(time, n, path), blocks)
+    return SnapshotSet(table[:, 1:].copy(), grid, _time_values(time, n, path),
+                       blocks)
 
 
 def write_shifts(d, path, frame_names=None):
     """Shift CSV: one row per snapshot, one column per frame (space units)."""
     d = np.atleast_2d(np.asarray(d, dtype=float))
     names = frame_names or [f"frame{l}" for l in range(d.shape[0])]
-    with open(path, "w") as f:
-        f.write("# shift per frame, space units; one row per snapshot\n")
-        f.write(",".join(names) + "\n")
-        for j in range(d.shape[1]):
-            f.write(",".join(_fmt(v) for v in d[:, j]) + "\n")
+    _write_table(path, ["shift per frame, space units; one row per snapshot"],
+                 names, d)
 
 
 def read_shifts(path):
     """Returns the (n_frames, n_snapshots) shift matrix from a shift CSV."""
-    rows = []
-    with open(path) as f:
-        header_seen = False
-        for lineno, line in enumerate(f, 1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if not header_seen:
-                header_seen = True  # column-name row
-                continue
-            try:
-                rows.append([float(v) for v in line.split(",")])
-            except ValueError:
-                raise FormatError(f"{path}: bad shift row (line {lineno})")
-    if not rows:
-        raise FormatError(f"{path}: no shift rows")
-    if any(len(r) != len(rows[0]) for r in rows):
-        raise FormatError(f"{path}: ragged shift rows")
-    return _finite(np.array(rows).T.copy(), path, "shift rows")
+    return _read_table(path, "shift")[1].T.copy()
 
 
 def write_decomposition(dec: Decomposition, path, times=None):
@@ -331,13 +328,8 @@ def write_report(report, path):
 
 
 def write_curve(path, columns, names):
-    """Small CSV writer: columns is a list of equal-length 1-d arrays."""
-    columns = [np.asarray(c) for c in columns]
-    with open(path, "w") as f:
-        f.write(",".join(names) + "\n")
-        for i in range(columns[0].size):
-            f.write(",".join(_fmt(c[i]) if c.dtype.kind == "f" else str(c[i])
-                             for c in columns) + "\n")
+    """Small CSV table: columns is a list of equal-length 1-d arrays."""
+    _write_table(path, [], names, columns)
 
 
 def parse_windows(text) -> WindowSchedule:
@@ -363,26 +355,35 @@ def format_windows(windows: WindowSchedule) -> str:
 
 @dataclass
 class FrameConfig:
-    """Resolved per-frame configuration: shift file XOR tracker recipe."""
+    """Resolved per-frame configuration: shift file XOR tracker recipe.
+    The tracker fields are None on a shift-file frame."""
 
     shifts_path: Optional[str] = None
     track_block: Optional[str] = None
-    statistic: str = "difference"
+    statistic: Optional[str] = None
     windows: Optional[str] = None  # raw spec string
-    smooth: int = 0
+    smooth: Optional[int] = None
     mask: tuple = ()
 
     def __post_init__(self):
+        self.mask = tuple(self.mask)
         if (self.shifts_path is None) == (self.track_block is None):
             raise ConfigError("each frame needs either 'shifts' or 'track',"
                               " never both")
+        if self.shifts_path is not None:
+            tracker = [k for k in ("statistic", "windows", "smooth")
+                       if getattr(self, k) is not None]
+            if tracker:
+                raise ConfigError(f"tracker keys {tracker} need 'track'")
+            return
+        self.statistic = self.statistic or "difference"
+        self.smooth = self.smooth or 0
         if self.statistic not in STATISTICS:
             raise ConfigError(f"unknown tracking statistic '{self.statistic}'")
         if self.smooth < 0:
             raise ConfigError(f"smooth must be at least 0, got {self.smooth}")
         if self.windows:
             parse_windows(self.windows)  # fail at load time, not mid-run
-        self.mask = tuple(self.mask)
 
 
 @dataclass
@@ -431,14 +432,12 @@ _REQUIRED = object()
 class _Key(NamedTuple):
     """How one config key is parsed and written back.  An absent key is
     parsed from ``default`` text, is an error when that is _REQUIRED, and
-    otherwise keeps the default of the object it sets.  A ``shared`` key
-    may be set by [spod] and by any frame section; all must agree."""
+    otherwise keeps the default of the object it sets."""
 
     parse: Callable
     format: Callable = str
     attr: Optional[str] = None  # attribute set, when named unlike the key
     default: object = None
-    shared: Optional[str] = None  # what the value is, for the error
 
 
 _GREEDY_KEYS = {
@@ -450,8 +449,8 @@ _GREEDY_KEYS = {
     "p_max": _Key(int),
 }
 _SHIFT_KEYS = {
-    "boundary": _Key(str, shared="shift boundary mode"),
-    "degree": _Key(int, shared="interpolation degree"),
+    "boundary": _Key(str),
+    "degree": _Key(int),
 }
 _FRAMES = "frame.N"
 # section -> key -> _Key.  Defaults live in the objects the keys set:
@@ -521,20 +520,11 @@ def load_config(path) -> RunConfig:
     values = {name: _read_section(cp, name, keys, base)
               for name, keys in _KEYS.items() if name != _FRAMES}
     spod = values.pop("spod")
-    shift_values = [{k: spod.pop(k) for k in _SHIFT_KEYS if k in spod}]
-    frames = []
-    for name in frame_sections:
-        fv = _read_section(cp, name, {**_KEYS[_FRAMES], **_SHIFT_KEYS}, base)
-        shift_values.append({k: fv.pop(k) for k in _SHIFT_KEYS if k in fv})
-        frames.append(_build(ConfigError, f"[{name}]", FrameConfig, **fv))
-    run = {**values["input"], **values["output"]}
-    for key, k in _SHIFT_KEYS.items():
-        found = {v[key] for v in shift_values if key in v}
-        if len(found) > 1:
-            raise ConfigError(f"frames must agree on the {k.shared}")
-        if found:
-            run[key] = found.pop()
-
+    run = {**values["input"], **values["output"],
+           **{k: spod.pop(k) for k in _SHIFT_KEYS if k in spod}}
+    frames = [_build(ConfigError, f"[{name}]", FrameConfig,
+                     **_read_section(cp, name, _KEYS[_FRAMES], base))
+              for name in frame_sections]
     optimizer = _build(ConfigError, "[optimizer]", OptimizerOptions,
                        **values["optimizer"])
     greedy = _build(ConfigError, "[spod]", GreedyConfig, optimizer=optimizer,

@@ -254,6 +254,24 @@ class TestSpodPipeline:
         err = float(capsys.readouterr().out.strip().splitlines()[-1])
         assert err < 1e-10
 
+    def test_scaled_run_reconstructs_input_units(self, wave_dir, capsys):
+        text = (wave_dir / "run.cfg").read_text().replace(
+            "snapshots = wave.snap",
+            "snapshots = wave.snap\nscale_variables = true").replace(
+            "directory = out", "directory = scaled_out")
+        cfg = wave_dir / "scaled.cfg"
+        cfg.write_text(text)
+        assert run_cli(["spod", "--config", str(cfg)]) == 0
+        assert "variable scaling factors" in capsys.readouterr().err
+        recon = str(wave_dir / "scaled_recon.snap")
+        assert run_cli(["reconstruct",
+                        str(wave_dir / "scaled_out" / "decomposition.bin"),
+                        "--out", recon]) == 0
+        capsys.readouterr()
+        assert run_cli(["error", str(wave_dir / "wave.snap"), recon]) == 0
+        err = float(capsys.readouterr().out.strip().splitlines()[-1])
+        assert err < 1e-10
+
     def test_bare_flags_mean_spod(self, wave_dir, capsys):
         assert run_cli(["--config", str(wave_dir / "run.cfg")]) == 0
         assert "termination: tolerance" in capsys.readouterr().out
@@ -332,6 +350,9 @@ shifts = {wave_dir / 'd1.csv'}
         ("spod", "tl = 5"), ("spod", "rank_tol = nan"),
         ("spod", "rank_tol = -1"), ("spod", "rank_tol = 1.5"),
         ("optimizer", "grad_tol = inf"), ("optimizer", "grad_tol = nan"),
+        ("frame.0", "statistic = peak"), ("frame.0", "windows = 0:4@0:8"),
+        ("frame.0", "smooth = 5"), ("frame.0", "boundary = periodic"),
+        ("frame.0", "degree = 1"),
     ])
     def test_invalid_config_value_exits_1(self, wave_dir, capsys, section,
                                           line):
@@ -345,6 +366,7 @@ shifts = {wave_dir / 'd1.csv'}
         err = capsys.readouterr().err
         assert "configuration error" in err
         assert "Traceback" not in err
+        assert len(err.splitlines()) == 1
 
     def test_unknown_tracked_block_is_config_error(self, wave_dir, capsys):
         text = (wave_dir / "run.cfg").read_text().replace(

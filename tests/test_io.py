@@ -333,6 +333,10 @@ def _valid_with(section, line, body=_VALID):
     return added if added != body else f"{body}[{section}]\n{line}\n"
 
 
+_SHIFT_FILE_FRAME = ("[input]\nsnapshots = x\n[spod]\nr0 = 1\n"
+                     "[frame.0]\nshifts = d.csv\n")
+
+
 def _write_config(tmp_path, body):
     path = tmp_path / "run.cfg"
     path.write_text(body)
@@ -434,10 +438,10 @@ track = var0
          "windows = 0:1\n", "bad window entry"),
         ("[input]\nsnapshots = x\n[spod]\nr0 = 1,1\n[frame.0]\ntrack = v\n"
          "boundary = periodic\n[frame.1]\ntrack = v\nboundary = constant\n",
-         "agree on the shift boundary"),
+         r"\[frame.0\]: unknown keys \['boundary'\]"),
         ("[input]\nsnapshots = x\n[spod]\nr0 = 1,1\n[frame.0]\ntrack = v\n"
          "degree = 1\n[frame.1]\ntrack = v\ndegree = 3\n",
-         "agree on the interpolation degree"),
+         r"\[frame.0\]: unknown keys \['degree'\]"),
         ("[input]\nsnapshots = x\nscale_variables = maybe\n[spod]\nr0 = 1\n"
          "[frame.0]\ntrack = v\n", "expected a boolean"),
         ("[input]\nsnapshots = x\n[spod]\nr0 = 1,1\n[frame.0]\ntrack = v\n",
@@ -470,6 +474,12 @@ track = var0
         (_valid_with("frame.x", "track = v"), "numbered 0..Ns-1"),
         (_valid_with("frame.1", "windows = 3:1@0:4"),
          "bad window schedule"),
+        (_SHIFT_FILE_FRAME + "windows = 0:4@0:8\n",
+         r"\[frame.0\]: tracker keys \['windows'\] need 'track'"),
+        (_SHIFT_FILE_FRAME + "statistic = peak\n",
+         r"\[frame.0\]: tracker keys \['statistic'\] need 'track'"),
+        (_SHIFT_FILE_FRAME + "smooth = 5\n",
+         r"\[frame.0\]: tracker keys \['smooth'\] need 'track'"),
         ("[input]\nsnapshots = x\n[input]\nsnapshots = y\n", "already exists"),
         ("snapshots = x\n", "no section headers"),
     ])
@@ -580,6 +590,30 @@ def _mutate(data, draw):
     return b"\n".join(lines) + b"\n" + sep + payload
 
 
+def _mutate_text(data, draw):
+    """Apply a few line edits, cell edits and cuts to a text file."""
+    lines = data.splitlines()
+    for _ in range(draw(st.integers(1, 3))):
+        i = draw(st.integers(0, len(lines) - 1)) if lines else 0
+        op = draw(st.sampled_from(["drop", "cell", "dup", "insert", "cut"]))
+        if op == "drop" and lines:
+            del lines[i]
+        elif op == "cell" and lines:
+            cells = lines[i].split(b",")
+            cells[draw(st.integers(0, len(cells) - 1))] = draw(_VALUES).encode()
+            lines[i] = b",".join(cells)
+        elif op == "dup" and lines:
+            lines.insert(i, lines[i])
+        elif op == "insert":
+            lines.insert(i, draw(st.sampled_from(
+                [b"", b"# note", b"a,b", b"1.0", b"nan,0.5", b"1,2,3",
+                 b"\xff", b"0,\xc3"])))
+        elif op == "cut":
+            text = b"\n".join(lines)
+            lines = text[:draw(st.integers(0, len(text)))].splitlines()
+    return b"\n".join(lines) + b"\n"
+
+
 @pytest.fixture(scope="module")
 def fuzz_dir(tmp_path_factory):
     return tmp_path_factory.mktemp("fuzz")
@@ -643,6 +677,23 @@ class TestLoaderFuzz:
         path = fuzz_dir / "file.bin"
         write(path)
         path.write_bytes(_mutate(path.read_bytes(), data.draw))
+        try:
+            read(path)
+        except FormatError:
+            pass
+
+    @pytest.mark.parametrize("write,read", [
+        (lambda path: write_snapshots_csv(_sample_snapshots(), path),
+         read_snapshots_csv),
+        (lambda path: write_shifts([[0.0, -0.1, 0.2], [0.5, 0.25, 0.0]],
+                                   path), read_shifts),
+    ])
+    @given(data=st.data())
+    def test_csv_readers_raise_only_format_error(self, fuzz_dir, write, read,
+                                                 data):
+        path = fuzz_dir / "file.csv"
+        write(path)
+        path.write_bytes(_mutate_text(path.read_bytes(), data.draw))
         try:
             read(path)
         except FormatError:
