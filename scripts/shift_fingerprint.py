@@ -6,10 +6,15 @@
 The first form decomposes the wave-pair and crossing-fronts scenarios of
 bench/workloads.py with the package found on the path, for every seed
 given (default 0: the default scenarios), and saves the error history,
-candidate errors, modes, amplitudes, reconstruction, every frame's
-back-shifted snapshot matrix and the indptr/indices/data of every
-frame's stacked sparse operators.  Seed 0 keys start with "wave/" and
-"crossing/", seed S keys with "wave@S/" and "crossing@S/".  It also
+candidate errors, modes, amplitudes, reconstruction, the shift matrix,
+every frame's back-shifted snapshot matrix and the indptr/indices/data
+of every frame's stacked sparse operators.  The operators depend only on
+the shifts, the grid and the shift spec, and the bench seeds change the
+pulse and front shapes, not the shifts: so a seed's operator arrays are
+saved only when its shifts, grid or spec differ from those of a seed
+already saved, and otherwise its shift matrix ties it to the seed whose
+operators were saved.  Seed 0 keys start with "wave/" and "crossing/",
+seed S keys with "wave@S/" and "crossing@S/".  It also
 saves the work of each run: every stage's iterations, evaluations and
 rank-deficient evaluations, the chosen frames, the final mode counts and
 the number of ReducedObjective.evaluate calls.  Last, it runs the seed-0
@@ -78,7 +83,9 @@ def counted_decompose(snaps, shifts, config):
     return dec, report, calls
 
 
-def fingerprint(seed=0) -> dict:
+def fingerprint(seed, operators_saved) -> dict:
+    """Arrays of one seed; operators_saved holds the (shifts, grid, spec)
+    of every seed whose operators are already saved, and grows."""
     from spod.core import _FramePlan, reconstruct
     from spod.greedy import back_shifted_matrix
 
@@ -95,11 +102,17 @@ def fingerprint(seed=0) -> dict:
         for key in ("iterations", "evaluations", "rank_deficient_evals"):
             out[f"{name}/stage_{key}"] = np.array([st[key] for st in report.stages])
         out[f"{name}/reconstruct"] = reconstruct(dec)
+        out[f"{name}/shifts"] = shifts.d
+        operators = (shifts.d.shape, shifts.d.tobytes(), snaps.grid, shifts.spec)
+        save_operators = operators not in operators_saved
+        operators_saved.add(operators)
         for l in range(shifts.n_frames):
             out[f"{name}/modes{l}"] = dec.frames[l].modes
             out[f"{name}/amplitudes{l}"] = dec.amplitudes[l]
             out[f"{name}/backshift{l}"] = back_shifted_matrix(
                 snaps.data, shifts, l, snaps.grid, len(snaps.blocks))
+            if not save_operators:
+                continue
             plan = _FramePlan(shifts.d[l], snaps.grid, shifts.spec)
             for op in ("stacked", "stacked_T"):
                 for part in ("indptr", "indices", "data"):
@@ -215,9 +228,9 @@ def main() -> int:
         ap.error("give one output path")
     if args.rtol is not None:
         ap.error("--rtol goes with --compare")
-    out = cli_outputs()
+    out, operators_saved = cli_outputs(), set()
     for seed in args.seeds:
-        out.update(fingerprint(seed))
+        out.update(fingerprint(seed, operators_saved))
     np.savez(args.paths[0], **out)
     return 0
 

@@ -462,11 +462,8 @@ _KEYS = {
     },
     "spod": {**_GREEDY_KEYS, **_SHIFT_KEYS},
     "optimizer": {
-        "memory": _Key(int),
         "grad_tol": _Key(float, _fmt),
         "max_iters": _Key(int),
-        "sufficient_decrease": _Key(float, _fmt),
-        "curvature": _Key(float, _fmt),
     },
     _FRAMES: {
         "shifts": _Key(_path, os.path.abspath, "shifts_path"),

@@ -4,17 +4,23 @@ Implemented here rather than wrapped from a library because the callers
 want a full per-iteration trace (objective, gradient norm, accepted step
 size, search slope) plus a stopping rule relative to the initial gradient
 norm; external L-BFGS wrappers hide those internals behind their own
-tolerances.
+tolerances.  The Wolfe constants, the memory, the step cap and the search
+budget are the module constants below; a caller sets only the stopping
+rule (OptimizerOptions).
 """
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
 
 
-MAX_STEP = 1e10     # largest step the line search brackets out to
-SEARCH_EVALS = 30   # evaluation budget per line search
+MAX_STEP = 1e10             # largest step the line search brackets out to
+SEARCH_EVALS = 30           # evaluation budget per line search
+MEMORY = 10                 # (s, y) pairs kept for the two-loop recursion
+SUFFICIENT_DECREASE = 1e-4  # Wolfe c1
+CURVATURE = 0.9             # Wolfe c2
 
 
 class OptimizerAbort(RuntimeError):
@@ -23,20 +29,10 @@ class OptimizerAbort(RuntimeError):
 
 @dataclass(frozen=True)
 class OptimizerOptions:
-    memory: int = 10
     grad_tol: float = 1e-6          # relative to the initial gradient norm
     max_iters: int = 500
-    sufficient_decrease: float = 1e-4
-    curvature: float = 0.9
 
     def __post_init__(self):
-        if self.memory < 1:
-            raise ValueError("memory must be at least 1")
-        if not 0.0 < self.sufficient_decrease < self.curvature < 1.0:
-            raise ValueError(
-                "need 0 < sufficient_decrease < curvature < 1, got "
-                f"{self.sufficient_decrease} and {self.curvature}"
-            )
         if self.max_iters < 0 or not 0.0 <= self.grad_tol < np.inf:
             raise ValueError("need max_iters >= 0 and a finite grad_tol >= 0")
 
@@ -69,19 +65,6 @@ class OptimizerTrace:
         return self.termination in ("gradient", "iteration cap")
 
 
-class _Eval:
-    """Wraps the callback: counts calls and returns (float, float array)."""
-
-    def __init__(self, fg):
-        self.fg = fg
-        self.count = 0
-
-    def __call__(self, x):
-        f, g = self.fg(x)
-        self.count += 1
-        return float(f), np.asarray(g, dtype=float)
-
-
 def _cubic_step(lo, f_lo, g_lo, hi, f_hi, g_hi):
     """Minimizer of the cubic through both endpoint values and slopes;
     falls back to bisection when degenerate or outside the safe interior."""
@@ -103,8 +86,10 @@ def _cubic_step(lo, f_lo, g_lo, hi, f_hi, g_hi):
     return float(alpha)
 
 
-def _wolfe_search(ev, x, f0, g0, p, alpha0, opts):
-    """Strong-Wolfe line search (bracket then zoom).
+def _wolfe_search(ev, x, f0, g0, p, alpha0):
+    """Strong-Wolfe line search along p, one loop over a bracket (lo, hi)
+    (Nocedal & Wright, Alg. 3.5-3.6): hi is None while the step doubles
+    from alpha0, and each later trial is a cubic step inside the bracket.
 
     Returns (alpha, x_new, f_new, g_new, ok).  ok is False only when no
     step satisfying the sufficient-decrease condition was found; a step
@@ -112,64 +97,37 @@ def _wolfe_search(ev, x, f0, g0, p, alpha0, opts):
     evaluation budget is still returned with ok=True (the caller guards
     the memory update by the curvature of the actual pair).
     """
-    c1 = opts.sufficient_decrease
-    c2 = opts.curvature
     slope0 = float(g0 @ p)
-
-    def phi(alpha):
-        f, g = ev(x + alpha * p)
-        return f, g, float(g @ p)
-
-    def zoom(lo, f_lo, g_lo_s, gvec_lo, hi, f_hi, g_hi_s, spent):
-        while spent < SEARCH_EVALS:
-            alpha = _cubic_step(lo, f_lo, g_lo_s, hi, f_hi, g_hi_s)
-            f, gvec, gs = phi(alpha)
-            spent += 1
-            if not np.isfinite(f) or f > f0 + c1 * alpha * slope0 or f >= f_lo:
-                hi, f_hi, g_hi_s = alpha, f, gs
-                continue
-            if abs(gs) <= -c2 * slope0:
-                return alpha, f, gvec, True
-            if gs * (hi - lo) >= 0.0:
-                hi, f_hi, g_hi_s = lo, f_lo, g_lo_s
-            lo, f_lo, g_lo_s, gvec_lo = alpha, f, gs, gvec
-            if abs(hi - lo) <= 1e-16 * max(1.0, abs(lo)):
-                break
-        # budget exhausted: fall back to the best sufficient-decrease point
-        if f_lo < f0 + c1 * lo * slope0 and lo > 0.0:
-            return lo, f_lo, gvec_lo, True
-        return lo, f_lo, gvec_lo, False
-
-    alpha_prev, f_prev, gs_prev = 0.0, f0, slope0
-    gvec_prev = g0
+    lo, f_lo, gs_lo, g_lo = 0.0, f0, slope0, g0
+    hi = f_hi = gs_hi = None
     alpha = alpha0
-    spent = 0
-    first = True
-    while spent < SEARCH_EVALS:
-        f, gvec, gs = phi(alpha)
-        spent += 1
-        if not np.isfinite(f) or f > f0 + c1 * alpha * slope0 or (
-            not first and f >= f_prev
+    for _ in range(SEARCH_EVALS):
+        bracketed = hi is not None
+        if bracketed:
+            alpha = _cubic_step(lo, f_lo, gs_lo, hi, f_hi, gs_hi)
+        f, g = ev(x + alpha * p)
+        gs = float(g @ p)
+        if not np.isfinite(f) or f > f0 + SUFFICIENT_DECREASE * alpha * slope0 or (
+            f >= f_lo and (bracketed or lo > 0.0)  # not tested on the first trial
         ):
-            a, fv, gv, ok = zoom(
-                alpha_prev, f_prev, gs_prev, gvec_prev, alpha, f, gs, spent
-            )
-            return a, x + a * p, fv, gv, ok
-        if abs(gs) <= -c2 * slope0:
-            return alpha, x + alpha * p, f, gvec, True
-        if gs >= 0.0:
-            a, fv, gv, ok = zoom(
-                alpha, f, gs, gvec, alpha_prev, f_prev, gs_prev, spent
-            )
-            return a, x + a * p, fv, gv, ok
-        alpha_prev, f_prev, gs_prev, gvec_prev = alpha, f, gs, gvec
-        first = False
-        if alpha >= MAX_STEP:
+            hi, f_hi, gs_hi = alpha, f, gs
+            continue
+        if abs(gs) <= -CURVATURE * slope0:
+            return alpha, x + alpha * p, f, g, True
+        if (gs * (hi - lo) if bracketed else gs) >= 0.0:
+            hi, f_hi, gs_hi = lo, f_lo, gs_lo  # the minimizer lies behind alpha
+        lo, f_lo, gs_lo, g_lo = alpha, f, gs, g
+        if hi is None:
+            if alpha >= MAX_STEP:
+                break
+            alpha = min(2.0 * alpha, MAX_STEP)
+        elif bracketed and abs(hi - lo) <= 1e-16 * max(1.0, abs(lo)):
             break
-        alpha = min(2.0 * alpha, MAX_STEP)
-    # ran out of budget while still descending: keep the last finite point
-    if np.isfinite(f_prev) and alpha_prev > 0.0 and f_prev < f0:
-        return alpha_prev, x + alpha_prev * p, f_prev, gvec_prev, True
+    # out of budget or room: keep lo if it is below f0, or below the c1
+    # line once a bracket exists
+    bound = f0 if hi is None else f0 + SUFFICIENT_DECREASE * lo * slope0
+    if lo > 0.0 and f_lo < bound:
+        return lo, x + lo * p, f_lo, g_lo, True
     return 0.0, x, f0, g0, False
 
 
@@ -192,9 +150,9 @@ def minimize(fg, x0, opts: OptimizerOptions | None = None):
 
     fg(x) must return (value, gradient).  Returns (x, trace); on a line
     search failure the best iterate found so far is returned with
-    trace.success False.  A non-finite value or gradient at the starting
-    point raises; non-finite trial points during the search are retreated
-    from automatically.
+    trace.success False; trace.n_evals counts the calls of fg.  A
+    non-finite value or gradient at the starting point raises; non-finite
+    trial points during the search are retreated from automatically.
     """
     opts = opts or OptimizerOptions()
     x = np.asarray(x0, dtype=float).copy()
@@ -202,7 +160,12 @@ def minimize(fg, x0, opts: OptimizerOptions | None = None):
     if x.size == 0:
         trace.termination = "gradient"
         return x, trace
-    ev = _Eval(fg)
+
+    def ev(x):
+        f, g = fg(x)
+        trace.n_evals += 1
+        return float(f), np.asarray(g, dtype=float)
+
     f, g = ev(x)
     if not np.isfinite(f) or not np.all(np.isfinite(g)):
         raise OptimizerAbort(
@@ -213,7 +176,7 @@ def minimize(fg, x0, opts: OptimizerOptions | None = None):
     trace.values.append(f)
     trace.grad_norms.append(gnorm0)
 
-    pairs: list = []
+    pairs: deque = deque(maxlen=MEMORY)  # the oldest pair drops out
     gamma = 1.0
     status = "iteration cap"
     for _ in range(opts.max_iters):
@@ -229,7 +192,7 @@ def minimize(fg, x0, opts: OptimizerOptions | None = None):
             p = -g
             slope = float(g @ p)
         alpha0 = 1.0 if pairs else min(1.0, 1.0 / max(gnorm, 1e-30))
-        alpha, x_new, f_new, g_new, ok = _wolfe_search(ev, x, f, g, p, alpha0, opts)
+        alpha, x_new, f_new, g_new, ok = _wolfe_search(ev, x, f, g, p, alpha0)
         if not ok:
             status = "line search failure"
             break
@@ -238,8 +201,6 @@ def minimize(fg, x0, opts: OptimizerOptions | None = None):
         sy = float(s @ y)
         if sy > 1e-12 * np.linalg.norm(s) * np.linalg.norm(y):
             pairs.append((s, y, 1.0 / sy))
-            if len(pairs) > opts.memory:
-                pairs.pop(0)
             gamma = sy / float(y @ y)
         x, f, g = x_new, f_new, g_new
         trace.values.append(f)
@@ -249,5 +210,4 @@ def minimize(fg, x0, opts: OptimizerOptions | None = None):
     if status == "iteration cap" and trace.grad_norms[-1] <= target:
         status = "gradient"
     trace.termination = status
-    trace.n_evals = ev.count
     return x, trace

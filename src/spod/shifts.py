@@ -138,11 +138,13 @@ def apply_shift(v, d, grid: Grid1D, spec: ShiftSpec):
         raise ValueError(f"shifts of shape {d.shape} for an array of shape {v.shape}")
     offset, weights, _ = _stencils(d.reshape(-1), grid, spec)
     mid = math.prod(v.shape[1:-1] if d.ndim else v.shape[1:])
-    blocks = v.reshape(v.shape[0] // m, m, mid, d.size)
+    blocks = v.reshape(v.shape[0] // m, m * mid * d.size)
     idx = _node_indices(offset, weights.shape[1], m, spec.boundary)
+    columns = np.arange(mid * d.size).reshape(mid, d.size)
 
     def leg(q):  # weight q of every column times its gathered source nodes
-        out = np.take_along_axis(blocks, idx[:, :, q].T[None, :, None, :], axis=1)
+        flat = idx[:, :, q].T[:, None, :] * (mid * d.size) + columns
+        out = np.take(blocks, flat, axis=1)
         out *= weights[:, q]
         return out
 

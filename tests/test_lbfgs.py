@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from spod import lbfgs
 from spod.lbfgs import OptimizerAbort, OptimizerOptions, minimize
 
 
@@ -50,12 +51,6 @@ class TestConvergence:
         assert trace.iterations == 0
         assert trace.termination == "gradient"
 
-    def test_memory_one_still_converges(self):
-        fg = quadratic(np.diag([1.0, 10.0]), np.array([1.0, 2.0]))
-        x, trace = minimize(fg, np.zeros(2),
-                            OptimizerOptions(memory=1, grad_tol=1e-10))
-        np.testing.assert_allclose(x, [1.0, 0.2], atol=1e-7)
-
 
 class TestTraceContract:
     def test_sufficient_decrease_assertable(self):
@@ -63,7 +58,7 @@ class TestTraceContract:
         # trace must expose: f_{k+1} <= f_k + c1 * alpha_k * slope_k
         x, trace = minimize(rosenbrock, np.array([-1.2, 1.0]),
                             OptimizerOptions(max_iters=300))
-        c1 = OptimizerOptions().sufficient_decrease
+        c1 = lbfgs.SUFFICIENT_DECREASE
         assert len(trace.values) == trace.iterations + 1
         assert len(trace.step_sizes) == trace.iterations
         assert len(trace.slopes) == trace.iterations
@@ -135,11 +130,101 @@ class TestTermination:
         assert trace.termination == "gradient"
 
 
+def recorded(fg):
+    """fg plus the list of points it was called at (1-d problems)."""
+    points = []
+
+    def wrapped(x):
+        points.append(float(x[0]))
+        return fg(x)
+    return wrapped, points
+
+
+def parabola(x):
+    return float((x[0] - 50.0) ** 2), 2.0 * (x - 50.0)
+
+
+class TestLineSearch:
+    """Each branch of the strong-Wolfe search, driven through minimize on
+    1-d problems whose trial points are known in closed form."""
+
+    def test_expansion_accepted_by_curvature(self):
+        # first search: alpha0 = 1/|g| = 0.01 doubles until x = 8 meets the
+        # curvature condition; the second search takes the Newton step
+        fg, points = recorded(parabola)
+        x, trace = minimize(fg, np.zeros(1), OptimizerOptions())
+        assert points == [0.0, 1.0, 2.0, 4.0, 8.0, 50.0]
+        assert trace.n_evals == 6
+        assert trace.step_sizes == [0.08, 1.0]
+        assert x[0] == 50.0
+        assert trace.termination == "gradient"
+
+    # the sharper cone takes zoom steps on both sides of its minimum, so
+    # the bracket's side test swaps its ends
+    @pytest.mark.parametrize("tip,n_evals,x_end,step", [
+        (1.0, 9, 50.9015, 50.9117), (1e-2, 11, 50.1075, 50.1076)])
+    def test_overshoot_then_zoom(self, tip, n_evals, x_end, step):
+        def cone(x):
+            r = np.sqrt(tip + (x[0] - 50.0) ** 2)
+            return float(r), (x - 50.0) / r
+        fg, points = recorded(cone)
+        x, trace = minimize(fg, np.zeros(1), OptimizerOptions(max_iters=1))
+        # the doubling passes the minimum at x ~ 64 with a lower value and
+        # a positive slope: the bracket is (64, 32), and the cubic steps
+        # inside it end at one that meets both Wolfe conditions
+        assert trace.n_evals == n_evals
+        np.testing.assert_allclose(points[7], 64.0, rtol=1e-3)
+        f_over, g_over = cone(np.array([points[7]]))
+        assert f_over < cone(np.array([points[6]]))[0] and g_over[0] > 0.0
+        assert 32.0 < x[0] < 64.0
+        np.testing.assert_allclose(x[0], x_end, atol=1e-4)
+        np.testing.assert_allclose(trace.step_sizes, [step], atol=1e-4)
+        assert trace.termination == "iteration cap"
+
+    def test_retreat_from_non_finite_region(self):
+        def fg(x):
+            if x[0] < 10.0:
+                return parabola(x)
+            return np.inf, np.full_like(x, np.nan)
+        fg, points = recorded(fg)
+        x, trace = minimize(fg, np.zeros(1), OptimizerOptions(max_iters=3))
+        # the second search overshoots into the wall at x = 50 and zooms
+        # back towards x = 10, which the third search cannot pass
+        assert points[5] == 50.0
+        assert trace.n_evals == 65
+        assert trace.termination == "line search failure"
+        assert trace.iterations == 2
+        np.testing.assert_allclose(x[0], 10.0, atol=1e-6)
+        assert x[0] < 10.0
+        assert all(b < a for a, b in zip(trace.values, trace.values[1:]))
+
+    def test_unbounded_descent_keeps_last_step(self):
+        # the slope never flattens: each search spends its budget doubling
+        # and the budget fallback keeps the last step, 2**29
+        def fg(x):
+            return -float(x[0]), -np.ones_like(x)
+        _, trace = minimize(fg, np.zeros(1), OptimizerOptions(max_iters=2))
+        assert trace.n_evals == 1 + 2 * lbfgs.SEARCH_EVALS
+        assert trace.step_sizes == [2.0 ** 29, 2.0 ** 29]
+        assert trace.termination == "iteration cap"
+
+    def test_cusp_fails_after_budget(self):
+        # every trial step rises above f(0) = 0: no sufficient decrease
+        def fg(x):
+            a = abs(x[0])
+            g = 0.5 * np.sign(x[0]) / np.sqrt(a) if a else 1.0
+            return float(np.sqrt(a)), np.array([g])
+        x, trace = minimize(fg, np.zeros(1), OptimizerOptions())
+        assert trace.iterations == 0
+        assert trace.n_evals == 1 + lbfgs.SEARCH_EVALS
+        assert trace.termination == "line search failure"
+        assert x[0] == 0.0
+
+
 class TestOptions:
-    def test_wolfe_constants_validated(self):
+    def test_stopping_rule_validated(self):
         with pytest.raises(ValueError):
-            OptimizerOptions(sufficient_decrease=0.95, curvature=0.5)
-        with pytest.raises(ValueError):
-            OptimizerOptions(sufficient_decrease=0.0)
-        with pytest.raises(ValueError):
-            OptimizerOptions(memory=0)
+            OptimizerOptions(max_iters=-1)
+        for grad_tol in (np.inf, np.nan):
+            with pytest.raises(ValueError):
+                OptimizerOptions(grad_tol=grad_tol)
