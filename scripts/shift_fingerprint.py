@@ -6,7 +6,8 @@
 The first form decomposes the wave-pair and crossing-fronts scenarios of
 bench/workloads.py with the package found on the path, for every seed
 given (default 0: the default scenarios), and saves the error history,
-candidate errors, modes, amplitudes, reconstruction, the shift matrix,
+candidate errors with each candidate's iteration and evaluation counts,
+modes, amplitudes, reconstruction, the shift matrix,
 every frame's back-shifted snapshot matrix and the indptr/indices/data
 of every frame's stacked sparse operators.  The operators depend only on
 the shifts, the grid and the shift spec, and the bench seeds change the
@@ -96,6 +97,9 @@ def fingerprint(seed, operators_saved) -> dict:
         dec, report, calls = counted_decompose(snaps, shifts, config)
         out[f"{name}/error_history"] = np.array(report.error_history)
         out[f"{name}/candidate_errors"] = np.array(report.candidate_errors)
+        out[f"{name}/candidate_iterations"] = np.array(report.candidate_iterations)
+        out[f"{name}/candidate_evaluations"] = np.array(
+            report.candidate_evaluations)
         out[f"{name}/chosen_frames"] = np.array(report.chosen_frames)
         out[f"{name}/r_final"] = np.array(report.r_final)
         out[f"{name}/evaluate_calls"] = np.array(calls)

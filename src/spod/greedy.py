@@ -5,8 +5,26 @@ repeatedly tries adding one mode to every frame, keeps the frame whose
 enlarged problem yields the smallest relative error, and stops once the
 error drops to the tolerance or the iteration cap is hit.  Candidate
 solves warm-start from the incumbent plus one new mode initialized from
-the back-shifted residual; a flag switches to cold starts from fresh
-back-shifted-snapshot SVDs.
+the back-shifted residual; a flag switches to cold starts from the
+back-shifted-snapshot SVDs, each computed once per run.
+
+The candidates of one greedy iteration are solved by successive halving.
+With N candidates and the cap B = max_iters there are E = ceil(log2 N)
+rungs, at ceil(B/2^E), ..., ceil(B/4), ceil(B/2) iterations: every
+surviving candidate runs on to the rung, then the better half, ceil(n/2)
+of n ranked by (error, frame), goes on; the last one runs to B.  A
+candidate whose solve ends early (gradient test, line-search failure) is
+ranked by its final value and not run further.  L-BFGS values never rise,
+so the survivor's final error is at most every dropped candidate's error
+at its rung, and the choice equals the argmin of the candidate errors.
+A dropped candidate's error therefore comes from a truncated solve;
+candidate_iterations says how far each candidate ran.  A solve is
+continued exactly as one uninterrupted solve would go on, so whenever the
+candidate that wins at B survives the rungs, every output is the one of
+solving all candidates to B.  Halving can in principle drop a candidate
+that would overtake the survivor after its rung; on the crossing-fronts
+benchmark seeds 0-10 and the acceptance configuration (max_iters = 500)
+it does not, as the README records.
 
 A run builds one ReducedObjective: its shift operators and data depend
 on the shifts alone, so every solve takes it with its own mode counts
@@ -19,7 +37,7 @@ from __future__ import annotations
 
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
@@ -65,6 +83,9 @@ class GreedyReport:
     converged: bool
     stages: list             # accepted solves: iterations, evals, grad norm, ...
     runtime_seconds: float
+    # per iteration, per frame: how far each candidate's solve ran
+    candidate_iterations: list = field(default_factory=list)
+    candidate_evaluations: list = field(default_factory=list)
 
     def to_dict(self) -> dict:
         return {
@@ -73,6 +94,10 @@ class GreedyReport:
             "error_history": [float(e) for e in self.error_history],
             "candidate_errors": [[float(e) for e in row]
                                  for row in self.candidate_errors],
+            "candidate_iterations": [[int(k) for k in row]
+                                     for row in self.candidate_iterations],
+            "candidate_evaluations": [[int(k) for k in row]
+                                      for row in self.candidate_evaluations],
             "chosen_frames": [int(q) for q in self.chosen_frames],
             "termination": self.termination,
             "converged": bool(self.converged),
@@ -93,11 +118,14 @@ def back_shifted_matrix(data: np.ndarray, shifts: FrameShifts, frame: int,
 
 
 def initialize_frames(snaps: SnapshotSet, shifts: FrameShifts, r0,
-                      masks=None) -> list:
+                      masks=None, cache=None) -> list:
     """Initial frame bases from SVDs of the back-shifted snapshot matrices.
 
     Frame l receives the leading r0[l] left singular vectors of
     [T(-d^l_1) X_1, ..., T(-d^l_n) X_n]; masks are applied afterwards.
+    cache, if given, is a dict the caller keeps across calls on the same
+    snapshots and shifts: it holds each frame's singular vectors, so that
+    every frame's SVD runs once.
     """
     if len(r0) != shifts.n_frames:
         raise ValueError(f"{len(r0)} mode counts for {shifts.n_frames} frames")
@@ -111,10 +139,71 @@ def initialize_frames(snaps: SnapshotSet, shifts: FrameShifts, r0,
         if r == 0:
             frames.append(FrameBasis(np.zeros((snaps.n_rows, 0)), mask))
             continue
-        B = back_shifted_matrix(snaps.data, shifts, l, snaps.grid, len(snaps.blocks))
-        U = np.linalg.svd(B, full_matrices=False)[0]
+        U = None if cache is None else cache.get(l)
+        if U is None:
+            B = back_shifted_matrix(snaps.data, shifts, l, snaps.grid,
+                                    len(snaps.blocks))
+            U = np.linalg.svd(B, full_matrices=False)[0]
+            if cache is not None:
+                cache[l] = U
         frames.append(FrameBasis(U[:, :r], mask))
     return frames
+
+
+def halving_rungs(n_candidates: int, max_iters: int) -> list:
+    """Iteration counts at which the worse half of the candidates drops
+    out: ceil(B/2^k) for k = E, ..., 1 with E = ceil(log2 N)."""
+    n_rungs = (n_candidates - 1).bit_length()
+    return [-(-max_iters // 2 ** k) for k in range(n_rungs, 0, -1)]
+
+
+class _Solve:
+    """One L-BFGS solve of a problem, run on in segments through minimize,
+    which continues it from the state where the last segment stopped."""
+
+    def __init__(self, prob: ReducedObjective, init):
+        self.prob = prob
+        self.start = prob.pack(init)  # then the SolverState of the last segment
+        self.z = self.trace = None
+        self.iterations = self.evaluations = 0
+        self.seconds = 0.0
+
+    @property
+    def ended(self) -> bool:
+        """True once the solve stopped before its iteration cap."""
+        return self.trace is not None and self.trace.termination != "iteration cap"
+
+    @property
+    def error(self) -> float:
+        return self.prob.relative_error_of(self.trace.values[-1])
+
+    def run_to(self, iterations: int, opts: OptimizerOptions):
+        """Continue the solve until it has run `iterations` in all."""
+        t0 = time.perf_counter()
+        self.z, self.trace = minimize(
+            self.prob.value_and_gradient, self.start,
+            replace(opts, max_iters=iterations - self.iterations))
+        self.start = self.trace.state
+        self.iterations += self.trace.iterations
+        self.evaluations += self.trace.n_evals
+        self.seconds += time.perf_counter() - t0
+
+    def result(self, label):
+        """Optimized modes, their relative error and the stage record."""
+        prob, trace = self.prob, self.trace
+        return prob.unpack(self.z), self.error, {
+            "label": label,
+            "r": prob.mode_counts,
+            "iterations": self.iterations,
+            "evaluations": self.evaluations,
+            "objective": float(trace.values[-1]),
+            "grad_norm": float(trace.grad_norms[-1]),
+            "termination": trace.termination,
+            "converged": trace.termination == "gradient",
+            "rank_deficient_evals": len(prob.rank_events),
+            "svd_fallback_solves": prob.svd_fallback_solves,
+            "seconds": self.seconds,
+        }
 
 
 def spod_decompose(snaps: SnapshotSet, shifts: FrameShifts, config: GreedyConfig,
@@ -129,28 +218,10 @@ def spod_decompose(snaps: SnapshotSet, shifts: FrameShifts, config: GreedyConfig
     base = ReducedObjective(snaps, shifts, config.r0, masks=masks,
                             rank_tol=config.rank_tol)
     p_max = config.p_max if config.p_max is not None else snaps.n_snapshots
+    max_iters = config.optimizer.max_iters
     history, cand_hist, chosen, stages = [], [], [], []
-
-    def solve(label, counts, init):
-        """Optimized modes, their relative error and the stage record."""
-        t0 = time.perf_counter()
-        prob = base.with_counts(counts)
-        z, trace = minimize(prob.value_and_gradient, prob.pack(init),
-                            config.optimizer)
-        modes = prob.unpack(z)
-        return modes, prob.relative_error_of(trace.values[-1]), {
-            "label": label,
-            "r": prob.mode_counts,
-            "iterations": trace.iterations,
-            "evaluations": trace.n_evals,
-            "objective": float(trace.values[-1]),
-            "grad_norm": float(trace.grad_norms[-1]),
-            "termination": trace.termination,
-            "converged": trace.termination == "gradient",
-            "rank_deficient_evals": len(prob.rank_events),
-            "svd_fallback_solves": prob.svd_fallback_solves,
-            "seconds": time.perf_counter() - t0,
-        }
+    cand_iters, cand_evals = [], []
+    svd_cache = None if config.warm_start else {}
 
     def fit(modes):
         """Amplitudes and residual of the incumbent modes."""
@@ -168,15 +239,30 @@ def spod_decompose(snaps: SnapshotSet, shifts: FrameShifts, config: GreedyConfig
             chosen_frames=chosen, termination=termination,
             converged=termination == "tolerance", stages=stages,
             runtime_seconds=time.perf_counter() - t_start,
+            candidate_iterations=cand_iters, candidate_evaluations=cand_evals,
         )
         return dec, report
 
-    frames0 = initialize_frames(snaps, shifts, config.r0, masks)
+    def run_round(solves, iterations):
+        """Run every solve that has not ended on to the given count."""
+        def step(sv):
+            sv.run_to(iterations, config.optimizer)
+        todo = [sv for sv in solves if not sv.ended]
+        if config.threads > 1 and len(todo) > 1:
+            with ThreadPoolExecutor(max_workers=config.threads) as pool:
+                list(pool.map(step, todo))
+        else:
+            for sv in todo:
+                step(sv)
+
+    frames0 = initialize_frames(snaps, shifts, config.r0, masks, svd_cache)
+    initial = _Solve(base.with_counts(config.r0), [f.modes for f in frames0])
     try:
-        modes, err, stage = solve("initial", config.r0, [f.modes for f in frames0])
+        initial.run_to(max_iters, config.optimizer)
     except OptimizerAbort:
         return finish([f.modes for f in frames0], "optimizer failure",
                       [np.zeros((f.n_modes, snaps.n_snapshots)) for f in frames0])
+    modes, err, stage = initial.result("initial")
     history.append(err)
     stages.append(stage)
     if progress:
@@ -187,7 +273,7 @@ def spod_decompose(snaps: SnapshotSet, shifts: FrameShifts, config: GreedyConfig
         if config.warm_start:
             amps, resid = fit(modes)
 
-        def run_candidate(i):
+        def candidate(i):
             counts = [W.shape[1] for W in modes]
             counts[i] += 1
             if config.warm_start:
@@ -197,24 +283,27 @@ def spod_decompose(snaps: SnapshotSet, shifts: FrameShifts, config: GreedyConfig
                 init = [W if l != i else np.hstack([W, w_new])
                         for l, W in enumerate(modes)]
             else:
-                init = [f.modes for f in initialize_frames(snaps, shifts,
-                                                           counts, masks)]
-            return solve(f"iteration {len(chosen) + 1}", counts, init)
+                init = [f.modes for f in initialize_frames(
+                    snaps, shifts, counts, masks, svd_cache)]
+            return _Solve(base.with_counts(counts), init)
 
+        solves = [candidate(i) for i in range(shifts.n_frames)]
+        alive = list(range(shifts.n_frames))
         try:
-            if config.threads > 1:
-                with ThreadPoolExecutor(max_workers=config.threads) as pool:
-                    results = list(pool.map(run_candidate, range(shifts.n_frames)))
-            else:
-                results = [run_candidate(i) for i in range(shifts.n_frames)]
+            for rung in halving_rungs(len(alive), max_iters) + [max_iters]:
+                run_round([solves[i] for i in alive], rung)
+                alive.sort(key=lambda i: (solves[i].error, i))
+                del alive[(len(alive) + 1) // 2:]
         except OptimizerAbort:
             return finish(modes, "optimizer failure", amps)
 
-        errors = [e for _, e, _ in results]
-        q = int(np.argmin(errors))  # argmin takes the lowest index on ties
-        modes, err, stage = results[q]
+        q = alive[0]
+        errors = [sv.error for sv in solves]
+        modes, err, stage = solves[q].result(f"iteration {len(chosen) + 1}")
         history.append(err)
         cand_hist.append(errors)
+        cand_iters.append([sv.iterations for sv in solves])
+        cand_evals.append([sv.evaluations for sv in solves])
         chosen.append(q)
         stages.append(stage)
         if progress:

@@ -6,7 +6,9 @@ size, search slope) plus a stopping rule relative to the initial gradient
 norm; external L-BFGS wrappers hide those internals behind their own
 tolerances.  The Wolfe constants, the memory, the step cap and the search
 budget are the module constants below; a caller sets only the stopping
-rule (OptimizerOptions).
+rule (OptimizerOptions).  A solve stopped at its iteration cap can be
+continued from the SolverState its trace holds, and goes on exactly as
+one uninterrupted solve would.
 """
 from __future__ import annotations
 
@@ -37,6 +39,25 @@ class OptimizerOptions:
             raise ValueError("need max_iters >= 0 and a finite grad_tol >= 0")
 
 
+@dataclass(frozen=True)
+class SolverState:
+    """Where a solve stands at the end of one minimize() call: the iterate,
+    its value and gradient, the (s, y, 1/s.y) pairs (oldest first), the
+    initial-Hessian scale gamma and the gradient-norm target set at the
+    start point.  Only a state whose termination is "iteration cap" goes
+    on when passed back to minimize().  minimize() never writes into these
+    arrays."""
+
+    x: np.ndarray
+    f: float
+    g: np.ndarray
+    grad_norm: float
+    pairs: tuple
+    gamma: float
+    target: float
+    termination: str
+
+
 @dataclass
 class OptimizerTrace:
     """Per-iteration history of one minimize() run.
@@ -45,7 +66,10 @@ class OptimizerTrace:
     x0); step_sizes[k] and slopes[k] are the accepted step and the search
     slope g.p of iteration k, so the sufficient-decrease inequality
     values[k+1] <= values[k] + c1*step_sizes[k]*slopes[k] is assertable
-    directly from the trace.
+    directly from the trace.  A trace covers one call: a continued solve's
+    values[0] is the value it resumed from, and its n_evals and iterations
+    count only that call's work.  state is where the call ended (None for
+    an empty variable vector).
     """
 
     values: list = field(default_factory=list)
@@ -54,6 +78,7 @@ class OptimizerTrace:
     slopes: list = field(default_factory=list)
     termination: str = ""
     n_evals: int = 0
+    state: SolverState | None = field(default=None, repr=False)
 
     @property
     def iterations(self) -> int:
@@ -153,31 +178,47 @@ def minimize(fg, x0, opts: OptimizerOptions | None = None):
     trace.success False; trace.n_evals counts the calls of fg.  A
     non-finite value or gradient at the starting point raises; non-finite
     trial points during the search are retreated from automatically.
+
+    x0 is a start point, or the trace.state of an earlier call: that solve
+    then runs up to opts.max_iters more iterations with the iterates,
+    values, steps and evaluations one uninterrupted call would have made,
+    keeping its gradient target (opts.grad_tol is not used) and calling fg
+    only for new trial points.  A state that ended by the gradient test or
+    by a line-search failure is returned as it is, with no call of fg.
     """
     opts = opts or OptimizerOptions()
-    x = np.asarray(x0, dtype=float).copy()
     trace = OptimizerTrace()
-    if x.size == 0:
-        trace.termination = "gradient"
-        return x, trace
 
     def ev(x):
         f, g = fg(x)
         trace.n_evals += 1
         return float(f), np.asarray(g, dtype=float)
 
-    f, g = ev(x)
-    if not np.isfinite(f) or not np.all(np.isfinite(g)):
-        raise OptimizerAbort(
-            "objective returned a non-finite value at the start point"
-        )
-    gnorm0 = float(np.linalg.norm(g))
-    target = opts.grad_tol * gnorm0
+    if isinstance(x0, SolverState):
+        x, f, g, gnorm0 = x0.x, x0.f, x0.g, x0.grad_norm
+        if x0.termination != "iteration cap":
+            trace.values.append(f)
+            trace.grad_norms.append(gnorm0)
+            trace.termination, trace.state = x0.termination, x0
+            return x.copy(), trace
+        pairs = deque(x0.pairs, maxlen=MEMORY)
+        gamma, target = x0.gamma, x0.target
+    else:
+        x = np.asarray(x0, dtype=float).copy()
+        if x.size == 0:
+            trace.termination = "gradient"
+            return x, trace
+        f, g = ev(x)
+        if not np.isfinite(f) or not np.all(np.isfinite(g)):
+            raise OptimizerAbort(
+                "objective returned a non-finite value at the start point"
+            )
+        gnorm0 = float(np.linalg.norm(g))
+        pairs = deque(maxlen=MEMORY)  # the oldest pair drops out
+        gamma, target = 1.0, opts.grad_tol * gnorm0
     trace.values.append(f)
     trace.grad_norms.append(gnorm0)
 
-    pairs: deque = deque(maxlen=MEMORY)  # the oldest pair drops out
-    gamma = 1.0
     status = "iteration cap"
     for _ in range(opts.max_iters):
         gnorm = trace.grad_norms[-1]
@@ -210,4 +251,6 @@ def minimize(fg, x0, opts: OptimizerOptions | None = None):
     if status == "iteration cap" and trace.grad_norms[-1] <= target:
         status = "gradient"
     trace.termination = status
-    return x, trace
+    trace.state = SolverState(x, f, g, trace.grad_norms[-1], tuple(pairs),
+                              gamma, target, status)
+    return x.copy(), trace

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from spod.core import FrameShifts, ReducedObjective
-from spod.greedy import (GreedyConfig, back_shifted_matrix, initialize_frames,
-                         spod_decompose)
-from spod.lbfgs import OptimizerOptions
+from spod.greedy import (GreedyConfig, back_shifted_matrix, halving_rungs,
+                         initialize_frames, spod_decompose)
+from spod.lbfgs import OptimizerOptions, minimize
 from spod.shifts import ShiftSpec, apply_shift
 from spod.snapshots import Grid1D, SnapshotSet, VariableBlock
 
@@ -27,6 +27,59 @@ def two_transport_set(m=64, n=24, seed=0):
     snaps = SnapshotSet(X, grid, np.arange(n, dtype=float))
     d = np.vstack([-t, t])
     return snaps, FrameShifts(d, PER3)
+
+
+def three_transport_set(m=64, n=24, speed=1.37):
+    """Three bumps at fractional speeds, so that no solve is exact and the
+    candidate solves run to their iteration cap."""
+    grid = Grid1D(m, 1.0 / m, "periodic")
+    x = grid.coordinates()
+    t = np.arange(n, dtype=float) * grid.h * speed
+
+    def bump(center, width):
+        z = (x[:, None] - center[None, :] + 0.5) % 1.0 - 0.5
+        return np.exp(-((z / width) ** 2))
+
+    X = (bump(0.2 + t, 0.05) + 0.7 * bump(0.6 - t, 0.08)
+         + 0.5 * bump(0.4 + 2 * t, 0.06))
+    snaps = SnapshotSet(X, grid, np.arange(n, dtype=float))
+    return snaps, FrameShifts(np.vstack([-t, t, -2 * t]), PER3)
+
+
+def full_candidate_run(snaps, shifts, config):
+    """The warm-started greedy run with every candidate solved to the cap:
+    final modes and amplitudes, error history, chosen frames, and every
+    candidate's objective, its trace and its stage iterations/evaluations
+    per greedy iteration."""
+    base = ReducedObjective(snaps, shifts, config.r0, rank_tol=config.rank_tol)
+
+    def solve(counts, init):
+        prob = base.with_counts(counts)
+        z, trace = minimize(prob.value_and_gradient, prob.pack(init),
+                            config.optimizer)
+        return prob.unpack(z), prob, trace
+
+    modes, prob, trace = solve(config.r0, [f.modes for f in initialize_frames(
+        snaps, shifts, config.r0)])
+    history, chosen, rows = [prob.relative_error_of(trace.values[-1])], [], []
+    while history[-1] > config.tol and len(chosen) < config.p_max:
+        counts = [W.shape[1] for W in modes]
+        resid = base.with_counts(counts).evaluate(modes, need_gradient=False)[3]
+        row = []
+        for i in range(shifts.n_frames):
+            B = back_shifted_matrix(resid, shifts, i, snaps.grid, 1)
+            w_new = np.linalg.svd(B, full_matrices=False)[0][:, :1]
+            init = [W if l != i else np.hstack([W, w_new])
+                    for l, W in enumerate(modes)]
+            row.append(solve([c + (l == i) for l, c in enumerate(counts)], init))
+        q = int(np.argmin([p.relative_error_of(t.values[-1]) for _, p, t in row]))
+        modes = row[q][0]
+        history.append(row[q][1].relative_error_of(row[q][2].values[-1]))
+        chosen.append(q)
+        rows.append(row)
+    amps = base.with_counts([W.shape[1] for W in modes]).evaluate(
+        modes, need_gradient=False)[2]
+    return modes, amps, history, chosen, rows
 
 
 class TestBackShift:
@@ -140,15 +193,51 @@ class TestGreedyLoop:
         assert sum(rep.r_final) == 1 + len(rep.chosen_frames)
 
     def test_threaded_run_is_deterministic(self):
-        snaps, shifts = two_transport_set(m=48, n=12, seed=3)
-        cfg1 = GreedyConfig(r0=[1, 0], tol=1e-4, threads=1)
-        cfg2 = GreedyConfig(r0=[1, 0], tol=1e-4, threads=3)
-        _, rep1 = spod_decompose(snaps, shifts, cfg1)
-        _, rep2 = spod_decompose(snaps, shifts, cfg2)
-        assert rep1.chosen_frames == rep2.chosen_frames
-        assert rep1.r_final == rep2.r_final
-        np.testing.assert_allclose(rep1.error_history, rep2.error_history,
-                                   rtol=1e-8)
+        cases = [(two_transport_set(m=48, n=12, seed=3), [1, 0], 500),
+                 # three frames: the halving rounds run in the pool, and
+                 # some candidates end early (gradient test, line search)
+                 (three_transport_set(), [1, 0, 0], 20)]
+        for (snaps, shifts), r0, max_iters in cases:
+            runs = [spod_decompose(snaps, shifts, GreedyConfig(
+                r0=r0, tol=1e-4, threads=threads, p_max=2,
+                optimizer=OptimizerOptions(max_iters=max_iters)))
+                for threads in (1, 2, 3)]
+            (dec1, rep1), others = runs[0], runs[1:]
+            assert rep1.chosen_frames
+            for dec, rep in others:
+                assert rep.chosen_frames == rep1.chosen_frames
+                assert rep.r_final == rep1.r_final
+                assert rep.error_history == rep1.error_history
+                assert rep.candidate_errors == rep1.candidate_errors
+                assert rep.candidate_iterations == rep1.candidate_iterations
+                for f, f1 in zip(dec.frames, dec1.frames):
+                    assert np.array_equal(f.modes, f1.modes)
+
+    def test_cold_start_computes_each_frame_svd_once(self, monkeypatch):
+        import spod.greedy
+        snaps, shifts = three_transport_set(m=32, n=10)
+        cfg = GreedyConfig(r0=[1, 0, 0], tol=1e-12, warm_start=False, p_max=2,
+                           optimizer=OptimizerOptions(max_iters=10))
+        _, ref = spod_decompose(snaps, shifts, cfg)
+        calls = []
+        back_shift = spod.greedy.back_shifted_matrix
+
+        def counting(*args, **kwargs):
+            calls.append(args[2])
+            return back_shift(*args, **kwargs)
+
+        monkeypatch.setattr(spod.greedy, "back_shifted_matrix", counting)
+        _, rep = spod_decompose(snaps, shifts, cfg)
+        assert len(rep.chosen_frames) == 2
+        assert sorted(calls) == list(range(shifts.n_frames))
+        assert rep.error_history == ref.error_history
+        # the cached singular vectors are those of an uncached call
+        cache = {}
+        for counts in ([1, 0, 0], [1, 2, 1], [3, 1, 2]):
+            cached = initialize_frames(snaps, shifts, counts, cache=cache)
+            plain = initialize_frames(snaps, shifts, counts)
+            for a, b in zip(cached, plain):
+                assert np.array_equal(a.modes, b.modes)
 
     def test_amplitudes_reproduce_final_error(self):
         from spod.core import reconstruct
@@ -243,6 +332,46 @@ class TestGreedyLoop:
         snaps, shifts = two_transport_set(m=16, n=4)
         with pytest.raises(ValueError):
             spod_decompose(snaps, shifts, GreedyConfig(r0=[1, 1, 1]))
+
+
+class TestHalving:
+    def test_rung_schedule(self):
+        assert halving_rungs(5, 30) == [4, 8, 15]
+        assert halving_rungs(3, 20) == [5, 10]
+        assert halving_rungs(2, 7) == [4]
+        assert halving_rungs(1, 30) == []
+        assert halving_rungs(9, 100) == [7, 13, 25, 50]
+
+    def test_matches_solving_every_candidate_to_the_cap(self):
+        snaps, shifts = three_transport_set()
+        config = GreedyConfig(r0=[1, 1, 0], tol=1e-12, p_max=2,
+                              optimizer=OptimizerOptions(max_iters=20))
+        dec, rep = spod_decompose(snaps, shifts, config)
+        modes, amps, history, chosen, rows = full_candidate_run(snaps, shifts,
+                                                                config)
+        assert rep.chosen_frames == chosen == [2, 0]
+        assert rep.error_history == history
+        for l in range(shifts.n_frames):
+            assert np.array_equal(dec.frames[l].modes, modes[l])
+            assert np.array_equal(dec.amplitudes[l], amps[l])
+        for p, row in enumerate(rows):
+            q = chosen[p]
+            errors, iters = rep.candidate_errors[p], rep.candidate_iterations[p]
+            # 3 candidates: one drops out after 5 iterations, one after 10,
+            # and the survivor runs to the cap of 20
+            assert sorted(iters) == [5, 10, 20] and iters[q] == 20
+            assert q == int(np.argmin(errors))
+            for i, (_, prob, trace) in enumerate(row):
+                # a dropped error is the full solve's value at its rung
+                assert errors[i] == prob.relative_error_of(trace.values[iters[i]])
+                assert errors[i] >= errors[q]
+            stage, (_, _, trace) = rep.stages[p + 1], row[q]
+            assert stage["iterations"] == trace.iterations
+            assert stage["evaluations"] == trace.n_evals
+            assert stage["termination"] == trace.termination
+            assert rep.candidate_evaluations[p][q] == trace.n_evals
+            assert sum(rep.candidate_evaluations[p]) < sum(
+                t.n_evals for _, _, t in row)
 
 
 class TestConfigValidation:

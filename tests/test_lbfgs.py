@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from spod import lbfgs
-from spod.lbfgs import OptimizerAbort, OptimizerOptions, minimize
+from spod.lbfgs import OptimizerAbort, OptimizerOptions, SolverState, minimize
 
 
 def quadratic(A, b):
@@ -219,6 +219,119 @@ class TestLineSearch:
         assert trace.n_evals == 1 + lbfgs.SEARCH_EVALS
         assert trace.termination == "line search failure"
         assert x[0] == 0.0
+
+
+def random_quadratic():
+    rng = np.random.default_rng(4)
+    return quadratic(rng.standard_normal((14, 10)), rng.standard_normal(14))
+
+
+def counting(fg):
+    """fg plus a one-element list counting its calls."""
+    calls = [0]
+
+    def wrapped(x):
+        calls[0] += 1
+        return fg(x)
+    return wrapped, calls
+
+
+def split_solve(fg, x0, opts, k1):
+    """The solve cut after k1 iterations and resumed to opts.max_iters: the
+    end point and the two traces joined as one (the resumed trace's
+    values[0] repeats the point it resumed from)."""
+    x, first = minimize(fg, x0, OptimizerOptions(opts.grad_tol, k1))
+    assert isinstance(first.state, SolverState)
+    x, second = minimize(fg, first.state,
+                         OptimizerOptions(123.0, opts.max_iters - k1))
+    assert second.values[0] == first.values[-1]
+    assert second.grad_norms[0] == first.grad_norms[-1]
+    joined = {
+        "values": first.values + second.values[1:],
+        "grad_norms": first.grad_norms + second.grad_norms[1:],
+        "step_sizes": first.step_sizes + second.step_sizes,
+        "slopes": first.slopes + second.slopes,
+        "n_evals": first.n_evals + second.n_evals,
+        "termination": second.termination,
+    }
+    return x, joined
+
+
+class TestResume:
+    """A solve cut after k1 iterations and resumed goes on bit for bit as
+    the uninterrupted solve; grad_tol is the first call's (the resumed
+    call's 123.0 would stop it at once)."""
+
+    PROBLEMS = {
+        "rosenbrock-10d": (rosenbrock, np.full(10, -1.0),
+                           OptimizerOptions(grad_tol=1e-9, max_iters=60)),
+        "quadratic": (random_quadratic(), np.zeros(10),
+                      OptimizerOptions(grad_tol=1e-12, max_iters=40)),
+    }
+
+    @pytest.mark.parametrize("k1", [0, 1, 3, 7])
+    @pytest.mark.parametrize("name", sorted(PROBLEMS))
+    def test_split_matches_one_solve(self, name, k1):
+        fg, x0, opts = self.PROBLEMS[name]
+        fg, calls = counting(fg)
+        x_ref, ref = minimize(fg, x0, opts)
+        calls_ref = calls[0]
+        x, joined = split_solve(fg, x0, opts, k1)
+        assert np.array_equal(x, x_ref)
+        for key in ("values", "grad_norms", "step_sizes", "slopes"):
+            assert joined[key] == getattr(ref, key), key
+        assert joined["n_evals"] == ref.n_evals == calls[0] - calls_ref
+        assert joined["termination"] == ref.termination
+
+    def test_split_right_after_a_steepest_descent_restart(self, monkeypatch):
+        # a two-loop direction forced uphill once, at iteration 4, makes the
+        # solve clear its pairs and take a steepest-descent step; the cut
+        # falls right after that step, with one fresh pair in memory
+        two_loop, calls = lbfgs._two_loop, [0]
+
+        def uphill_once(g, pairs, gamma):
+            calls[0] += 1
+            q = two_loop(g, pairs, gamma)
+            return -q if calls[0] == 4 else q
+
+        monkeypatch.setattr(lbfgs, "_two_loop", uphill_once)
+        opts = OptimizerOptions(grad_tol=1e-9, max_iters=30)
+        x_ref, ref = minimize(rosenbrock, np.full(10, -1.0), opts)
+        calls[0] = 0
+        x, first = minimize(rosenbrock, np.full(10, -1.0),
+                            OptimizerOptions(1e-9, 5))
+        assert calls[0] == 4
+        assert len(first.state.pairs) == 1  # cleared, then the restart's pair
+        x, second = minimize(rosenbrock, first.state, OptimizerOptions(1e-9, 25))
+        assert np.array_equal(x, x_ref)
+        assert first.step_sizes + second.step_sizes == ref.step_sizes
+        assert first.values + second.values[1:] == ref.values
+        assert first.n_evals + second.n_evals == ref.n_evals
+
+    def test_ended_solves_resume_without_calls(self):
+        def cusp(x):
+            a = abs(x[0])
+            g = 0.5 * np.sign(x[0]) / np.sqrt(a) if a else 1.0
+            return float(np.sqrt(a)), np.array([g])
+        cases = [(quadratic(np.eye(3), np.ones(3)), np.zeros(3), "gradient"),
+                 (cusp, np.zeros(1), "line search failure")]
+        for fg, x0, ending in cases:
+            fg, calls = counting(fg)
+            x, trace = minimize(fg, x0, OptimizerOptions(max_iters=50))
+            assert trace.termination == ending
+            before = calls[0]
+            x2, again = minimize(fg, trace.state, OptimizerOptions(max_iters=50))
+            assert calls[0] == before
+            assert again.n_evals == 0 and again.iterations == 0
+            assert again.termination == ending
+            assert again.values == trace.values[-1:]
+            assert np.array_equal(x2, x)
+
+    def test_returned_point_is_not_the_state(self):
+        x, trace = minimize(rosenbrock, np.full(4, -1.0),
+                            OptimizerOptions(max_iters=3))
+        x[:] = 7.0
+        assert not np.any(trace.state.x == 7.0)
 
 
 class TestOptions:
