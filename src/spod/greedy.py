@@ -8,23 +8,26 @@ solves warm-start from the incumbent plus one new mode initialized from
 the back-shifted residual; a flag switches to cold starts from the
 back-shifted-snapshot SVDs, each computed once per run.
 
-The candidates of one greedy iteration are solved by successive halving.
-With N candidates and the cap B = max_iters there are E = ceil(log2 N)
-rungs, at ceil(B/2^E), ..., ceil(B/4), ceil(B/2) iterations: every
-surviving candidate runs on to the rung, then the better half, ceil(n/2)
-of n ranked by (error, frame), goes on; the last one runs to B.  A
-candidate whose solve ends early (gradient test, line-search failure) is
-ranked by its final value and not run further.  L-BFGS values never rise,
-so the survivor's final error is at most every dropped candidate's error
-at its rung, and the choice equals the argmin of the candidate errors.
-A dropped candidate's error therefore comes from a truncated solve;
-candidate_iterations says how far each candidate ran.  A solve is
-continued exactly as one uninterrupted solve would go on, so whenever the
-candidate that wins at B survives the rungs, every output is the one of
-solving all candidates to B.  Halving can in principle drop a candidate
-that would overtake the survivor after its rung; on the crossing-fronts
-benchmark seeds 0-10 and the acceptance configuration (max_iters = 500)
-it does not, as the README records.
+The warm-started candidates of one greedy iteration are solved by
+successive halving.  With N candidates and the cap B = max_iters there
+are E = ceil(log2 N) rungs, at ceil(B/2^E), ..., ceil(B/4), ceil(B/2)
+iterations: every surviving candidate runs on to the rung, then the
+better half, ceil(n/2) of n ranked by (error, frame), goes on; the last
+one runs to B.  A candidate whose solve ends early (gradient test,
+line-search failure) is ranked by its final value and not run further.
+L-BFGS values never rise, so the survivor's final error is at most every
+dropped candidate's error at its rung, and the choice equals the argmin
+of the candidate errors.  A dropped candidate's error therefore comes
+from a truncated solve; candidate_iterations says how far each candidate
+ran.  A solve is continued exactly as one uninterrupted solve would go
+on, so whenever the candidate that wins at B survives the rungs, every
+output is the one of solving all candidates to B.  Halving can in
+principle drop a candidate that would overtake the survivor after its
+rung; on the crossing-fronts benchmark seeds 0-10 and the acceptance
+configuration (max_iters = 500) it does not, as the README records.
+Cold candidates are not halved but all run to B: they restart every
+frame, and on crossing-fronts the cold candidate that is best at 30
+iterations is the worst at 4.
 
 A run builds one ReducedObjective: its shift operators and data depend
 on the shifts alone, so every solve takes it with its own mode counts
@@ -62,6 +65,8 @@ class GreedyConfig:
         self.r0 = [int(v) for v in self.r0]
         if any(v < 0 for v in self.r0):
             raise ValueError("initial mode counts must be nonnegative")
+        if not any(self.r0):
+            raise ValueError("initial mode counts must include at least one mode")
         if not self.tol > 0:
             raise ValueError("tolerance must be positive")
         if self.p_max is not None and self.p_max < 0:
@@ -127,6 +132,7 @@ def initialize_frames(snaps: SnapshotSet, shifts: FrameShifts, r0,
     snapshots and shifts: it holds each frame's singular vectors, so that
     every frame's SVD runs once.
     """
+    cache = {} if cache is None else cache
     if len(r0) != shifts.n_frames:
         raise ValueError(f"{len(r0)} mode counts for {shifts.n_frames} frames")
     limit = min(snaps.n_rows, snaps.n_snapshots)
@@ -139,14 +145,11 @@ def initialize_frames(snaps: SnapshotSet, shifts: FrameShifts, r0,
         if r == 0:
             frames.append(FrameBasis(np.zeros((snaps.n_rows, 0)), mask))
             continue
-        U = None if cache is None else cache.get(l)
-        if U is None:
+        if l not in cache:
             B = back_shifted_matrix(snaps.data, shifts, l, snaps.grid,
                                     len(snaps.blocks))
-            U = np.linalg.svd(B, full_matrices=False)[0]
-            if cache is not None:
-                cache[l] = U
-        frames.append(FrameBasis(U[:, :r], mask))
+            cache[l] = np.linalg.svd(B, full_matrices=False)[0]
+        frames.append(FrameBasis(cache[l][:, :r], mask))
     return frames
 
 
@@ -221,7 +224,7 @@ def spod_decompose(snaps: SnapshotSet, shifts: FrameShifts, config: GreedyConfig
     max_iters = config.optimizer.max_iters
     history, cand_hist, chosen, stages = [], [], [], []
     cand_iters, cand_evals = [], []
-    svd_cache = None if config.warm_start else {}
+    svd_cache = {}  # each frame's back-shifted-snapshot SVD, for cold starts
 
     def fit(modes):
         """Amplitudes and residual of the incumbent modes."""
@@ -289,8 +292,11 @@ def spod_decompose(snaps: SnapshotSet, shifts: FrameShifts, config: GreedyConfig
 
         solves = [candidate(i) for i in range(shifts.n_frames)]
         alive = list(range(shifts.n_frames))
+        # a cold candidate restarts every frame, so its early error does
+        # not rank it: cold candidates all run to the cap
+        rungs = halving_rungs(len(alive), max_iters) if config.warm_start else []
         try:
-            for rung in halving_rungs(len(alive), max_iters) + [max_iters]:
+            for rung in rungs + [max_iters]:
                 run_round([solves[i] for i in alive], rung)
                 alive.sort(key=lambda i: (solves[i].error, i))
                 del alive[(len(alive) + 1) // 2:]

@@ -47,10 +47,9 @@ def three_transport_set(m=64, n=24, speed=1.37):
 
 
 def full_candidate_run(snaps, shifts, config):
-    """The warm-started greedy run with every candidate solved to the cap:
-    final modes and amplitudes, error history, chosen frames, and every
-    candidate's objective, its trace and its stage iterations/evaluations
-    per greedy iteration."""
+    """The greedy run with every candidate solved to the cap: final modes
+    and amplitudes, error history, chosen frames, and every candidate's
+    modes, objective and trace per greedy iteration."""
     base = ReducedObjective(snaps, shifts, config.r0, rank_tol=config.rank_tol)
 
     def solve(counts, init):
@@ -62,16 +61,23 @@ def full_candidate_run(snaps, shifts, config):
     modes, prob, trace = solve(config.r0, [f.modes for f in initialize_frames(
         snaps, shifts, config.r0)])
     history, chosen, rows = [prob.relative_error_of(trace.values[-1])], [], []
-    while history[-1] > config.tol and len(chosen) < config.p_max:
+    p_max = snaps.n_snapshots if config.p_max is None else config.p_max
+    while history[-1] > config.tol and len(chosen) < p_max:
         counts = [W.shape[1] for W in modes]
         resid = base.with_counts(counts).evaluate(modes, need_gradient=False)[3]
         row = []
         for i in range(shifts.n_frames):
-            B = back_shifted_matrix(resid, shifts, i, snaps.grid, 1)
-            w_new = np.linalg.svd(B, full_matrices=False)[0][:, :1]
-            init = [W if l != i else np.hstack([W, w_new])
-                    for l, W in enumerate(modes)]
-            row.append(solve([c + (l == i) for l, c in enumerate(counts)], init))
+            grown = [c + (l == i) for l, c in enumerate(counts)]
+            if config.warm_start:
+                B = back_shifted_matrix(resid, shifts, i, snaps.grid,
+                                        len(snaps.blocks))
+                w_new = np.linalg.svd(B, full_matrices=False)[0][:, :1]
+                init = [W if l != i else np.hstack([W, w_new])
+                        for l, W in enumerate(modes)]
+            else:
+                init = [f.modes for f in initialize_frames(snaps, shifts,
+                                                           grown)]
+            row.append(solve(grown, init))
         q = int(np.argmin([p.relative_error_of(t.values[-1]) for _, p, t in row]))
         modes = row[q][0]
         history.append(row[q][1].relative_error_of(row[q][2].values[-1]))
@@ -194,8 +200,7 @@ class TestGreedyLoop:
 
     def test_threaded_run_is_deterministic(self):
         cases = [(two_transport_set(m=48, n=12, seed=3), [1, 0], 500),
-                 # three frames: the halving rounds run in the pool, and
-                 # some candidates end early (gradient test, line search)
+                 # three frames: the halving rounds run in the pool
                  (three_transport_set(), [1, 0, 0], 20)]
         for (snaps, shifts), r0, max_iters in cases:
             runs = [spod_decompose(snaps, shifts, GreedyConfig(
@@ -204,6 +209,13 @@ class TestGreedyLoop:
                 for threads in (1, 2, 3)]
             (dec1, rep1), others = runs[0], runs[1:]
             assert rep1.chosen_frames
+            if len(r0) == 2:
+                # both candidates end before the rung at 250 iterations,
+                # so the winner is ranked by its final value and the last
+                # round has no solve left to run
+                rung, = halving_rungs(2, max_iters)
+                assert max(rep1.candidate_iterations[0]) < rung
+                assert rep1.stages[1]["termination"] == "gradient"
             for dec, rep in others:
                 assert rep.chosen_frames == rep1.chosen_frames
                 assert rep.r_final == rep1.r_final
@@ -374,10 +386,64 @@ class TestHalving:
                 t.n_evals for _, _, t in row)
 
 
+    @pytest.mark.parametrize("params", [
+        {},
+        {"front_amplitudes": (1.1, 0.85, 0.55, 0.55),
+         "front_widths": (0.011, 0.011, 0.013, 0.009)},
+    ])
+    def test_crossing_fronts_keeps_the_winner(self, params):
+        # the crossing-fronts benchmark settings on a coarser grid: a
+        # change to the solver's trajectories that makes halving drop the
+        # candidate that wins at the cap shows here
+        from spod.generators import CrossingFrontsParams, crossing_fronts
+        snaps, shifts = crossing_fronts(CrossingFrontsParams(m=200, n=60,
+                                                             **params))
+        config = GreedyConfig(r0=[1, 1, 1, 1, 0], tol=0.01,
+                              optimizer=OptimizerOptions(max_iters=30))
+        dec, rep = spod_decompose(snaps, shifts, config)
+        modes, amps, history, chosen, rows = full_candidate_run(snaps, shifts,
+                                                                config)
+        assert chosen
+        assert rep.chosen_frames == chosen
+        assert rep.error_history == history
+        for l in range(shifts.n_frames):
+            assert np.array_equal(dec.frames[l].modes, modes[l])
+            assert np.array_equal(dec.amplitudes[l], amps[l])
+        for q, errors, iters in zip(chosen, rep.candidate_errors,
+                                    rep.candidate_iterations):
+            # 5 candidates: 2 drop out after 4 iterations, 1 after 8,
+            # 1 after 15, and the winner runs to 30
+            assert sorted(iters) == [4, 4, 8, 15, 30] and iters[q] == 30
+            assert min(errors) == errors[q]
+
+    def test_cold_candidates_run_to_the_cap(self):
+        snaps, shifts = three_transport_set()
+        config = GreedyConfig(r0=[1, 1, 0], tol=1e-12, p_max=2,
+                              warm_start=False,
+                              optimizer=OptimizerOptions(max_iters=20))
+        dec, rep = spod_decompose(snaps, shifts, config)
+        modes, amps, history, chosen, rows = full_candidate_run(snaps, shifts,
+                                                                config)
+        assert rep.chosen_frames == chosen
+        assert rep.error_history == history
+        for l in range(shifts.n_frames):
+            assert np.array_equal(dec.frames[l].modes, modes[l])
+        for p, row in enumerate(rows):
+            assert rep.candidate_errors[p] == [
+                prob.relative_error_of(trace.values[-1]) for _, prob, trace in row]
+            assert rep.candidate_iterations[p] == [
+                trace.iterations for _, _, trace in row]
+
+
 class TestConfigValidation:
     def test_negative_counts_rejected(self):
         with pytest.raises(ValueError):
             GreedyConfig(r0=[-1, 1])
+
+    @pytest.mark.parametrize("r0", [[0, 0, 0], [0], []])
+    def test_counts_without_a_mode_rejected(self, r0):
+        with pytest.raises(ValueError, match="at least one mode"):
+            GreedyConfig(r0=r0)
 
     def test_nonpositive_tol_rejected(self):
         with pytest.raises(ValueError):

@@ -447,6 +447,8 @@ track = var0
          "r0 has 2 entries"),
         (_valid_with("spod", "tol = abc"), r"\[spod\] tol: could not convert"),
         (_valid_with("spod", "tol = -1"), "tolerance must be positive"),
+        ("[input]\nsnapshots = x\n[spod]\nr0 = 0\n[frame.0]\ntrack = v\n",
+         "at least one mode"),
         (_valid_with("spod", "threads = 0"), "thread count must be at least 1"),
         (_valid_with("spod", "degree = 2"), "interpolation degree 2"),
         (_valid_with("spod", "boundary = foo"), "unknown operator boundary"),
