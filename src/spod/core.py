@@ -40,6 +40,7 @@ from .shifts import ShiftSpec, apply_shift, shift_operator
 from .snapshots import Grid1D, SnapshotSet, VariableBlock
 
 GRAM_COND_MAX, RANK_MARGIN = 1e4, 1e3
+COVERAGE_FLOOR = 1e-8  # smallest coverage kept, relative to the largest
 
 
 @dataclass(frozen=True)
@@ -373,11 +374,45 @@ class ReducedObjective:
 
     def value_and_gradient(self, z: np.ndarray):
         """Optimizer callback: full squared residual J and its flat gradient."""
-        modes_list = self.unpack(z)
-        _, grads, _, resid = self.evaluate(modes_list, need_gradient=True)
+        return self.value_gradient_amplitudes(z)[:2]
+
+    def value_gradient_amplitudes(self, z: np.ndarray):
+        """J, its flat gradient and the per-frame amplitudes of one
+        evaluation at the flat variables z."""
+        _, grads, amps, resid = self.evaluate(self.unpack(z), need_gradient=True)
         g = np.concatenate([G.ravel(order="F") for G in grads]) if grads else np.zeros(0)
         r = resid.ravel(order="K")  # memory order: a view, not a copy
-        return float(r @ r), g
+        return float(r @ r), g, amps
+
+    def variable_scale(self, amps) -> np.ndarray:
+        """Diagonal scale s of the flat variables (pack layout) for the
+        per-frame amplitudes amps, shaped (r_l, n).
+
+        Entry i of mode k of frame l has the coverage c = sum_j a_kj^2
+        ||T(d^l_j) e_i||^2 in every variable block: how strongly the
+        residuals see it, and so the diagonal of the Gauss-Newton matrix
+        up to the projection.  c is clamped at COVERAGE_FLOOR times its
+        maximum, so that entries the shifts never reach stay finite, and
+        s = c^-1/2 / max(c^-1/2) lies in (0, 1].  Without a finite
+        positive maximum of c, s is all ones.
+        """
+        from scipy import sparse  # local: keeps scipy out of start-up
+
+        m = self.grid.m
+        parts = []
+        for plan, A in zip(self.plans, amps):
+            # squared entries for this call only: the plans keep no copy
+            T = plan.stacked_T
+            T2 = sparse.csr_matrix((T.data ** 2, T.indices, T.indptr),
+                                   shape=T.shape)
+            C = T2 @ np.repeat(A.T ** 2, m, axis=0)  # (m, r_l)
+            parts.append(np.tile(C, (self.n_blocks, 1)).ravel(order="F"))
+        c = np.concatenate(parts)
+        top = c.max(initial=0.0)
+        if not 0.0 < top < np.inf:
+            return np.ones_like(c)
+        c = np.maximum(c, COVERAGE_FLOOR * top)
+        return np.sqrt(c.min() / c)
 
     def relative_error_of(self, value: float) -> float:
         """Map an objective value J to the relative squared error J / ||X||^2."""

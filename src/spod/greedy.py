@@ -8,6 +8,16 @@ solves warm-start from the incumbent plus one new mode initialized from
 the back-shifted residual; a flag switches to cold starts from the
 back-shifted-snapshot SVDs, each computed once per run.
 
+Every solve (the initial one and each candidate) runs L-BFGS on the
+scaled variables u = z / s, minimizing J(s * u) with gradient s * g: a
+diagonal (Jacobi) scaling of the L-BFGS start matrix (Nocedal & Wright,
+Numerical Optimization, 2nd ed., sec. 7.2).  s is the coverage scale of
+ReducedObjective.variable_scale for the amplitudes at the solve's start
+point, taken from the start point's own evaluation: an entry that the
+shifts let few residuals see has little curvature and gets a larger
+step.  The optimizer's grad_tol is therefore tested on the scaled
+gradient, while a stage's grad_norm is that of dJ/dz.
+
 The warm-started candidates of one greedy iteration are solved by
 successive halving.  With N candidates and the cap B = max_iters there
 are E = ceil(log2 N) rungs, at ceil(B/2^E), ..., ceil(B/4), ceil(B/2)
@@ -19,15 +29,16 @@ L-BFGS values never rise, so the survivor's final error is at most every
 dropped candidate's error at its rung, and the choice equals the argmin
 of the candidate errors.  A dropped candidate's error therefore comes
 from a truncated solve; candidate_iterations says how far each candidate
-ran.  A solve is continued exactly as one uninterrupted solve would go
-on, so whenever the candidate that wins at B survives the rungs, every
-output is the one of solving all candidates to B.  Halving can in
-principle drop a candidate that would overtake the survivor after its
-rung; on the crossing-fronts benchmark seeds 0-10 and the acceptance
-configuration (max_iters = 500) it does not, as the README records.
-Cold candidates are not halved but all run to B: they restart every
-frame, and on crossing-fronts the cold candidate that is best at 30
-iterations is the worst at 4.
+ran.  A scaled solve keeps its scale and is continued exactly as one
+uninterrupted scaled solve would go on, so whenever the candidate that
+wins at B survives the rungs, every output is the one of solving all
+candidates to B.  Halving can in principle drop a candidate that would
+overtake the survivor after its rung; on the crossing-fronts benchmark
+seeds 0-10 and the acceptance configuration (max_iters = 500) it does
+not, as the README records.  Cold candidates are not halved but all run
+to B: they restart every frame, so their early errors need not rank
+them (before the solves were scaled, the crossing-fronts cold candidate
+that was best at 30 iterations was the worst at 4).
 
 A run builds one ReducedObjective: its shift operators and data depend
 on the shifts alone, so every solve takes it with its own mode counts
@@ -46,7 +57,7 @@ from typing import Optional
 import numpy as np
 
 from .core import Decomposition, FrameBasis, FrameShifts, ReducedObjective
-from .lbfgs import OptimizerAbort, OptimizerOptions, minimize
+from .lbfgs import OptimizerAbort, OptimizerOptions, minimize, start_state
 from .shifts import apply_shift
 from .snapshots import SnapshotSet
 
@@ -161,15 +172,23 @@ def halving_rungs(n_candidates: int, max_iters: int) -> list:
 
 
 class _Solve:
-    """One L-BFGS solve of a problem, run on in segments through minimize,
-    which continues it from the state where the last segment stopped."""
+    """One L-BFGS solve of a problem in the scaled variables u = z / s, run
+    on in segments through minimize, which continues it from the state
+    where the last segment stopped.  The first segment evaluates the start
+    point and takes the scale s from its amplitudes
+    (ReducedObjective.variable_scale)."""
 
     def __init__(self, prob: ReducedObjective, init):
         self.prob = prob
         self.start = prob.pack(init)  # then the SolverState of the last segment
-        self.z = self.trace = None
+        self.scale = self.z = self.trace = None
         self.iterations = self.evaluations = 0
         self.seconds = 0.0
+
+    def scaled(self, u):
+        """Value and gradient of u -> J(s * u)."""
+        f, g = self.prob.value_and_gradient(self.scale * u)
+        return f, self.scale * g
 
     @property
     def ended(self) -> bool:
@@ -183,9 +202,17 @@ class _Solve:
     def run_to(self, iterations: int, opts: OptimizerOptions):
         """Continue the solve until it has run `iterations` in all."""
         t0 = time.perf_counter()
-        self.z, self.trace = minimize(
-            self.prob.value_and_gradient, self.start,
+        if self.scale is None:
+            z = self.start
+            f, g, amps = self.prob.value_gradient_amplitudes(z)
+            self.scale = self.prob.variable_scale(amps)
+            self.start = start_state(z / self.scale, f, self.scale * g,
+                                     opts.grad_tol)
+            self.evaluations += 1
+        u, self.trace = minimize(
+            self.scaled, self.start,
             replace(opts, max_iters=iterations - self.iterations))
+        self.z = self.scale * u
         self.start = self.trace.state
         self.iterations += self.trace.iterations
         self.evaluations += self.trace.n_evals
@@ -200,7 +227,7 @@ class _Solve:
             "iterations": self.iterations,
             "evaluations": self.evaluations,
             "objective": float(trace.values[-1]),
-            "grad_norm": float(trace.grad_norms[-1]),
+            "grad_norm": float(np.linalg.norm(trace.state.g / self.scale)),
             "termination": trace.termination,
             "converged": trace.termination == "gradient",
             "rank_deficient_evals": len(prob.rank_events),

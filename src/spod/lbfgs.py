@@ -8,7 +8,8 @@ tolerances.  The Wolfe constants, the memory, the step cap and the search
 budget are the module constants below; a caller sets only the stopping
 rule (OptimizerOptions).  A solve stopped at its iteration cap can be
 continued from the SolverState its trace holds, and goes on exactly as
-one uninterrupted solve would.
+one uninterrupted solve would; start_state builds the state of a solve
+from a start point the caller has already evaluated.
 """
 from __future__ import annotations
 
@@ -170,6 +171,20 @@ def _two_loop(g, pairs, gamma):
     return q
 
 
+def start_state(x, f, g, grad_tol: float) -> SolverState:
+    """The state of a solve that has not yet taken a step from x, where the
+    objective is f with gradient g; its gradient target is grad_tol times
+    the norm of g.  Raises OptimizerAbort if f or g is not finite."""
+    f, g = float(f), np.asarray(g, dtype=float)
+    if not np.isfinite(f) or not np.all(np.isfinite(g)):
+        raise OptimizerAbort(
+            "objective returned a non-finite value at the start point"
+        )
+    gnorm = float(np.linalg.norm(g))
+    return SolverState(x, f, g, gnorm, (), 1.0, grad_tol * gnorm,
+                       "iteration cap")
+
+
 def minimize(fg, x0, opts: OptimizerOptions | None = None):
     """Minimize a smooth function given a value-and-gradient callback.
 
@@ -184,7 +199,10 @@ def minimize(fg, x0, opts: OptimizerOptions | None = None):
     values, steps and evaluations one uninterrupted call would have made,
     keeping its gradient target (opts.grad_tol is not used) and calling fg
     only for new trial points.  A state that ended by the gradient test or
-    by a line-search failure is returned as it is, with no call of fg.
+    by a line-search failure is returned as it is, with no call of fg.  A
+    fresh start point goes through start_state, so minimize(fg, x, opts)
+    is minimize(fg, start_state(x, *fg(x), opts.grad_tol), opts) with
+    the start evaluation counted.
     """
     opts = opts or OptimizerOptions()
     trace = OptimizerTrace()
@@ -194,30 +212,20 @@ def minimize(fg, x0, opts: OptimizerOptions | None = None):
         trace.n_evals += 1
         return float(f), np.asarray(g, dtype=float)
 
-    if isinstance(x0, SolverState):
-        x, f, g, gnorm0 = x0.x, x0.f, x0.g, x0.grad_norm
-        if x0.termination != "iteration cap":
-            trace.values.append(f)
-            trace.grad_norms.append(gnorm0)
-            trace.termination, trace.state = x0.termination, x0
-            return x.copy(), trace
-        pairs = deque(x0.pairs, maxlen=MEMORY)
-        gamma, target = x0.gamma, x0.target
-    else:
+    if not isinstance(x0, SolverState):
         x = np.asarray(x0, dtype=float).copy()
         if x.size == 0:
             trace.termination = "gradient"
             return x, trace
-        f, g = ev(x)
-        if not np.isfinite(f) or not np.all(np.isfinite(g)):
-            raise OptimizerAbort(
-                "objective returned a non-finite value at the start point"
-            )
-        gnorm0 = float(np.linalg.norm(g))
-        pairs = deque(maxlen=MEMORY)  # the oldest pair drops out
-        gamma, target = 1.0, opts.grad_tol * gnorm0
+        x0 = start_state(x, *ev(x), opts.grad_tol)
+    x, f, g = x0.x, x0.f, x0.g
     trace.values.append(f)
-    trace.grad_norms.append(gnorm0)
+    trace.grad_norms.append(x0.grad_norm)
+    if x0.termination != "iteration cap":
+        trace.termination, trace.state = x0.termination, x0
+        return x.copy(), trace
+    pairs = deque(x0.pairs, maxlen=MEMORY)  # the oldest pair drops out
+    gamma, target = x0.gamma, x0.target
 
     status = "iteration cap"
     for _ in range(opts.max_iters):

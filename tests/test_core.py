@@ -371,6 +371,82 @@ class TestPacking:
         np.testing.assert_array_equal(z[:snaps.n_rows], modes[0][:, 0])
 
 
+def brute_force_scale(snaps, shifts, amps):
+    """Coverage scale from dense operators: c = sum_j a_kj^2 ||T_j e_i||^2
+    per block, clamped at 1e-8 max(c), then c^-1/2 / max(c^-1/2)."""
+    cols = []
+    for l, A in enumerate(amps):
+        sq = [dense_shift_matrix(shifts.d[l, j], snaps.grid, shifts.spec) ** 2
+              for j in range(shifts.n_snapshots)]
+        for k in range(A.shape[0]):
+            c = sum(a * a * T.sum(axis=0) for a, T in zip(A[k], sq))
+            cols.append(np.tile(c, len(snaps.blocks)))
+    c = np.concatenate(cols)
+    c = np.maximum(c, 1e-8 * c.max())
+    return c ** -0.5 / np.max(c ** -0.5)
+
+
+class TestVariableScale:
+    def test_matches_dense_coverage(self):
+        snaps, shifts, rng = random_problem(m=12, n=5, n_s=2, n_blocks=2,
+                                            seed=21)
+        prob = ReducedObjective(snaps, shifts, [2, 1])
+        amps = [rng.standard_normal((2, 5)), rng.standard_normal((1, 5))]
+        s = prob.variable_scale(amps)
+        assert s.shape == (snaps.n_rows * 3,)
+        np.testing.assert_allclose(s, brute_force_scale(snaps, shifts, amps),
+                                   rtol=1e-12)
+
+    def test_whole_cell_periodic_shifts_scale_each_mode_by_its_amplitudes(self):
+        m, n = 16, 6
+        grid = Grid1D(m, 1.0 / m, "periodic")
+        snaps = SnapshotSet(np.ones((2 * m, n)), grid, np.arange(n, dtype=float),
+                            (VariableBlock("u", 0, m), VariableBlock("v", m, 2 * m)))
+        rng = np.random.default_rng(22)
+        d = rng.integers(-5, 6, size=(2, n)) * grid.h
+        prob = ReducedObjective(snaps, FrameShifts(d, PER3), [2, 1])
+        amps = [rng.standard_normal((2, n)), 3.0 * rng.standard_normal((1, n))]
+        # every T(d_j) permutes the nodes, so ||T(d_j) e_i|| = 1
+        per_mode = prob.variable_scale(amps).reshape(3, 2 * m)
+        for row in per_mode:
+            assert np.all(row == row[0])
+        norms = np.concatenate([np.sum(A * A, axis=1) for A in amps]) ** -0.5
+        np.testing.assert_allclose(per_mode[:, 0] / per_mode[0, 0],
+                                   norms / norms[0], rtol=1e-12)
+        assert per_mode.max() == 1.0
+
+    def test_entries_no_shift_reaches_are_clamped(self):
+        m, n, k = 16, 5, 3
+        grid = Grid1D(m, 1.0 / m, "non-periodic")
+        snaps = SnapshotSet(np.ones((m, n)), grid, np.arange(n, dtype=float))
+        # constant-boundary shifts by k, k+1 or k+2 cells read only the
+        # nodes below m - k
+        d = (k + np.arange(n) % 3)[None, :] * grid.h
+        prob = ReducedObjective(snaps, FrameShifts(d, ShiftSpec("constant", 3)),
+                                [1])
+        s = prob.variable_scale([np.ones((1, n))])
+        assert np.all(np.isfinite(s)) and np.all(s > 0.0) and s.max() == 1.0
+        np.testing.assert_array_equal(s[m - k:], 1.0)
+        assert np.all(s[:m - k - 1] < 1e-3)
+
+    def test_without_a_positive_coverage_the_scale_is_one(self):
+        snaps, shifts, _ = random_problem(m=8, n=4, seed=23)
+        prob = ReducedObjective(snaps, shifts, [1, 1])
+        zeros = [np.zeros((1, 4)), np.zeros((1, 4))]
+        np.testing.assert_array_equal(prob.variable_scale(zeros), 1.0)
+
+    def test_amplitudes_come_with_the_value_and_gradient(self):
+        snaps, shifts, rng = random_problem(m=10, n=5, seed=24)
+        prob = ReducedObjective(snaps, shifts, [1, 2])
+        modes = [rng.standard_normal((10, 1)), rng.standard_normal((10, 2))]
+        z = prob.pack(modes)
+        f, g, amps = prob.value_gradient_amplitudes(z)
+        assert (f, g.tolist()) == (prob.value_and_gradient(z)[0],
+                                   prob.value_and_gradient(z)[1].tolist())
+        for A, B in zip(amps, prob.evaluate(modes)[2]):
+            np.testing.assert_array_equal(A, B)
+
+
 class TestReconstruct:
     def test_zero_amplitudes_give_zero_matrix(self):
         snaps, shifts, rng = random_problem(m=8, n=3, n_s=2, seed=15)

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from spod.core import FrameShifts, ReducedObjective
-from spod.greedy import (GreedyConfig, back_shifted_matrix, halving_rungs,
-                         initialize_frames, spod_decompose)
-from spod.lbfgs import OptimizerOptions, minimize
+from spod.greedy import (GreedyConfig, _Solve, back_shifted_matrix,
+                         halving_rungs, initialize_frames, spod_decompose)
+from spod.lbfgs import OptimizerOptions
 from spod.shifts import ShiftSpec, apply_shift
 from spod.snapshots import Grid1D, SnapshotSet, VariableBlock
 
@@ -30,8 +30,9 @@ def two_transport_set(m=64, n=24, seed=0):
 
 
 def three_transport_set(m=64, n=24, speed=1.37):
-    """Three bumps at fractional speeds, so that no solve is exact and the
-    candidate solves run to their iteration cap."""
+    """Three bumps at fractional speeds, so that no solve is exact and,
+    with a small grad_tol, the candidate solves run to their iteration
+    cap."""
     grid = Grid1D(m, 1.0 / m, "periodic")
     x = grid.coordinates()
     t = np.arange(n, dtype=float) * grid.h * speed
@@ -47,20 +48,20 @@ def three_transport_set(m=64, n=24, speed=1.37):
 
 
 def full_candidate_run(snaps, shifts, config):
-    """The greedy run with every candidate solved to the cap: final modes
-    and amplitudes, error history, chosen frames, and every candidate's
-    modes, objective and trace per greedy iteration."""
+    """The greedy run with every candidate solved to the cap in one
+    segment of spod_decompose's own solve (_Solve): final modes and
+    amplitudes, error history, chosen frames, and every candidate's
+    modes and solve per greedy iteration."""
     base = ReducedObjective(snaps, shifts, config.r0, rank_tol=config.rank_tol)
 
     def solve(counts, init):
-        prob = base.with_counts(counts)
-        z, trace = minimize(prob.value_and_gradient, prob.pack(init),
-                            config.optimizer)
-        return prob.unpack(z), prob, trace
+        sv = _Solve(base.with_counts(counts), init)
+        sv.run_to(config.optimizer.max_iters, config.optimizer)
+        return sv.prob.unpack(sv.z), sv
 
-    modes, prob, trace = solve(config.r0, [f.modes for f in initialize_frames(
+    modes, sv = solve(config.r0, [f.modes for f in initialize_frames(
         snaps, shifts, config.r0)])
-    history, chosen, rows = [prob.relative_error_of(trace.values[-1])], [], []
+    history, chosen, rows = [sv.error], [], []
     p_max = snaps.n_snapshots if config.p_max is None else config.p_max
     while history[-1] > config.tol and len(chosen) < p_max:
         counts = [W.shape[1] for W in modes]
@@ -78,9 +79,9 @@ def full_candidate_run(snaps, shifts, config):
                 init = [f.modes for f in initialize_frames(snaps, shifts,
                                                            grown)]
             row.append(solve(grown, init))
-        q = int(np.argmin([p.relative_error_of(t.values[-1]) for _, p, t in row]))
+        q = int(np.argmin([sv.error for _, sv in row]))
         modes = row[q][0]
-        history.append(row[q][1].relative_error_of(row[q][2].values[-1]))
+        history.append(row[q][1].error)
         chosen.append(q)
         rows.append(row)
     amps = base.with_counts([W.shape[1] for W in modes]).evaluate(
@@ -340,6 +341,59 @@ class TestGreedyLoop:
         assert rep.chosen_frames  # candidate solves ran, each on its own objective
         assert len(calls) == shifts.n_frames
 
+    def test_stage_grad_norm_is_the_unscaled_gradient(self):
+        snaps, shifts = three_transport_set(m=32, n=10)
+        cfg = GreedyConfig(r0=[1, 1, 0], tol=1e-12, p_max=1,
+                           optimizer=OptimizerOptions(max_iters=8))
+        dec, rep = spod_decompose(snaps, shifts, cfg)
+        stage = rep.stages[-1]
+        assert stage["termination"] == "iteration cap"
+        prob = ReducedObjective(snaps, shifts, rep.r_final)
+        g = prob.value_and_gradient(prob.pack([f.modes for f in dec.frames]))[1]
+        assert stage["grad_norm"] == pytest.approx(np.linalg.norm(g), rel=1e-12)
+
+    def test_evaluations_count_every_gradient_evaluation(self, monkeypatch):
+        # the start point's evaluation, which sets a solve's scale, counts
+        snaps, shifts = three_transport_set(m=32, n=10)
+        calls = []
+        evaluate = ReducedObjective.evaluate
+
+        def counting(self, modes_list, need_gradient=True):
+            calls.append(need_gradient)
+            return evaluate(self, modes_list, need_gradient)
+
+        monkeypatch.setattr(ReducedObjective, "evaluate", counting)
+        _, rep = spod_decompose(snaps, shifts, GreedyConfig(
+            r0=[1, 1, 0], tol=1e-12, p_max=1,
+            optimizer=OptimizerOptions(max_iters=8)))
+        assert sum(calls) == (rep.stages[0]["evaluations"]
+                              + sum(rep.candidate_evaluations[0]))
+
+    def test_masked_entries_stay_zero(self, monkeypatch):
+        from spod.core import reconstruct
+        from spod.snapshots import relative_error
+        snaps, shifts = three_transport_set(m=32, n=10)
+        masks = [np.arange(32) < 8, None, np.arange(32) % 3 == 0]
+        points = []
+        evaluate = ReducedObjective.value_gradient_amplitudes
+
+        def recording(self, z):
+            points.append(z.copy())
+            return evaluate(self, z)
+
+        monkeypatch.setattr(ReducedObjective, "value_gradient_amplitudes",
+                            recording)
+        dec, rep = spod_decompose(snaps, shifts, GreedyConfig(
+            r0=[1, 1, 1], tol=1e-12, p_max=2,
+            optimizer=OptimizerOptions(max_iters=15)), masks=masks)
+        assert rep.r_final != [1, 1, 1] and points
+        assert all(np.all(np.isfinite(z)) for z in points)
+        for frame, mask in zip(dec.frames, masks):
+            if mask is not None:
+                assert frame.modes[mask].size and np.all(frame.modes[mask] == 0.0)
+        err = relative_error(snaps.data, reconstruct(dec))
+        assert rep.error_history[-1] == pytest.approx(err, rel=1e-9)
+
     def test_r0_length_must_match_frames(self):
         snaps, shifts = two_transport_set(m=16, n=4)
         with pytest.raises(ValueError):
@@ -356,8 +410,11 @@ class TestHalving:
 
     def test_matches_solving_every_candidate_to_the_cap(self):
         snaps, shifts = three_transport_set()
+        # grad_tol 1e-12: the scaled solve of the second iteration's winner
+        # meets the default gradient test at 15 iterations
         config = GreedyConfig(r0=[1, 1, 0], tol=1e-12, p_max=2,
-                              optimizer=OptimizerOptions(max_iters=20))
+                              optimizer=OptimizerOptions(max_iters=20,
+                                                         grad_tol=1e-12))
         dec, rep = spod_decompose(snaps, shifts, config)
         modes, amps, history, chosen, rows = full_candidate_run(snaps, shifts,
                                                                 config)
@@ -373,17 +430,18 @@ class TestHalving:
             # and the survivor runs to the cap of 20
             assert sorted(iters) == [5, 10, 20] and iters[q] == 20
             assert q == int(np.argmin(errors))
-            for i, (_, prob, trace) in enumerate(row):
+            for i, (_, sv) in enumerate(row):
                 # a dropped error is the full solve's value at its rung
-                assert errors[i] == prob.relative_error_of(trace.values[iters[i]])
+                assert errors[i] == sv.prob.relative_error_of(
+                    sv.trace.values[iters[i]])
                 assert errors[i] >= errors[q]
-            stage, (_, _, trace) = rep.stages[p + 1], row[q]
-            assert stage["iterations"] == trace.iterations
-            assert stage["evaluations"] == trace.n_evals
-            assert stage["termination"] == trace.termination
-            assert rep.candidate_evaluations[p][q] == trace.n_evals
+            stage, (_, sv) = rep.stages[p + 1], row[q]
+            assert stage["iterations"] == sv.iterations
+            assert stage["evaluations"] == sv.evaluations
+            assert stage["termination"] == sv.trace.termination
+            assert rep.candidate_evaluations[p][q] == sv.evaluations
             assert sum(rep.candidate_evaluations[p]) < sum(
-                t.n_evals for _, _, t in row)
+                sv.evaluations for _, sv in row)
 
 
     @pytest.mark.parametrize("params", [
@@ -429,10 +487,9 @@ class TestHalving:
         for l in range(shifts.n_frames):
             assert np.array_equal(dec.frames[l].modes, modes[l])
         for p, row in enumerate(rows):
-            assert rep.candidate_errors[p] == [
-                prob.relative_error_of(trace.values[-1]) for _, prob, trace in row]
+            assert rep.candidate_errors[p] == [sv.error for _, sv in row]
             assert rep.candidate_iterations[p] == [
-                trace.iterations for _, _, trace in row]
+                sv.iterations for _, sv in row]
 
 
 class TestConfigValidation:

@@ -283,6 +283,27 @@ class TestResume:
         assert joined["n_evals"] == ref.n_evals == calls[0] - calls_ref
         assert joined["termination"] == ref.termination
 
+    @pytest.mark.parametrize("name", sorted(PROBLEMS))
+    def test_start_state_is_the_fresh_start(self, name):
+        # a caller that evaluated the start point itself passes its value
+        # and gradient through start_state and saves that one evaluation
+        fg, x0, opts = self.PROBLEMS[name]
+        fg, calls = counting(fg)
+        x_ref, ref = minimize(fg, x0, opts)
+        state = lbfgs.start_state(x0.copy(), *fg(x0), opts.grad_tol)
+        calls[0] = 0
+        x, trace = minimize(fg, state, opts)
+        assert np.array_equal(x, x_ref)
+        for key in ("values", "grad_norms", "step_sizes", "slopes",
+                    "termination"):
+            assert getattr(trace, key) == getattr(ref, key), key
+        assert trace.n_evals == calls[0] == ref.n_evals - 1
+
+    def test_start_state_rejects_a_nonfinite_start(self):
+        for f, g in ((float("nan"), np.zeros(2)), (1.0, np.array([0.0, np.inf]))):
+            with pytest.raises(OptimizerAbort):
+                lbfgs.start_state(np.zeros(2), f, g, 1e-6)
+
     def test_split_right_after_a_steepest_descent_restart(self, monkeypatch):
         # a two-loop direction forced uphill once, at iteration 4, makes the
         # solve clear its pairs and take a steepest-descent step; the cut
