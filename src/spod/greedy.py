@@ -3,10 +3,10 @@
 The driver optimizes the modes for the initial mode-count vector r0, then
 repeatedly tries adding one mode to every frame, keeps the frame whose
 enlarged problem yields the smallest relative error, and stops once the
-error drops to the tolerance or the iteration cap is hit.  Candidate
-solves warm-start from the incumbent plus one new mode initialized from
-the back-shifted residual; a flag switches to cold starts from the
-back-shifted-snapshot SVDs, each computed once per run.
+error drops to the tolerance or the iteration cap is hit.  The initial
+modes are the leading left singular vectors of each frame's back-shifted
+snapshots; a candidate starts from the incumbent plus one new mode, the
+leading left singular vector of the frame's back-shifted residual.
 
 Every solve (the initial one and each candidate) runs L-BFGS on the
 scaled variables u = z / s, minimizing J(s * u) with gradient s * g: a
@@ -18,8 +18,8 @@ shifts let few residuals see has little curvature and gets a larger
 step.  The optimizer's grad_tol is therefore tested on the scaled
 gradient, while a stage's grad_norm is that of dJ/dz.
 
-The warm-started candidates of one greedy iteration are solved by
-successive halving.  With N candidates and the cap B = max_iters there
+The candidates of one greedy iteration are solved by successive
+halving.  With N candidates and the cap B = max_iters there
 are E = ceil(log2 N) rungs, at ceil(B/2^E), ..., ceil(B/4), ceil(B/2)
 iterations: every surviving candidate runs on to the rung, then the
 better half, ceil(n/2) of n ranked by (error, frame), goes on; the last
@@ -35,10 +35,7 @@ wins at B survives the rungs, every output is the one of solving all
 candidates to B.  Halving can in principle drop a candidate that would
 overtake the survivor after its rung; on the crossing-fronts benchmark
 seeds 0-10 and the acceptance configuration (max_iters = 500) it does
-not, as the README records.  Cold candidates are not halved but all run
-to B: they restart every frame, so their early errors need not rank
-them (before the solves were scaled, the crossing-fronts cold candidate
-that was best at 30 iterations was the worst at 4).
+not, as the README records.
 
 A run builds one ReducedObjective: its shift operators and data depend
 on the shifts alone, so every solve takes it with its own mode counts
@@ -69,7 +66,6 @@ class GreedyConfig:
     p_max: Optional[int] = None  # default: one iteration per snapshot
     optimizer: OptimizerOptions = field(default_factory=OptimizerOptions)
     rank_tol: float = 1e-10
-    warm_start: bool = True
     threads: int = 1
 
     def __post_init__(self):
@@ -133,17 +129,21 @@ def back_shifted_matrix(data: np.ndarray, shifts: FrameShifts, frame: int,
     return apply_shift(data, -shifts.d[frame], grid, shifts.spec)
 
 
+def _seed_modes(data: np.ndarray, snaps: SnapshotSet, shifts: FrameShifts,
+                frame: int, r: int) -> np.ndarray:
+    """The leading r left singular vectors of the frame's
+    back_shifted_matrix of data, copied so that the full U is freed."""
+    B = back_shifted_matrix(data, shifts, frame, snaps.grid, len(snaps.blocks))
+    return np.linalg.svd(B, full_matrices=False)[0][:, :r].copy()
+
+
 def initialize_frames(snaps: SnapshotSet, shifts: FrameShifts, r0,
-                      masks=None, cache=None) -> list:
+                      masks=None) -> list:
     """Initial frame bases from SVDs of the back-shifted snapshot matrices.
 
     Frame l receives the leading r0[l] left singular vectors of
     [T(-d^l_1) X_1, ..., T(-d^l_n) X_n]; masks are applied afterwards.
-    cache, if given, is a dict the caller keeps across calls on the same
-    snapshots and shifts: it holds each frame's singular vectors, so that
-    every frame's SVD runs once.
     """
-    cache = {} if cache is None else cache
     if len(r0) != shifts.n_frames:
         raise ValueError(f"{len(r0)} mode counts for {shifts.n_frames} frames")
     limit = min(snaps.n_rows, snaps.n_snapshots)
@@ -156,11 +156,8 @@ def initialize_frames(snaps: SnapshotSet, shifts: FrameShifts, r0,
         if r == 0:
             frames.append(FrameBasis(np.zeros((snaps.n_rows, 0)), mask))
             continue
-        if l not in cache:
-            B = back_shifted_matrix(snaps.data, shifts, l, snaps.grid,
-                                    len(snaps.blocks))
-            cache[l] = np.linalg.svd(B, full_matrices=False)[0]
-        frames.append(FrameBasis(cache[l][:, :r], mask))
+        frames.append(FrameBasis(_seed_modes(snaps.data, snaps, shifts, l, r),
+                                 mask))
     return frames
 
 
@@ -251,7 +248,6 @@ def spod_decompose(snaps: SnapshotSet, shifts: FrameShifts, config: GreedyConfig
     max_iters = config.optimizer.max_iters
     history, cand_hist, chosen, stages = [], [], [], []
     cand_iters, cand_evals = [], []
-    svd_cache = {}  # each frame's back-shifted-snapshot SVD, for cold starts
 
     def fit(modes):
         """Amplitudes and residual of the incumbent modes."""
@@ -285,7 +281,7 @@ def spod_decompose(snaps: SnapshotSet, shifts: FrameShifts, config: GreedyConfig
             for sv in todo:
                 step(sv)
 
-    frames0 = initialize_frames(snaps, shifts, config.r0, masks, svd_cache)
+    frames0 = initialize_frames(snaps, shifts, config.r0, masks)
     initial = _Solve(base.with_counts(config.r0), [f.modes for f in frames0])
     try:
         initial.run_to(max_iters, config.optimizer)
@@ -298,32 +294,21 @@ def spod_decompose(snaps: SnapshotSet, shifts: FrameShifts, config: GreedyConfig
     if progress:
         progress({"stage": "initial", "r": list(stage["r"]), "error": err})
 
-    amps = None
     while err > config.tol and len(chosen) < p_max:
-        if config.warm_start:
-            amps, resid = fit(modes)
+        amps, resid = fit(modes)
 
         def candidate(i):
             counts = [W.shape[1] for W in modes]
             counts[i] += 1
-            if config.warm_start:
-                B = back_shifted_matrix(resid, shifts, i, snaps.grid,
-                                        len(snaps.blocks))
-                w_new = np.linalg.svd(B, full_matrices=False)[0][:, :1]
-                init = [W if l != i else np.hstack([W, w_new])
-                        for l, W in enumerate(modes)]
-            else:
-                init = [f.modes for f in initialize_frames(
-                    snaps, shifts, counts, masks, svd_cache)]
+            w_new = _seed_modes(resid, snaps, shifts, i, 1)
+            init = [W if l != i else np.hstack([W, w_new])
+                    for l, W in enumerate(modes)]
             return _Solve(base.with_counts(counts), init)
 
         solves = [candidate(i) for i in range(shifts.n_frames)]
         alive = list(range(shifts.n_frames))
-        # a cold candidate restarts every frame, so its early error does
-        # not rank it: cold candidates all run to the cap
-        rungs = halving_rungs(len(alive), max_iters) if config.warm_start else []
         try:
-            for rung in rungs + [max_iters]:
+            for rung in halving_rungs(len(alive), max_iters) + [max_iters]:
                 run_round([solves[i] for i in alive], rung)
                 alive.sort(key=lambda i: (solves[i].error, i))
                 del alive[(len(alive) + 1) // 2:]

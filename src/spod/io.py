@@ -443,7 +443,6 @@ class _Key(NamedTuple):
 _GREEDY_KEYS = {
     "r0": _Key(_int_list, _join, default=_REQUIRED),
     "tol": _Key(float, _fmt),
-    "warm_start": _Key(_bool),
     "threads": _Key(int),
     "rank_tol": _Key(float, _fmt),
     "p_max": _Key(int),

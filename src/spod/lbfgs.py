@@ -85,11 +85,6 @@ class OptimizerTrace:
     def iterations(self) -> int:
         return len(self.step_sizes)
 
-    @property
-    def success(self) -> bool:
-        """True unless a line search failed: an iteration cap counts."""
-        return self.termination in ("gradient", "iteration cap")
-
 
 def _cubic_step(lo, f_lo, g_lo, hi, f_hi, g_hi):
     """Minimizer of the cubic through both endpoint values and slopes;
@@ -190,7 +185,9 @@ def minimize(fg, x0, opts: OptimizerOptions | None = None):
 
     fg(x) must return (value, gradient).  Returns (x, trace); on a line
     search failure the best iterate found so far is returned with
-    trace.success False; trace.n_evals counts the calls of fg.  A
+    trace.termination "line search failure"; trace.termination is
+    "gradient" once the gradient test stops the solve and "iteration cap"
+    when max_iters does.  trace.n_evals counts the calls of fg.  A
     non-finite value or gradient at the starting point raises; non-finite
     trial points during the search are retreated from automatically.
 

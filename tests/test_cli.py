@@ -352,7 +352,7 @@ shifts = {wave_dir / 'd1.csv'}
         ("optimizer", "grad_tol = inf"), ("optimizer", "grad_tol = nan"),
         ("frame.0", "statistic = peak"), ("frame.0", "windows = 0:4@0:8"),
         ("frame.0", "smooth = 5"), ("frame.0", "boundary = periodic"),
-        ("frame.0", "degree = 1"),
+        ("frame.0", "degree = 1"), ("spod", "warm_start = true"),
     ])
     def test_invalid_config_value_exits_1(self, wave_dir, capsys, section,
                                           line):

@@ -69,15 +69,11 @@ def full_candidate_run(snaps, shifts, config):
         row = []
         for i in range(shifts.n_frames):
             grown = [c + (l == i) for l, c in enumerate(counts)]
-            if config.warm_start:
-                B = back_shifted_matrix(resid, shifts, i, snaps.grid,
-                                        len(snaps.blocks))
-                w_new = np.linalg.svd(B, full_matrices=False)[0][:, :1]
-                init = [W if l != i else np.hstack([W, w_new])
-                        for l, W in enumerate(modes)]
-            else:
-                init = [f.modes for f in initialize_frames(snaps, shifts,
-                                                           grown)]
+            B = back_shifted_matrix(resid, shifts, i, snaps.grid,
+                                    len(snaps.blocks))
+            w_new = np.linalg.svd(B, full_matrices=False)[0][:, :1]
+            init = [W if l != i else np.hstack([W, w_new])
+                    for l, W in enumerate(modes)]
             row.append(solve(grown, init))
         q = int(np.argmin([sv.error for _, sv in row]))
         modes = row[q][0]
@@ -193,11 +189,25 @@ class TestGreedyLoop:
         assert not rep.converged
         assert rep.r_final == [1, 0]
 
-    def test_cold_start_matches_mode_counts(self):
-        snaps, shifts = two_transport_set(m=32, n=10)
-        cfg = GreedyConfig(r0=[1, 0], tol=5e-3, warm_start=False, p_max=3)
+    def test_candidates_grow_past_the_snapshot_count(self, monkeypatch):
+        # a candidate's new mode comes from the residual, so a frame may
+        # hold more modes than there are snapshots
+        import spod.greedy
+        calls = []
+        back_shift = spod.greedy.back_shifted_matrix
+
+        def counting(*args, **kwargs):
+            calls.append(args[2])
+            return back_shift(*args, **kwargs)
+
+        # every seed goes through the module's back_shifted_matrix
+        monkeypatch.setattr(spod.greedy, "back_shifted_matrix", counting)
+        snaps, shifts = three_transport_set(m=16, n=2)
+        cfg = GreedyConfig(r0=[2, 0, 0], tol=1e-300, p_max=4)
         dec, rep = spod_decompose(snaps, shifts, cfg)
-        assert sum(rep.r_final) == 1 + len(rep.chosen_frames)
+        assert rep.termination == "iteration cap"
+        assert sum(rep.r_final) == 6
+        assert calls == [0] + [0, 1, 2] * 4
 
     def test_threaded_run_is_deterministic(self):
         cases = [(two_transport_set(m=48, n=12, seed=3), [1, 0], 500),
@@ -226,32 +236,6 @@ class TestGreedyLoop:
                 for f, f1 in zip(dec.frames, dec1.frames):
                     assert np.array_equal(f.modes, f1.modes)
 
-    def test_cold_start_computes_each_frame_svd_once(self, monkeypatch):
-        import spod.greedy
-        snaps, shifts = three_transport_set(m=32, n=10)
-        cfg = GreedyConfig(r0=[1, 0, 0], tol=1e-12, warm_start=False, p_max=2,
-                           optimizer=OptimizerOptions(max_iters=10))
-        _, ref = spod_decompose(snaps, shifts, cfg)
-        calls = []
-        back_shift = spod.greedy.back_shifted_matrix
-
-        def counting(*args, **kwargs):
-            calls.append(args[2])
-            return back_shift(*args, **kwargs)
-
-        monkeypatch.setattr(spod.greedy, "back_shifted_matrix", counting)
-        _, rep = spod_decompose(snaps, shifts, cfg)
-        assert len(rep.chosen_frames) == 2
-        assert sorted(calls) == list(range(shifts.n_frames))
-        assert rep.error_history == ref.error_history
-        # the cached singular vectors are those of an uncached call
-        cache = {}
-        for counts in ([1, 0, 0], [1, 2, 1], [3, 1, 2]):
-            cached = initialize_frames(snaps, shifts, counts, cache=cache)
-            plain = initialize_frames(snaps, shifts, counts)
-            for a, b in zip(cached, plain):
-                assert np.array_equal(a.modes, b.modes)
-
     def test_amplitudes_reproduce_final_error(self):
         from spod.core import reconstruct
         from spod.snapshots import relative_error
@@ -275,8 +259,8 @@ class TestGreedyLoop:
         assert rep.error_history[-1] == pytest.approx(err, rel=1e-6, abs=0.0)
 
     def test_stage_converged_only_when_the_gradient_test_stops_it(self):
-        # a solve stopped by max_iters counts as success in OptimizerTrace,
-        # but its stage must not read as converged
+        # a solve stopped by max_iters ends its trace with termination
+        # "iteration cap", and its stage must not read as converged
         from spod.generators import WaveParams, wave_shifts, wave_snapshots
         params = WaveParams(m=256, n=64)
         snaps, shifts = wave_snapshots(params), wave_shifts(params)
@@ -473,23 +457,6 @@ class TestHalving:
             # 1 after 15, and the winner runs to 30
             assert sorted(iters) == [4, 4, 8, 15, 30] and iters[q] == 30
             assert min(errors) == errors[q]
-
-    def test_cold_candidates_run_to_the_cap(self):
-        snaps, shifts = three_transport_set()
-        config = GreedyConfig(r0=[1, 1, 0], tol=1e-12, p_max=2,
-                              warm_start=False,
-                              optimizer=OptimizerOptions(max_iters=20))
-        dec, rep = spod_decompose(snaps, shifts, config)
-        modes, amps, history, chosen, rows = full_candidate_run(snaps, shifts,
-                                                                config)
-        assert rep.chosen_frames == chosen
-        assert rep.error_history == history
-        for l in range(shifts.n_frames):
-            assert np.array_equal(dec.frames[l].modes, modes[l])
-        for p, row in enumerate(rows):
-            assert rep.candidate_errors[p] == [sv.error for _, sv in row]
-            assert rep.candidate_iterations[p] == [
-                sv.iterations for _, sv in row]
 
 
 class TestConfigValidation:

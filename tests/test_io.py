@@ -409,7 +409,6 @@ track = var0
         cfg = load_config(path)
         assert cfg.greedy.tol == 0.01
         assert cfg.greedy.p_max is None
-        assert cfg.greedy.warm_start is True
         assert cfg.greedy.threads == 1
         assert cfg.boundary is None
         assert cfg.degree == 3
@@ -483,6 +482,8 @@ track = var0
          r"\[frame.0\]: tracker keys \['smooth'\] need 'track'"),
         ("[input]\nsnapshots = x\n[input]\nsnapshots = y\n", "already exists"),
         ("snapshots = x\n", "no section headers"),
+        (_valid_with("spod", "warm_start = false"),
+         r"\[spod\]: unknown keys \['warm_start'\]"),
     ])
     def test_invalid_configs(self, tmp_path, body, match):
         with pytest.raises(ConfigError, match=match):
@@ -507,8 +508,7 @@ track = var0
                     FrameConfig(track_block="density", statistic="peak",
                                 windows="0:2@0:8", smooth=2, mask=("u",))],
             greedy=GreedyConfig(r0=[2, 1], tol=0.005, p_max=9, threads=2,
-                                warm_start=False, rank_tol=1e-7,
-                                optimizer=optimizer),
+                                rank_tol=1e-7, optimizer=optimizer),
             boundary="constant", degree=1, scale_variables=True,
             output_dir=str(tmp_path / "out"))
         manifest = tmp_path / "manifest.cfg"
@@ -520,7 +520,6 @@ track = var0
         assert back.greedy.tol == cfg.greedy.tol
         assert back.greedy.p_max == cfg.greedy.p_max
         assert back.greedy.threads == cfg.greedy.threads
-        assert back.greedy.warm_start is False
         assert back.greedy.rank_tol == 1e-7
         assert back.greedy.optimizer == optimizer
         assert back.boundary == "constant"
@@ -622,8 +621,7 @@ def fuzz_dir(tmp_path_factory):
 _FRAME_KEYS = ["statistic", "windows", "smooth", "mask", "boundary", "degree"]
 _OPTIONAL_KEYS = {
     "input": ["scale_variables"],
-    "spod": ["tol", "p_max", "warm_start", "threads", "rank_tol", "boundary",
-             "degree"],
+    "spod": ["tol", "p_max", "threads", "rank_tol", "boundary", "degree"],
     "optimizer": ["grad_tol", "max_iters"],
     "frame.0": _FRAME_KEYS, "frame.1": _FRAME_KEYS, "output": ["directory"]}
 
