@@ -17,7 +17,7 @@ already saved, and otherwise its shift matrix ties it to the seed whose
 operators were saved.  Seed 0 keys start with "wave/" and "crossing/",
 seed S keys with "wave@S/" and "crossing@S/".  It also
 saves the work of each run: every stage's iterations, evaluations and
-rank-deficient evaluations, the chosen frames, the final mode counts and
+rank-deficient snapshot solves, the chosen frames, the final mode counts and
 the number of ReducedObjective.evaluate calls.  Last, it runs the seed-0
 cli-pipeline chain of bench/workloads.py in-process in a temporary
 directory and saves the bytes of every .csv, .cfg and .json output, with

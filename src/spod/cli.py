@@ -64,9 +64,8 @@ def _build_parser() -> _Parser:
     d.add_argument("--tol", type=float, default=None,
                    help="print minimal modes for this root-scale tolerance")
     d.add_argument("--curve", default=None, help="write SV-decay CSV here")
-    d.add_argument("--center", dest="center", action="store_true", default=True)
-    d.add_argument("--no-center", dest="center", action="store_false",
-                   help="skip row-mean centering (default: centered)")
+    d.add_argument("--center", action=argparse.BooleanOptionalAction,
+                   default=True, help="row-mean centering (default: centered)")
 
     s = sub.add_parser("spod", help="greedy shifted decomposition from a config")
     s.add_argument("--config", required=True)
@@ -86,8 +85,8 @@ def _build_parser() -> _Parser:
     c.add_argument("snapshots")
     c.add_argument("--report", required=True, help="greedy report JSON")
     c.add_argument("--outdir", required=True)
-    c.add_argument("--center", dest="center", action="store_true", default=True)
-    c.add_argument("--no-center", dest="center", action="store_false")
+    c.add_argument("--center", action=argparse.BooleanOptionalAction,
+                   default=True)
     return p
 
 
@@ -126,9 +125,8 @@ def _cmd_generate(args) -> int:
 def _tracked_shifts(fc, snaps, negate):
     """The shift row of a tracker recipe (FrameConfig), negated on
     request so that it feeds T(d) under the operator's sign rule."""
-    windows = io.parse_windows(fc.windows) if fc.windows else None
     positions = track_front(snaps.block(fc.track_block), snaps.grid,
-                            windows=windows, statistic=fc.statistic,
+                            windows=fc.windows, statistic=fc.statistic,
                             smooth=fc.smooth)
     d = center_shifts(positions, snaps.grid)
     return -d if negate else d
@@ -250,7 +248,7 @@ def _cmd_spod(args) -> int:
         if st["termination"] == "iteration cap" or st["rank_deficient_evals"]:
             print(f"warning: {st['label']} solve ended by {st['termination']}"
                   f" with {st['rank_deficient_evals']} rank-deficient"
-                  " evaluations", file=sys.stderr)
+                  " snapshot solves", file=sys.stderr)
     print(f"runtime: {report.runtime_seconds:.1f} s", file=sys.stderr)
     return 0 if report.converged else 3
 

@@ -40,6 +40,7 @@ from .shifts import ShiftSpec, apply_shift, shift_operator
 from .snapshots import Grid1D, SnapshotSet, VariableBlock
 
 GRAM_COND_MAX, RANK_MARGIN = 1e4, 1e3
+RANK_TOL = 1e-10  # smallest singular value kept, relative to the largest
 COVERAGE_FLOOR = 1e-8  # smallest coverage kept, relative to the largest
 
 
@@ -186,7 +187,7 @@ def _solve_amplitudes(K: np.ndarray, XT: np.ndarray, rank_tol: float):
     return A, resid, b, ranks, slow.size
 
 
-def optimal_amplitudes(K: np.ndarray, x: np.ndarray, rank_tol: float = 1e-10) -> np.ndarray:
+def optimal_amplitudes(K: np.ndarray, x: np.ndarray, rank_tol: float = RANK_TOL) -> np.ndarray:
     """Minimum-norm least-squares amplitudes of one snapshot.
 
     Solves min_a ||K a - x|| picking the solution with smallest Euclidean
@@ -210,7 +211,6 @@ class _FramePlan:
     """
 
     def __init__(self, d_row: np.ndarray, grid: Grid1D, spec: ShiftSpec):
-        self.grid = grid
         self.stacked = shift_operator(d_row, grid, spec)
         self.stacked_T = self.stacked.T.tocsr()
 
@@ -254,7 +254,7 @@ class ReducedObjective:
     """
 
     def __init__(self, snaps: SnapshotSet, shifts: FrameShifts, mode_counts,
-                 masks=None, rank_tol: float = 1e-10):
+                 masks=None, rank_tol: float = RANK_TOL):
         if shifts.n_snapshots != snaps.n_snapshots:
             raise ValueError(
                 f"shifts cover {shifts.n_snapshots} snapshots, data has "
@@ -420,7 +420,7 @@ class ReducedObjective:
 
 
 def objective_and_gradient(snaps: SnapshotSet, frames, shifts: FrameShifts,
-                           rank_tol: float = 1e-10):
+                           rank_tol: float = RANK_TOL):
     """One-shot reduced objective Jt, per-mode gradients and amplitudes.
 
     The gradients respect the frame masks (masked entries are exactly

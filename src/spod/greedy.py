@@ -48,12 +48,13 @@ from __future__ import annotations
 
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from typing import Optional
 
 import numpy as np
 
-from .core import Decomposition, FrameBasis, FrameShifts, ReducedObjective
+from .core import (RANK_TOL, Decomposition, FrameBasis, FrameShifts,
+                   ReducedObjective)
 from .lbfgs import OptimizerAbort, OptimizerOptions, minimize, start_state
 from .shifts import apply_shift
 from .snapshots import SnapshotSet
@@ -65,7 +66,7 @@ class GreedyConfig:
     tol: float = 0.01
     p_max: Optional[int] = None  # default: one iteration per snapshot
     optimizer: OptimizerOptions = field(default_factory=OptimizerOptions)
-    rank_tol: float = 1e-10
+    rank_tol: float = RANK_TOL
     threads: int = 1
 
     def __post_init__(self):
@@ -100,22 +101,7 @@ class GreedyReport:
     candidate_evaluations: list = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        return {
-            "r0": list(self.r0),
-            "r_final": list(self.r_final),
-            "error_history": [float(e) for e in self.error_history],
-            "candidate_errors": [[float(e) for e in row]
-                                 for row in self.candidate_errors],
-            "candidate_iterations": [[int(k) for k in row]
-                                     for row in self.candidate_iterations],
-            "candidate_evaluations": [[int(k) for k in row]
-                                      for row in self.candidate_evaluations],
-            "chosen_frames": [int(q) for q in self.chosen_frames],
-            "termination": self.termination,
-            "converged": bool(self.converged),
-            "stages": self.stages,
-            "runtime_seconds": float(self.runtime_seconds),
-        }
+        return asdict(self)
 
 
 def back_shifted_matrix(data: np.ndarray, shifts: FrameShifts, frame: int,

@@ -139,14 +139,17 @@ def _read_layout(header, path, what="header"):
     for part in header.get("blocks", f"var0:{m}").split(","):
         start = len(blocks) * m
         name, _, rows = part.partition(":")
+        name = name.strip()
         try:
             rows = int(rows)
         except ValueError:
             raise FormatError(f"{path}: bad block entry '{part}'") from None
         if rows != m:
-            raise FormatError(f"{path}: block '{name.strip()}' has {rows}"
+            raise FormatError(f"{path}: block '{name}' has {rows}"
                               f" rows, expected m={m}")
-        blocks.append(VariableBlock(name.strip(), start, start + m))
+        if any(b.name == name for b in blocks):
+            raise FormatError(f"{path}: duplicate block '{name}'")
+        blocks.append(VariableBlock(name, start, start + m))
     return grid, tuple(blocks), len(blocks) * m, n, time
 
 
@@ -213,8 +216,13 @@ def _write_table(path, comments, names, columns):
     """CSV table: '#' comment lines, a header row of column names, then
     one row per entry of the equal-length columns (floats as repr,
     integers as str)."""
+    columns = [np.asarray(c) for c in columns]
+    lengths = [len(c) for c in columns]
+    if len(names) != len(columns) or len(set(lengths)) > 1:
+        raise ValueError(f"{len(names)} column names for columns of"
+                         f" lengths {lengths}")
     cells = [map(_fmt if c.dtype.kind == "f" else str, c.tolist())
-             for c in map(np.asarray, columns)]
+             for c in columns]
     with open(path, "w") as f:
         f.write("".join(f"# {c}\n" for c in comments) + ",".join(names) + "\n")
         f.writelines(",".join(row) + "\n" for row in zip(*cells))
@@ -232,17 +240,20 @@ def _read_table(path, kind):
     comments = [line[1:].strip() for _, line in lines if line.startswith("#")]
     table = [(lineno, line) for lineno, line in lines
              if line and not line.startswith("#")]
+    width = len(table[0][1].split(",")) if table else 0  # the header row
     rows = []
-    for lineno, line in table[1:]:  # table[0] is the header row
+    for lineno, line in table[1:]:
+        cells = line.split(",")
+        if len(cells) != width:
+            raise FormatError(f"{path}: ragged {kind} rows: {len(cells)} cells"
+                              f" under {width} names (line {lineno})")
         try:
-            rows.append([float(v) for v in line.split(",")])
+            rows.append([float(v) for v in cells])
         except ValueError:
             raise FormatError(
                 f"{path}: bad {kind} row (line {lineno})") from None
     if not rows:
         raise FormatError(f"{path}: no {kind} rows")
-    if any(len(r) != len(rows[0]) for r in rows):
-        raise FormatError(f"{path}: ragged {kind} rows")
     return comments, _finite(np.array(rows), path, f"{kind} rows")
 
 
@@ -361,7 +372,7 @@ class FrameConfig:
     shifts_path: Optional[str] = None
     track_block: Optional[str] = None
     statistic: Optional[str] = None
-    windows: Optional[str] = None  # raw spec string
+    windows: Optional[str] = None  # schedule text, kept as a WindowSchedule
     smooth: Optional[int] = None
     mask: tuple = ()
 
@@ -382,8 +393,7 @@ class FrameConfig:
             raise ConfigError(f"unknown tracking statistic '{self.statistic}'")
         if self.smooth < 0:
             raise ConfigError(f"smooth must be at least 0, got {self.smooth}")
-        if self.windows:
-            parse_windows(self.windows)  # fail at load time, not mid-run
+        self.windows = parse_windows(self.windows) if self.windows else None
 
 
 @dataclass
@@ -468,7 +478,7 @@ _KEYS = {
         "shifts": _Key(_path, os.path.abspath, "shifts_path"),
         "track": _Key(str, attr="track_block"),
         "statistic": _Key(str),
-        "windows": _Key(str),
+        "windows": _Key(str, format_windows),
         "smooth": _Key(int),
         "mask": _Key(_names, _join),
     },

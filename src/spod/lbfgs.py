@@ -52,7 +52,6 @@ class SolverState:
     x: np.ndarray
     f: float
     g: np.ndarray
-    grad_norm: float
     pairs: tuple
     gamma: float
     target: float
@@ -176,8 +175,7 @@ def start_state(x, f, g, grad_tol: float) -> SolverState:
             "objective returned a non-finite value at the start point"
         )
     gnorm = float(np.linalg.norm(g))
-    return SolverState(x, f, g, gnorm, (), 1.0, grad_tol * gnorm,
-                       "iteration cap")
+    return SolverState(x, f, g, (), 1.0, grad_tol * gnorm, "iteration cap")
 
 
 def minimize(fg, x0, opts: OptimizerOptions | None = None):
@@ -217,7 +215,7 @@ def minimize(fg, x0, opts: OptimizerOptions | None = None):
         x0 = start_state(x, *ev(x), opts.grad_tol)
     x, f, g = x0.x, x0.f, x0.g
     trace.values.append(f)
-    trace.grad_norms.append(x0.grad_norm)
+    trace.grad_norms.append(float(np.linalg.norm(g)))
     if x0.termination != "iteration cap":
         trace.termination, trace.state = x0.termination, x0
         return x.copy(), trace
@@ -256,6 +254,5 @@ def minimize(fg, x0, opts: OptimizerOptions | None = None):
     if status == "iteration cap" and trace.grad_norms[-1] <= target:
         status = "gradient"
     trace.termination = status
-    trace.state = SolverState(x, f, g, trace.grad_norms[-1], tuple(pairs),
-                              gamma, target, status)
+    trace.state = SolverState(x, f, g, tuple(pairs), gamma, target, status)
     return x.copy(), trace

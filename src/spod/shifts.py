@@ -159,12 +159,7 @@ def apply_shift_transpose(v, d: float, grid: Grid1D, spec: ShiftSpec):
     v = np.asarray(v, dtype=float)
     if v.shape[0] != grid.m:
         raise ValueError(f"vector has {v.shape[0]} rows, grid has m={grid.m}")
-    st = build_stencil(d, grid, spec)
-    idx = _node_indices(st.offset, st.weights.size, grid.m, st.boundary)
-    out = np.zeros_like(v)
-    for q in range(st.weights.size):
-        np.add.at(out, idx[:, q], st.weights[q] * v)
-    return out
+    return shift_operator(d, grid, spec).T @ v
 
 
 def dense_shift_matrix(d: float, grid: Grid1D, spec: ShiftSpec) -> np.ndarray:

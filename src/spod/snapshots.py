@@ -116,6 +116,9 @@ class SnapshotSet:
         self._check_blocks()
 
     def _check_blocks(self):
+        names = self.block_names()
+        if len(set(names)) != len(names):
+            raise ValueError(f"duplicate variable block names in {names}")
         expect = 0
         for blk in self.blocks:
             if blk.start != expect or blk.stop - blk.start != self.grid.m:

@@ -5,6 +5,7 @@ temporary directory, and exit codes are checked for the documented
 meanings: 0 success, 1 usage or configuration, 2 data, 3 convergence.
 """
 
+import json
 import os
 import subprocess
 import sys
@@ -322,6 +323,25 @@ directory = strict_out
             "termination", "relative error", "modes per frame"]
         assert lines[0] == "termination: tolerance"
         assert "warning: initial solve ended by iteration cap" in captured.err
+
+    def test_rank_deficient_solve_warns_in_snapshot_solves(self, wave_dir,
+                                                            capsys):
+        # both frames read one shift file, so their modes coincide and
+        # every frame matrix K_j is rank-deficient
+        text = (wave_dir / "run.cfg").read_text().replace(
+            "d1.csv", "d0.csv").replace("directory = out",
+                                        "directory = twin_out")
+        cfg = wave_dir / "twin.cfg"
+        cfg.write_text(text.replace("tol = 1e-8", "tol = 1e-8\np_max = 0"))
+        assert run_cli(["spod", "--config", str(cfg)]) == 3
+        report = json.loads((wave_dir / "twin_out" / "report.json").read_text())
+        stage = report["stages"][0]
+        # the key counts snapshot solves: all 32 of every evaluation
+        count = stage["rank_deficient_evals"]
+        assert count == 32 * stage["evaluations"] > 0
+        assert (f"warning: initial solve ended by {stage['termination']} with"
+                f" {count} rank-deficient snapshot solves"
+                in capsys.readouterr().err)
 
     def test_shift_length_mismatch_is_data_error(self, wave_dir, tmp_path,
                                                  capsys):

@@ -136,6 +136,8 @@ class TestSnapshotBinary:
              "snapshot times must be finite"),
             (b"m=2\nn=2\nh=0.5\nboundary=periodic\ntime=-inf,0\nend-header\n",
              "snapshot times must be finite"),
+            (b"m=2\nn=1\nh=0.5\nboundary=periodic\nblocks=a:2,a:2\n"
+             b"end-header\n", "duplicate block 'a'"),
         ]
         for body, match in cases:
             path = tmp_path / "h.bin"
@@ -176,6 +178,13 @@ class TestSnapshotCsv:
         with pytest.raises(FormatError, match="missing metadata"):
             read_snapshots_csv(path)
 
+    def test_duplicate_block(self, tmp_path):
+        path = tmp_path / "dup.csv"
+        path.write_text("# snapshots m=2 n=1 h=0.5 boundary=periodic"
+                        " blocks=a:2,a:2\nrow,snapshot0\n0,1\n1,2\n2,3\n3,4\n")
+        with pytest.raises(FormatError, match="duplicate block 'a'"):
+            read_snapshots_csv(path)
+
 
 class TestShiftCsv:
     def test_round_trip(self, tmp_path):
@@ -191,10 +200,13 @@ class TestShiftCsv:
         np.testing.assert_allclose(read_shifts(path), [[0.1, 0.2, 0.3]])
 
     def test_ragged_rows(self, tmp_path):
-        path = tmp_path / "r.csv"
-        path.write_text("a,b\n1.0,2.0\n3.0\n")
-        with pytest.raises(FormatError, match="ragged"):
-            read_shifts(path)
+        # rows against each other, and rows against the header row
+        for text in ["a,b\n1.0,2.0\n3.0\n", "a\n1.0,2.0\n3.0,4.0\n",
+                     "a,b,c\n1.0\n"]:
+            path = tmp_path / "r.csv"
+            path.write_text(text)
+            with pytest.raises(FormatError, match="ragged"):
+                read_shifts(path)
 
     @pytest.mark.parametrize("row", ["inf,0.5", "0.5,nan"])
     def test_non_finite_rejected(self, tmp_path, row):
@@ -250,6 +262,8 @@ class TestDecompositionFile:
         (lambda h, p: (h.replace(b"ranks=2,1", b"ranks=2,x"), p),
          "'ranks' is not an integer list"),
         (lambda h, p: (h, p[:-8] + struct.pack("<d", np.nan)), "non-finite"),
+        (lambda h, p: (h.replace(b"blocks=var0:5", b"blocks=var0:5,var0:5"), p),
+         "duplicate block 'var0'"),
     ])
     def test_header_errors(self, tmp_path, edit, match):
         from spod.io import write_decomposition
@@ -309,6 +323,14 @@ class TestCurveCsv:
         assert lines[0] == "modes,error"
         assert lines[1] == "0,0.5"
         assert lines[3] == "2,0.125"
+
+    def test_mismatched_columns_rejected(self, tmp_path):
+        cases = [([np.arange(3), np.arange(2.0)], ["a", "b"]),
+                 ([np.arange(3)], ["a", "b"]),
+                 ([np.arange(3), np.arange(3.0)], ["a"])]
+        for columns, names in cases:
+            with pytest.raises(ValueError, match="column names"):
+                write_curve(tmp_path / "c.csv", columns, names)
 
 
 class TestWindowSpec:
@@ -528,7 +550,7 @@ track = var0
         assert back.output_dir == cfg.output_dir
         assert back.frames[0].shifts_path == cfg.frames[0].shifts_path
         assert back.frames[1].track_block == "density"
-        assert back.frames[1].windows == "0:2@0:8"
+        assert back.frames[1].windows == parse_windows("0:2@0:8")
         assert back.frames[1].smooth == 2
         assert back.frames[1].mask == ("u",)
 

@@ -72,6 +72,12 @@ class TestBlocks:
         with pytest.raises(ValueError):
             SnapshotSet(np.zeros((8, 2)), grid, np.arange(2.0), blocks)
 
+    def test_block_names_must_differ(self):
+        blocks = (VariableBlock("a", 0, 4), VariableBlock("a", 4, 8))
+        grid = Grid1D(4, 0.1, "periodic")
+        with pytest.raises(ValueError, match="duplicate variable block names"):
+            SnapshotSet(np.zeros((8, 2)), grid, np.arange(2.0), blocks)
+
     def test_block_lookup(self):
         blocks = (VariableBlock("rho", 0, 4), VariableBlock("u", 4, 8))
         s = make_set(np.arange(16.0).reshape(8, 2), blocks)
