@@ -271,6 +271,8 @@ class ReducedObjective:
         ]
         self.masks = self._check_masks(masks)
         self.norm2 = float(np.sum(self.X * self.X))
+        if self.norm2 == 0.0:  # relative errors divide by it
+            raise ValueError("snapshot matrix is identically zero")
         self.m_total = snaps.n_rows
         self.n = snaps.n_snapshots
         self._set_counts(mode_counts)

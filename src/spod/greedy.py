@@ -6,7 +6,12 @@ enlarged problem yields the smallest relative error, and stops once the
 error drops to the tolerance or the iteration cap is hit.  The initial
 modes are the leading left singular vectors of each frame's back-shifted
 snapshots; a candidate starts from the incumbent plus one new mode, the
-leading left singular vector of the frame's back-shifted residual.
+leading left singular vector of the frame's back-shifted residual.  Both
+come from _seed_modes by the method of snapshots (Sirovich, Q. Appl.
+Math. 45, 1987), not a full thin SVD: an eigensolve of the small Gram
+matrix of the back-shifted matrix, which is first divided by its largest
+magnitude so that the Gram matrix neither overflows nor underflows.  The
+sign of a mode is arbitrary.
 
 Every solve (the initial one and each candidate) runs L-BFGS on the
 scaled variables u = z / s, minimizing J(s * u) with gradient s * g: a
@@ -118,14 +123,23 @@ def back_shifted_matrix(data: np.ndarray, shifts: FrameShifts, frame: int,
 def _seed_modes(data: np.ndarray, snaps: SnapshotSet, shifts: FrameShifts,
                 frame: int, r: int) -> np.ndarray:
     """The leading r left singular vectors of the frame's
-    back_shifted_matrix of data, copied so that the full U is freed."""
+    back_shifted_matrix B of data: the top r eigenvectors of B B^T when B
+    has fewer rows than columns, else the left singular vectors of the
+    thin product B V, V the top r eigenvectors of B^T B, which are
+    orthonormal even when r exceeds rank(B)."""
     B = back_shifted_matrix(data, shifts, frame, snaps.grid, len(snaps.blocks))
-    return np.linalg.svd(B, full_matrices=False)[0][:, :r].copy()
+    peak = np.abs(B).max()
+    if peak > 0:
+        B /= peak
+    if B.shape[0] < B.shape[1]:
+        return np.linalg.eigh(B @ B.T)[1][:, :-r - 1:-1].copy()
+    V = np.linalg.eigh(B.T @ B)[1][:, :-r - 1:-1]
+    return np.linalg.svd(B @ V, full_matrices=False)[0]
 
 
 def initialize_frames(snaps: SnapshotSet, shifts: FrameShifts, r0,
                       masks=None) -> list:
-    """Initial frame bases from SVDs of the back-shifted snapshot matrices.
+    """Initial frame bases from the back-shifted snapshot matrices.
 
     Frame l receives the leading r0[l] left singular vectors of
     [T(-d^l_1) X_1, ..., T(-d^l_n) X_n]; masks are applied afterwards.

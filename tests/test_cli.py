@@ -361,6 +361,27 @@ shifts = {wave_dir / 'd1.csv'}
 """)
         assert run_cli(["spod", "--config", str(cfg)]) == 2
 
+    def test_zero_snapshots_are_data_error(self, tmp_path, capsys):
+        from spod.snapshots import Grid1D, SnapshotSet
+        grid = Grid1D(32, 1.0 / 32, "periodic")
+        io.write_snapshots(SnapshotSet(np.zeros((32, 6)), grid,
+                                       np.arange(6.0)),
+                           str(tmp_path / "zero.snap"))
+        io.write_shifts(np.zeros((1, 6)), str(tmp_path / "d0.csv"))
+        cfg = tmp_path / "zero.cfg"
+        cfg.write_text("""[input]
+snapshots = zero.snap
+
+[spod]
+r0 = 1
+
+[frame.0]
+shifts = d0.csv
+""")
+        assert run_cli(["spod", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err == "data error: snapshot matrix is identically zero\n"
+
     @pytest.mark.parametrize("section,line", [
         ("spod", "tol = abc"), ("spod", "tol = -1"), ("spod", "threads = 0"),
         ("spod", "degree = 2"), ("spod", "boundary = foo"),

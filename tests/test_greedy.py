@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from spod.core import FrameShifts, ReducedObjective
-from spod.greedy import (GreedyConfig, _Solve, back_shifted_matrix,
-                         halving_rungs, initialize_frames, spod_decompose)
+from spod.greedy import (GreedyConfig, _seed_modes, _Solve,
+                         back_shifted_matrix, halving_rungs,
+                         initialize_frames, spod_decompose)
 from spod.lbfgs import OptimizerOptions
 from spod.shifts import ShiftSpec, apply_shift
 from spod.snapshots import Grid1D, SnapshotSet, VariableBlock
@@ -69,9 +70,7 @@ def full_candidate_run(snaps, shifts, config):
         row = []
         for i in range(shifts.n_frames):
             grown = [c + (l == i) for l, c in enumerate(counts)]
-            B = back_shifted_matrix(resid, shifts, i, snaps.grid,
-                                    len(snaps.blocks))
-            w_new = np.linalg.svd(B, full_matrices=False)[0][:, :1]
+            w_new = _seed_modes(resid, snaps, shifts, i, 1)
             init = [W if l != i else np.hstack([W, w_new])
                     for l, W in enumerate(modes)]
             row.append(solve(grown, init))
@@ -118,6 +117,67 @@ class TestBackShift:
         for n_blocks in (1, 3):
             with pytest.raises(ValueError):
                 back_shifted_matrix(X, shifts, 0, grid, n_blocks)
+
+
+def seed_case(m, n, rank=None, seed=0):
+    """Data with singular values 1, 1/2, 1/4, ... (the first `rank` of
+    them, if given) on an m-point periodic grid, and one frame of random
+    shifts; with `rank`, every snapshot gets the same shift, so the
+    back-shifted matrix keeps rank at most `rank`."""
+    rng = np.random.default_rng(seed)
+    grid = Grid1D(m, 1.0 / m, "periodic")
+    k = min(m, n) if rank is None else rank
+    U = np.linalg.qr(rng.standard_normal((m, k)))[0]
+    V = np.linalg.qr(rng.standard_normal((n, k)))[0]
+    X = U @ np.diag(0.5 ** np.arange(k)) @ V.T
+    d = (np.full((1, n), 0.137) if rank is not None
+         else rng.uniform(-0.3, 0.3, size=(1, n)))
+    return SnapshotSet(X, grid, np.arange(n, dtype=float)), FrameShifts(d, PER3)
+
+
+class TestSeedModes:
+    # the seed rule against the SVD of the back-shifted matrix: a tall
+    # (m_total >= n) and a wide case
+    SHAPES = [(64, 20), (16, 40)]
+
+    @pytest.mark.parametrize("m,n", SHAPES)
+    @pytest.mark.parametrize("r", [1, 3])
+    def test_spans_the_leading_singular_vectors(self, m, n, r):
+        snaps, shifts = seed_case(m, n)
+        W = _seed_modes(snaps.data, snaps, shifts, 0, r)
+        B = back_shifted_matrix(snaps.data, shifts, 0, snaps.grid, 1)
+        U, s, _ = np.linalg.svd(B, full_matrices=False)
+        assert s[r] < 0.9 * s[r - 1]  # a spectral gap after r
+        assert W.shape == (m, r)
+        np.testing.assert_allclose(W @ W.T, U[:, :r] @ U[:, :r].T, rtol=0,
+                                   atol=1e-10)
+        # leading first: column k spans the k-th singular vector
+        np.testing.assert_allclose(np.abs(np.sum(W * U[:, :r], axis=0)), 1.0,
+                                   rtol=0, atol=1e-10)
+
+    @pytest.mark.parametrize("m,n", SHAPES)
+    @pytest.mark.parametrize("zero", [False, True])
+    def test_orthonormal_beyond_the_rank(self, m, n, zero):
+        snaps, shifts = seed_case(m, n, rank=2)
+        data = np.zeros_like(snaps.data) if zero else snaps.data
+        B = back_shifted_matrix(data, shifts, 0, snaps.grid, 1)
+        assert np.linalg.matrix_rank(B) == (0 if zero else 2)
+        for r in (3, min(m, n)):
+            W = _seed_modes(data, snaps, shifts, 0, r)
+            assert W.shape == (m, r) and np.all(np.isfinite(W))
+            np.testing.assert_allclose(W.T @ W, np.eye(r), rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("m,n", SHAPES)
+    @pytest.mark.parametrize("factor", [1e200, 1e-200])
+    def test_scaled_data_gives_the_unscaled_seeds(self, m, n, factor):
+        # the Gram matrix of data at 1e200 would overflow, at 1e-200
+        # underflow, without the division by the largest magnitude
+        snaps, shifts = seed_case(m, n)
+        W = _seed_modes(snaps.data, snaps, shifts, 0, 3)
+        with np.errstate(over="raise", under="raise"):
+            V = _seed_modes(snaps.data * factor, snaps, shifts, 0, 3)
+        signs = np.sign(np.sum(V * W, axis=0))
+        np.testing.assert_allclose(V * signs, W, rtol=0, atol=1e-12)
 
 
 class TestInitialize:
@@ -377,6 +437,19 @@ class TestGreedyLoop:
                 assert frame.modes[mask].size and np.all(frame.modes[mask] == 0.0)
         err = relative_error(snaps.data, reconstruct(dec))
         assert rep.error_history[-1] == pytest.approx(err, rel=1e-9)
+
+    def test_zero_snapshots_rejected_before_any_solve(self, monkeypatch):
+        import spod.greedy
+        calls = []
+        monkeypatch.setattr(spod.greedy, "minimize",
+                            lambda *a, **k: calls.append(a))
+        snaps, shifts = two_transport_set(m=32, n=6)
+        zero = SnapshotSet(np.zeros_like(snaps.data), snaps.grid,
+                           snaps.time.values, snaps.blocks)
+        with pytest.raises(ValueError,
+                           match="snapshot matrix is identically zero"):
+            spod_decompose(zero, shifts, GreedyConfig(r0=[1, 1]))
+        assert calls == []
 
     def test_r0_length_must_match_frames(self):
         snaps, shifts = two_transport_set(m=16, n=4)
