@@ -98,10 +98,6 @@ class Decomposition:
     grid: Grid1D
     blocks: list  # list[VariableBlock]
 
-    @property
-    def r(self) -> list:
-        return [f.n_modes for f in self.frames]
-
     def __post_init__(self):
         if len(self.frames) != self.shifts.n_frames:
             raise ValueError(
@@ -115,23 +111,6 @@ class Decomposition:
                     f"amplitude shape {A.shape} does not match "
                     f"({fb.n_modes}, {self.shifts.n_snapshots})"
                 )
-
-
-def assemble_frame_matrix(frames, shifts: FrameShifts, grid: Grid1D, j: int) -> np.ndarray:
-    """Frame matrix K_j: columns are the shifted modes T(d^l_j) w^l_k.
-
-    Frames appear in order, modes in order within each frame; the shift of
-    a frame acts identically on every variable block of its modes.
-    """
-    if not 0 <= j < shifts.n_snapshots:
-        raise ValueError(f"snapshot index {j} outside 0..{shifts.n_snapshots - 1}")
-    if len(frames) != shifts.n_frames:
-        raise ValueError(f"{len(frames)} frames but {shifts.n_frames} shift rows")
-    if len({fb.modes.shape[0] for fb in frames}) != 1:
-        raise ValueError("all frames must share the stacked row count")
-    return np.concatenate(
-        [apply_shift(fb.modes, shifts.d[l, j], grid, shifts.spec)
-         for l, fb in enumerate(frames)], axis=1)
 
 
 def _least_squares(K: np.ndarray, XT: np.ndarray, rank_tol: float):
@@ -187,18 +166,18 @@ def _solve_amplitudes(K: np.ndarray, XT: np.ndarray, rank_tol: float):
     return A, resid, b, ranks, slow.size
 
 
-def optimal_amplitudes(K: np.ndarray, x: np.ndarray, rank_tol: float = RANK_TOL) -> np.ndarray:
+def optimal_amplitudes(K: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Minimum-norm least-squares amplitudes of one snapshot.
 
     Solves min_a ||K a - x|| picking the solution with smallest Euclidean
-    norm; singular values at or below rank_tol times the largest are
+    norm; singular values at or below RANK_TOL times the largest are
     treated as zero.  An all-zero K returns zero amplitudes.
     """
     K = np.asarray(K, dtype=float)
     x = np.asarray(x, dtype=float)
     if K.ndim != 2 or x.shape != (K.shape[0],):
         raise ValueError(f"shape mismatch: K {K.shape}, x {x.shape}")
-    return _solve_amplitudes(K.T[None], x[None], rank_tol)[0][0]
+    return _solve_amplitudes(K.T[None], x[None], RANK_TOL)[0][0]
 
 
 class _FramePlan:
@@ -421,8 +400,7 @@ class ReducedObjective:
         return max(value, 0.0) / self.norm2
 
 
-def objective_and_gradient(snaps: SnapshotSet, frames, shifts: FrameShifts,
-                           rank_tol: float = RANK_TOL):
+def objective_and_gradient(snaps: SnapshotSet, frames, shifts: FrameShifts):
     """One-shot reduced objective Jt, per-mode gradients and amplitudes.
 
     The gradients respect the frame masks (masked entries are exactly
@@ -431,8 +409,7 @@ def objective_and_gradient(snaps: SnapshotSet, frames, shifts: FrameShifts,
     """
     prob = ReducedObjective(
         snaps, shifts, [f.n_modes for f in frames],
-        masks=[f.mask for f in frames], rank_tol=rank_tol,
-    )
+        masks=[f.mask for f in frames])
     Jt, grads, amps, _ = prob.evaluate([f.modes for f in frames])
     return Jt, grads, amps
 

@@ -1,38 +1,9 @@
 """Classical POD baseline via truncated SVD."""
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .snapshots import _as_matrix
-
-
-@dataclass
-class PodResult:
-    modes: np.ndarray            # (m, r), orthonormal columns
-    amplitudes: np.ndarray       # (r, n)
-    singular_values: np.ndarray  # full spectrum, nonincreasing
-
-    @property
-    def rank(self) -> int:
-        return self.modes.shape[1]
-
-    def reconstruction(self) -> np.ndarray:
-        return self.modes @ self.amplitudes
-
-
-def pod_truncate(X, r: int) -> PodResult:
-    """Best rank-r approximation of X in the Frobenius norm.
-
-    modes are the leading r left singular vectors, amplitudes their
-    projections modes^T X.
-    """
-    X = _as_matrix(X)
-    if not 0 <= r <= min(X.shape):
-        raise ValueError(f"rank {r} outside [0, {min(X.shape)}] for shape {X.shape}")
-    U, s, Vt = np.linalg.svd(X, full_matrices=False)
-    return PodResult(U[:, :r].copy(), s[:r, None] * Vt[:r], s[:r].copy())
 
 
 def truncation_curve(X) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

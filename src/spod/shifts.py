@@ -55,19 +55,6 @@ class ShiftSpec:
             )
 
 
-@dataclass(frozen=True)
-class ShiftStencil:
-    """Sampling rule of one shift operator.
-
-    Entry i of the shifted vector is sum_q weights[q] * v[wrap_or_clamp(i +
-    offset + q)].  For grid-multiple shifts the weights collapse to [1.0].
-    """
-
-    offset: int
-    weights: np.ndarray
-    boundary: str
-
-
 _MAX_CELLS = 2.0 ** 62  # largest |d / h|: node indices stay inside int64
 
 
@@ -108,12 +95,6 @@ def _stencils(d, grid: Grid1D, spec: ShiftSpec):
         axis=1,
     )
     return k - 1, w, exact
-
-
-def build_stencil(d: float, grid: Grid1D, spec: ShiftSpec) -> ShiftStencil:
-    """Decompose d into integer offset plus Lagrange interpolation weights."""
-    offset, weights, _ = _stencils([d], grid, spec)
-    return ShiftStencil(int(offset[0]), weights[0], spec.boundary)
 
 
 def _node_indices(offset, n_weights: int, m: int, boundary: str) -> np.ndarray:
@@ -165,12 +146,12 @@ def apply_shift_transpose(v, d: float, grid: Grid1D, spec: ShiftSpec):
 def dense_shift_matrix(d: float, grid: Grid1D, spec: ShiftSpec) -> np.ndarray:
     """Materialize T(d) as a dense (m, m) array.  Meant for tests and
     small problems; the solvers use the sparse form below."""
-    st = build_stencil(d, grid, spec)
-    idx = _node_indices(st.offset, st.weights.size, grid.m, st.boundary)
+    offset, weights, _ = _stencils([d], grid, spec)
+    idx = _node_indices(offset[0], weights.shape[1], grid.m, spec.boundary)
     M = np.zeros((grid.m, grid.m))
     rows = np.arange(grid.m)
-    for q in range(st.weights.size):
-        np.add.at(M, (rows, idx[:, q]), st.weights[q])
+    for q in range(weights.shape[1]):
+        np.add.at(M, (rows, idx[:, q]), weights[0, q])
     return M
 
 

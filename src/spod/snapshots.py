@@ -178,9 +178,9 @@ def relative_error(X, Xt) -> float:
 def scale_variables(snaps: SnapshotSet) -> tuple[SnapshotSet, list[float]]:
     """Rescale every variable block to the Frobenius norm of the first block.
 
-    Returns the scaled copy and the applied multipliers (first entry is 1),
-    so ``unscale_variables`` can undo the operation.  Zero-norm blocks are
-    rejected: they cannot be equalized invertibly.
+    Returns the scaled copy and the applied multipliers (first entry is 1);
+    dividing each block by its multiplier undoes the operation.  Zero-norm
+    blocks are rejected: they cannot be equalized invertibly.
     """
     norms = []
     for blk in snaps.blocks:
@@ -195,17 +195,6 @@ def scale_variables(snaps: SnapshotSet) -> tuple[SnapshotSet, list[float]]:
         scaled[blk.rows] *= f
     out = SnapshotSet(scaled, snaps.grid, snaps.time, list(snaps.blocks))
     return out, factors
-
-
-def unscale_variables(snaps: SnapshotSet, factors: list[float]) -> SnapshotSet:
-    if len(factors) != len(snaps.blocks):
-        raise ValueError(
-            f"{len(factors)} factors for {len(snaps.blocks)} variable blocks"
-        )
-    data = snaps.data.copy()
-    for blk, f in zip(snaps.blocks, factors):
-        data[blk.rows] /= f
-    return SnapshotSet(data, snaps.grid, snaps.time, list(snaps.blocks))
 
 
 def center_rows(snaps: SnapshotSet) -> tuple[SnapshotSet, np.ndarray]:

@@ -82,7 +82,8 @@ def track_front(block: np.ndarray, grid: Grid1D, windows: WindowSchedule | None 
 
     With the difference statistic only n-1 columns exist; the last
     position is replicated.  Argmax ties resolve to the smallest index.
-    The window schedule may not run past the n snapshots.
+    The window schedule may not run past the n snapshots.  An
+    identically zero block holds no front and is rejected.
     smooth > 1 applies a centered moving average of that width to the
     tracked positions.
     """
@@ -92,6 +93,8 @@ def track_front(block: np.ndarray, grid: Grid1D, windows: WindowSchedule | None 
     n = X.shape[1]
     if n < 2:
         raise ValueError("tracking needs at least two snapshots")
+    if not X.any():
+        raise ValueError("block is identically zero: no front to track")
     if windows is not None and windows.entries[-1][0][1] > n:
         raise ValueError(f"window schedule runs past the {n} snapshots")
     D = _column_statistic(X, grid, statistic)
@@ -121,10 +124,3 @@ def center_shifts(positions: np.ndarray, grid: Grid1D) -> np.ndarray:
     if np.any(positions < 0) or np.any(positions > L):
         raise ValueError("front positions must lie inside [0, L]")
     return positions - 0.5 * L
-
-
-def zero_frame(n: int) -> np.ndarray:
-    """The zero-velocity frame: an all-zero shift sequence."""
-    if n < 1:
-        raise ValueError("need at least one snapshot")
-    return np.zeros(n)

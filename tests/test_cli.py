@@ -176,6 +176,29 @@ class TestTrack:
         assert len(err) == 1 and err[0].startswith("data error: ")
         assert not out.exists()
 
+    def test_zero_block_is_data_error(self, tmp_path, capsys):
+        # no front to track: neither spod track nor a [frame.N] recipe
+        # may report success or write a shift file
+        from spod.snapshots import Grid1D, SnapshotSet
+        grid = Grid1D(32, 1.0 / 32, "periodic")
+        io.write_snapshots(SnapshotSet(np.zeros((32, 6)), grid,
+                                       np.arange(6.0)),
+                           str(tmp_path / "zero.snap"))
+        expected = ["data error: block is identically zero: no front to track"]
+        for statistic in ("difference", "gradient", "peak"):
+            out = tmp_path / f"{statistic}.csv"
+            rc = run_cli(["track", str(tmp_path / "zero.snap"),
+                          "--statistic", statistic, "--out", str(out)])
+            assert rc == 2
+            assert capsys.readouterr().err.splitlines() == expected
+            assert not out.exists()
+        cfg = tmp_path / "zero.cfg"
+        cfg.write_text("[input]\nsnapshots = zero.snap\n\n[spod]\nr0 = 1\n\n"
+                       "[frame.0]\ntrack = var0\n\n[output]\ndirectory = out\n")
+        assert run_cli(["spod", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err.splitlines() == expected
+        assert not (tmp_path / "out").exists()
+
     def test_track_matches_config_recipe(self, tmp_path, capsys):
         # the README schedules: spod track and a [frame.N] recipe must
         # resolve the same shifts, sign included

@@ -5,8 +5,7 @@ import pytest
 
 from spod.core import (GRAM_COND_MAX, Decomposition, FrameBasis, FrameShifts,
                        ReducedObjective, _least_squares, _solve_amplitudes,
-                       assemble_frame_matrix, objective_and_gradient,
-                       optimal_amplitudes, reconstruct)
+                       objective_and_gradient, optimal_amplitudes, reconstruct)
 from spod.shifts import ShiftSpec, dense_shift_matrix
 from spod.snapshots import Grid1D, SnapshotSet, VariableBlock
 
@@ -38,25 +37,6 @@ def brute_force_frame_matrix(snaps, shifts, modes_list, j):
     if not cols:
         return np.zeros((snaps.n_rows, 0))
     return np.column_stack(cols)
-
-
-class TestAssembly:
-    @pytest.mark.parametrize("n_blocks", [1, 2])
-    def test_matches_dense_block_assembly(self, n_blocks):
-        snaps, shifts, rng = random_problem(m=10, n=5, n_s=2,
-                                            n_blocks=n_blocks, seed=4)
-        modes = [rng.standard_normal((snaps.n_rows, r)) for r in (2, 1)]
-        frames = [FrameBasis(W) for W in modes]
-        for j in range(snaps.n_snapshots):
-            K = assemble_frame_matrix(frames, shifts, snaps.grid, j)
-            expected = brute_force_frame_matrix(snaps, shifts, modes, j)
-            np.testing.assert_allclose(K, expected, atol=1e-13)
-
-    def test_empty_frames_give_zero_columns(self):
-        snaps, shifts, _ = random_problem(n_s=2)
-        frames = [FrameBasis(np.zeros((snaps.n_rows, 0))) for _ in range(2)]
-        K = assemble_frame_matrix(frames, shifts, snaps.grid, 0)
-        assert K.shape == (snaps.n_rows, 0)
 
 
 class TestAmplitudes:
@@ -291,7 +271,8 @@ class TestObjective:
         ref_a = np.empty((2, snaps.n_snapshots))
         ref_r = np.empty_like(snaps.data)
         for j in range(snaps.n_snapshots):
-            K = assemble_frame_matrix(frames, shifts, snaps.grid, j)
+            K = brute_force_frame_matrix(snaps, shifts,
+                                         [f.modes for f in frames], j)
             ref_a[:, j] = np.linalg.pinv(K, rtol=1e-10) @ snaps.data[:, j]
             ref_r[:, j] = snaps.data[:, j] - K @ ref_a[:, j]
         ref_Jt = -np.sum((snaps.data - ref_r) ** 2)
@@ -522,12 +503,3 @@ class TestDecompositionType:
         with pytest.raises(ValueError):
             Decomposition(frames, [np.zeros((3, 3))], shifts, grid,
                           [VariableBlock("var0", 0, 4)])
-
-    def test_rank_list(self):
-        grid = Grid1D(4, 0.25, "periodic")
-        shifts = FrameShifts(np.zeros((2, 3)), PER3)
-        frames = [FrameBasis(np.ones((4, 2))), FrameBasis(np.ones((4, 0)))]
-        amps = [np.zeros((2, 3)), np.zeros((0, 3))]
-        dec = Decomposition(frames, amps, shifts, grid,
-                            [VariableBlock("var0", 0, 4)])
-        assert dec.r == [2, 0]

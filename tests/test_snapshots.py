@@ -6,8 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from spod.snapshots import (Grid1D, SnapshotSet, TimeAxis, VariableBlock,
-                            center_rows, relative_error, scale_variables,
-                            unscale_variables)
+                            center_rows, relative_error, scale_variables)
 
 
 def make_set(data, blocks=(), boundary="periodic", h=0.1):
@@ -125,12 +124,6 @@ class TestScaling:
         a = np.linalg.norm(scaled.block("a"))
         b = np.linalg.norm(scaled.block("b"))
         assert a == pytest.approx(b)
-
-    def test_round_trip(self):
-        s = self.two_block_set(3.7)
-        scaled, factors = scale_variables(s)
-        back = unscale_variables(scaled, factors)
-        np.testing.assert_allclose(back.data, s.data, atol=1e-15)
 
     def test_zero_block_rejected(self):
         with pytest.raises(ValueError):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from spod.snapshots import Grid1D
-from spod.tracking import WindowSchedule, center_shifts, track_front, zero_frame
+from spod.tracking import WindowSchedule, center_shifts, track_front
 
 
 def step_front_matrix(m, n, start, cells_per_step, width=0.0):
@@ -164,16 +164,13 @@ class TestCenterShifts:
             center_shifts(np.array([1.2]), grid)
 
 
-class TestZeroFrame:
-    def test_all_zero(self):
-        np.testing.assert_array_equal(zero_frame(5), np.zeros(5))
-
-    def test_validates_length(self):
-        with pytest.raises(ValueError):
-            zero_frame(0)
-
-
 class TestInputValidation:
+    @pytest.mark.parametrize("statistic", ["difference", "gradient", "peak"])
+    def test_zero_block_has_no_front(self, statistic):
+        grid = Grid1D(32, 1.0 / 32, "non-periodic")
+        with pytest.raises(ValueError, match="identically zero"):
+            track_front(np.zeros((32, 6)), grid, statistic=statistic)
+
     def test_block_width_must_match_grid(self):
         grid = Grid1D(16, 1.0 / 16, "periodic")
         with pytest.raises(ValueError):
