@@ -284,6 +284,36 @@ class TestObjective:
         assert close(np.vstack(amps), ref_a)
         assert close(resid, ref_r)
 
+    @pytest.mark.parametrize("n_blocks, boundary",
+                             [(1, "periodic"), (2, "non-periodic")])
+    def test_amplitudes_solve_the_dense_frame_system(self, n_blocks, boundary):
+        # frames in order, modes in order within a frame, each frame's
+        # shift acting alike on every variable block of its modes
+        snaps, shifts, rng = random_problem(m=10, n=5, n_s=2,
+                                            n_blocks=n_blocks, seed=4,
+                                            boundary=boundary)
+        modes = [rng.standard_normal((snaps.n_rows, r)) for r in (2, 1)]
+        _, _, amps, resid = ReducedObjective(snaps, shifts, [2, 1]).evaluate(
+            modes, need_gradient=False)
+        for j in range(snaps.n_snapshots):
+            K = brute_force_frame_matrix(snaps, shifts, modes, j)
+            a = np.linalg.lstsq(K, snaps.data[:, j], rcond=None)[0]
+            np.testing.assert_allclose(np.concatenate([A[:, j] for A in amps]),
+                                       a, atol=1e-10)
+            np.testing.assert_allclose(resid[:, j], snaps.data[:, j] - K @ a,
+                                       atol=1e-10)
+
+    def test_frames_without_modes_leave_the_data_as_residual(self):
+        snaps, shifts, _ = random_problem(n_s=2)
+        frames = [FrameBasis(np.zeros((snaps.n_rows, 0))) for _ in range(2)]
+        Jt, grads, amps = objective_and_gradient(snaps, frames, shifts)
+        assert Jt == 0.0
+        assert [g.shape for g in grads] == [(snaps.n_rows, 0)] * 2
+        assert [A.shape for A in amps] == [(0, snaps.n_snapshots)] * 2
+        prob = ReducedObjective(snaps, shifts, [0, 0])
+        _, _, _, resid = prob.evaluate([f.modes for f in frames])
+        np.testing.assert_array_equal(resid, snaps.data)
+
     def test_masked_rows_stay_zero_and_carry_no_gradient(self):
         snaps, shifts, rng = random_problem(m=8, n=4, n_s=2, n_blocks=2,
                                             seed=12)

@@ -249,6 +249,14 @@ class TestGreedyLoop:
         assert not rep.converged
         assert rep.r_final == [1, 0]
 
+    def test_report_counts_the_modes_of_the_decomposition(self):
+        snaps, shifts = two_transport_set(m=32, n=10)
+        cfg = GreedyConfig(r0=[1, 0], tol=1e-12, p_max=1)
+        dec, rep = spod_decompose(snaps, shifts, cfg)
+        assert rep.r_final == [f.n_modes for f in dec.frames] == [
+            A.shape[0] for A in dec.amplitudes]
+        assert sum(rep.r_final) == 2
+
     def test_candidates_grow_past_the_snapshot_count(self, monkeypatch):
         # a candidate's new mode comes from the residual, so a frame may
         # hold more modes than there are snapshots

@@ -42,6 +42,25 @@ class TestCurve:
             assert squared[r] == pytest.approx(err / total, abs=1e-12)
 
 
+    def test_singular_values_match_direct_svd(self):
+        X = random_matrix(seed=3)
+        sv, _, _ = truncation_curve(X)
+        np.testing.assert_allclose(sv, np.linalg.svd(X, compute_uv=False),
+                                   rtol=1e-13)
+
+    def test_wide_matrix_has_one_entry_per_rank(self):
+        X = random_matrix(4, 9, seed=2)
+        sv, squared, root = truncation_curve(X)
+        assert sv.shape == (4,)
+        assert squared.shape == root.shape == (5,)
+        assert squared[-1] == pytest.approx(0.0, abs=1e-14)
+
+    def test_zero_matrix_has_zero_error_at_every_rank(self):
+        sv, squared, root = truncation_curve(np.zeros((5, 3)))
+        np.testing.assert_array_equal(sv, 0.0)
+        np.testing.assert_array_equal(squared, np.zeros(4))
+        np.testing.assert_array_equal(root, np.zeros(4))
+
 class TestModeCount:
     def test_counts_on_the_root_scale(self):
         # singular values 2, 1: keeping one mode leaves norm fraction

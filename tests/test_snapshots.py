@@ -125,6 +125,14 @@ class TestScaling:
         b = np.linalg.norm(scaled.block("b"))
         assert a == pytest.approx(b)
 
+    def test_dividing_by_the_factors_restores_the_data(self):
+        s = self.two_block_set(3.7)
+        scaled, factors = scale_variables(s)
+        back = scaled.data.copy()
+        for blk, f in zip(scaled.blocks, factors):
+            back[blk.rows] /= f
+        np.testing.assert_allclose(back, s.data, atol=1e-15)
+
     def test_zero_block_rejected(self):
         with pytest.raises(ValueError):
             scale_variables(self.two_block_set(0.0))
