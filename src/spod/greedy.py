@@ -25,22 +25,26 @@ gradient, while a stage's grad_norm is that of dJ/dz.
 
 The candidates of one greedy iteration are solved by successive
 halving.  With N candidates and the cap B = max_iters there
-are E = ceil(log2 N) rungs, at ceil(B/2^E), ..., ceil(B/4), ceil(B/2)
+are E = ceil(log2 N) rungs, at 0, ceil(B/2^E), ..., ceil(B/4)
 iterations: every surviving candidate runs on to the rung, then the
 better half, ceil(n/2) of n ranked by (error, frame), goes on; the last
-one runs to B.  A candidate whose solve ends early (gradient test,
-line-search failure) is ranked by its final value and not run further.
-L-BFGS values never rise, so the survivor's final error is at most every
-dropped candidate's error at its rung, and the choice equals the argmin
-of the candidate errors.  A dropped candidate's error therefore comes
-from a truncated solve; candidate_iterations says how far each candidate
-ran.  A scaled solve keeps its scale and is continued exactly as one
-uninterrupted scaled solve would go on, so whenever the candidate that
-wins at B survives the rungs, every output is the one of solving all
-candidates to B.  Halving can in principle drop a candidate that would
-overtake the survivor after its rung; on the crossing-fronts benchmark
-seeds 0-10 and the acceptance configuration (max_iters = 500) it does
-not, as the README records.
+one runs to B.  The rung at 0 ranks the candidates by the error of their
+start point, which every solve evaluates anyway for its scale, so a
+candidate dropped there costs one evaluation and no iteration: the
+lowest rung of a successive-halving bracket (Jamieson & Talwalkar,
+AISTATS 2016; Li et al., JMLR 18, 2018).  A candidate whose solve ends
+early (gradient test, line-search failure) is ranked by its final value
+and not run further.  L-BFGS values never rise, so the survivor's final
+error is at most every dropped candidate's error at its rung, and the
+choice equals the argmin of the candidate errors.  A dropped candidate's
+error therefore comes from a truncated solve or is its start point's;
+candidate_iterations says how far each candidate ran.  A scaled solve
+keeps its scale and is continued exactly as one uninterrupted scaled
+solve would go on, so whenever the candidate that wins at B survives the
+rungs, every output is the one of solving all candidates to B.  Halving
+can in principle drop a candidate that would overtake the survivor after
+its rung; on the crossing-fronts benchmark seeds 0-10 and the acceptance
+configuration (max_iters = 500) it does not, as the README records.
 
 A run builds one ReducedObjective: its shift operators and data depend
 on the shifts alone, so every solve takes it with its own mode counts
@@ -163,9 +167,12 @@ def initialize_frames(snaps: SnapshotSet, shifts: FrameShifts, r0,
 
 def halving_rungs(n_candidates: int, max_iters: int) -> list:
     """Iteration counts at which the worse half of the candidates drops
-    out: ceil(B/2^k) for k = E, ..., 1 with E = ceil(log2 N)."""
+    out: 0, the start point, then ceil(B/2^k) for k = E, ..., 2 with
+    E = ceil(log2 N); none for a single candidate."""
     n_rungs = (n_candidates - 1).bit_length()
-    return [-(-max_iters // 2 ** k) for k in range(n_rungs, 0, -1)]
+    if not n_rungs:
+        return []
+    return [0] + [-(-max_iters // 2 ** k) for k in range(n_rungs, 1, -1)]
 
 
 class _Solve:

@@ -83,7 +83,8 @@ def track_front(block: np.ndarray, grid: Grid1D, windows: WindowSchedule | None 
     With the difference statistic only n-1 columns exist; the last
     position is replicated.  Argmax ties resolve to the smallest index.
     The window schedule may not run past the n snapshots.  An
-    identically zero block holds no front and is rejected.
+    identically zero block, or a window that is identically zero over its
+    snapshots, holds no front and is rejected.
     smooth > 1 applies a centered moving average of that width to the
     tracked positions.
     """
@@ -107,6 +108,10 @@ def track_front(block: np.ndarray, grid: Grid1D, windows: WindowSchedule | None 
             if not 0 <= lo < hi <= grid.m:
                 raise ValueError(f"window [{lo}, {hi}) outside grid of size {grid.m}")
         idx[j] = lo + int(np.argmax(D[lo:hi, j]))
+    for (t0, t1), (i0, i1) in windows.entries if windows else ():
+        if not X[i0:i1, t0:t1].any():
+            raise ValueError(f"window [{i0}, {i1}) is identically zero for "
+                             f"snapshots [{t0}, {t1}): no front to track")
     idx[D.shape[1]:] = idx[D.shape[1] - 1]
     positions = grid.h * idx.astype(float)
     if smooth > 1:

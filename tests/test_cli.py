@@ -199,6 +199,30 @@ class TestTrack:
         assert capsys.readouterr().err.splitlines() == expected
         assert not (tmp_path / "out").exists()
 
+    def test_zero_window_is_data_error(self, tmp_path, capsys):
+        # signal only in rows 0-7: the window [16, 32) holds no front
+        from spod.snapshots import Grid1D, SnapshotSet
+        grid = Grid1D(32, 1.0 / 32, "periodic")
+        X = np.zeros((32, 6))
+        X[:8] = np.arange(1.0, 49.0).reshape(8, 6)
+        io.write_snapshots(SnapshotSet(X, grid, np.arange(6.0)),
+                           str(tmp_path / "top.snap"))
+        expected = ["data error: window [16, 32) is identically zero for"
+                    " snapshots [0, 6): no front to track"]
+        out = tmp_path / "d.csv"
+        rc = run_cli(["track", str(tmp_path / "top.snap"), "--statistic",
+                      "gradient", "--windows", "0:6@16:32", "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err.splitlines() == expected
+        assert not out.exists()
+        cfg = tmp_path / "top.cfg"
+        cfg.write_text("[input]\nsnapshots = top.snap\n\n[spod]\nr0 = 1\n\n"
+                       "[frame.0]\ntrack = var0\nwindows = 0:6@16:32\n\n"
+                       "[output]\ndirectory = out\n")
+        assert run_cli(["spod", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err.splitlines() == expected
+        assert not (tmp_path / "out").exists()
+
     def test_track_matches_config_recipe(self, tmp_path, capsys):
         # the README schedules: spod track and a [frame.N] recipe must
         # resolve the same shifts, sign included

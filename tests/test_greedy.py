@@ -278,21 +278,25 @@ class TestGreedyLoop:
         assert calls == [0] + [0, 1, 2] * 4
 
     def test_threaded_run_is_deterministic(self):
-        cases = [(two_transport_set(m=48, n=12, seed=3), [1, 0], 500),
+        cases = [(two_transport_set(m=48, n=12, seed=3), [1, 0],
+                  OptimizerOptions(max_iters=500), False),
                  # three frames: the halving rounds run in the pool
-                 (three_transport_set(), [1, 0, 0], 20)]
-        for (snaps, shifts), r0, max_iters in cases:
+                 (three_transport_set(), [1, 0, 0],
+                  OptimizerOptions(max_iters=20), False),
+                 (three_transport_set(), [1, 0, 0],
+                  OptimizerOptions(max_iters=500, grad_tol=1e-3), True)]
+        for (snaps, shifts), r0, opts, ends_early in cases:
             runs = [spod_decompose(snaps, shifts, GreedyConfig(
-                r0=r0, tol=1e-4, threads=threads, p_max=2,
-                optimizer=OptimizerOptions(max_iters=max_iters)))
+                r0=r0, tol=1e-4, threads=threads, p_max=2, optimizer=opts))
                 for threads in (1, 2, 3)]
             (dec1, rep1), others = runs[0], runs[1:]
             assert rep1.chosen_frames
-            if len(r0) == 2:
-                # both candidates end before the rung at 250 iterations,
-                # so the winner is ranked by its final value and the last
-                # round has no solve left to run
-                rung, = halving_rungs(2, max_iters)
+            if ends_early:
+                # both candidates left after the start-point rung end
+                # before the rung at 125 iterations, so the winner is
+                # ranked by its final value and the last round has no
+                # solve left to run
+                rung = halving_rungs(3, opts.max_iters)[-1]
                 assert max(rep1.candidate_iterations[0]) < rung
                 assert rep1.stages[1]["termination"] == "gradient"
             for dec, rep in others:
@@ -467,11 +471,59 @@ class TestGreedyLoop:
 
 class TestHalving:
     def test_rung_schedule(self):
-        assert halving_rungs(5, 30) == [4, 8, 15]
-        assert halving_rungs(3, 20) == [5, 10]
-        assert halving_rungs(2, 7) == [4]
+        assert halving_rungs(5, 30) == [0, 4, 8]
+        assert halving_rungs(3, 20) == [0, 5]
+        assert halving_rungs(2, 7) == [0]
         assert halving_rungs(1, 30) == []
-        assert halving_rungs(9, 100) == [7, 13, 25, 50]
+        assert halving_rungs(9, 100) == [0, 7, 13, 25]
+
+    def test_candidate_dropped_at_the_start_point(self):
+        # its error is the squared residual of a value-only evaluation of
+        # the incumbent plus the seed of the incumbent's residual
+        snaps, shifts = three_transport_set()
+        config = GreedyConfig(r0=[1, 1, 0], tol=1e-12, p_max=1,
+                              optimizer=OptimizerOptions(max_iters=20))
+        dec, rep = spod_decompose(snaps, shifts, config)
+        config.p_max = 0
+        incumbent = [f.modes for f in spod_decompose(snaps, shifts,
+                                                     config)[0].frames]
+        base = ReducedObjective(snaps, shifts, config.r0)
+        resid = base.evaluate(incumbent, need_gradient=False)[3]
+        iters, evals = rep.candidate_iterations[0], rep.candidate_evaluations[0]
+        dropped = [i for i, k in enumerate(iters) if k == 0]
+        assert len(dropped) == 1
+        for i in dropped:
+            assert evals[i] == 1
+            w_new = _seed_modes(resid, snaps, shifts, i, 1)
+            start = [W if l != i else np.hstack([W, w_new])
+                     for l, W in enumerate(incumbent)]
+            prob = base.with_counts([W.shape[1] for W in start])
+            r = prob.evaluate(start, need_gradient=False)[3].ravel(order="K")
+            assert rep.candidate_errors[0][i] == prob.relative_error_of(r @ r)
+
+    @pytest.mark.parametrize("n_frames", [2, 3])
+    def test_at_most_half_the_candidates_iterate(self, n_frames):
+        snaps, shifts = three_transport_set(m=32, n=12)
+        shifts = FrameShifts(shifts.d[:n_frames], shifts.spec)
+        dec, rep = spod_decompose(snaps, shifts, GreedyConfig(
+            r0=[1] + [0] * (n_frames - 1), tol=1e-12, p_max=3,
+            optimizer=OptimizerOptions(max_iters=20)))
+        assert len(rep.candidate_iterations) == 3
+        for iters in rep.candidate_iterations:
+            assert sum(k > 0 for k in iters) <= (len(iters) + 1) // 2
+
+    def test_one_frame_runs_its_candidate_to_the_cap(self):
+        assert halving_rungs(1, 7) == []
+        # fractional shifts: the seeds are not the optimum of the frame
+        snaps, shifts = three_transport_set(m=32, n=10)
+        shifts = FrameShifts(shifts.d[:1], shifts.spec)
+        dec, rep = spod_decompose(snaps, shifts, GreedyConfig(
+            r0=[1], tol=1e-12, p_max=1,
+            optimizer=OptimizerOptions(max_iters=7, grad_tol=0.0)))
+        assert rep.chosen_frames == [0]
+        assert rep.candidate_iterations == [[7]]
+        assert rep.stages[1]["iterations"] == 7
+        assert rep.candidate_evaluations == [[rep.stages[1]["evaluations"]]]
 
     def test_matches_solving_every_candidate_to_the_cap(self):
         snaps, shifts = three_transport_set()
@@ -491,12 +543,13 @@ class TestHalving:
         for p, row in enumerate(rows):
             q = chosen[p]
             errors, iters = rep.candidate_errors[p], rep.candidate_iterations[p]
-            # 3 candidates: one drops out after 5 iterations, one after 10,
-            # and the survivor runs to the cap of 20
-            assert sorted(iters) == [5, 10, 20] and iters[q] == 20
+            # 3 candidates: one drops out at its start point, one after 5
+            # iterations, and the survivor runs to the cap of 20
+            assert sorted(iters) == [0, 5, 20] and iters[q] == 20
             assert q == int(np.argmin(errors))
             for i, (_, sv) in enumerate(row):
-                # a dropped error is the full solve's value at its rung
+                # a dropped error is the full solve's value at its rung,
+                # the start value at the rung at 0
                 assert errors[i] == sv.prob.relative_error_of(
                     sv.trace.values[iters[i]])
                 assert errors[i] >= errors[q]
@@ -534,9 +587,9 @@ class TestHalving:
             assert np.array_equal(dec.amplitudes[l], amps[l])
         for q, errors, iters in zip(chosen, rep.candidate_errors,
                                     rep.candidate_iterations):
-            # 5 candidates: 2 drop out after 4 iterations, 1 after 8,
-            # 1 after 15, and the winner runs to 30
-            assert sorted(iters) == [4, 4, 8, 15, 30] and iters[q] == 30
+            # 5 candidates: 2 drop out at their start point, 1 after 4
+            # iterations, 1 after 8, and the winner runs to 30
+            assert sorted(iters) == [0, 0, 4, 8, 30] and iters[q] == 30
             assert min(errors) == errors[q]
 
 

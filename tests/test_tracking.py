@@ -133,6 +133,29 @@ class TestWindows:
         with pytest.raises(ValueError):
             track_front(X, grid, windows=ws, statistic="peak")
 
+    @pytest.mark.parametrize("boundary", ["periodic", "non-periodic"])
+    @pytest.mark.parametrize("statistic", ["difference", "gradient", "peak"])
+    def test_zero_window_has_no_front(self, statistic, boundary):
+        # signal only in rows 0-7: the window [16, 32) holds no front
+        grid = Grid1D(32, 1.0 / 32, boundary)
+        X = np.zeros((32, 6))
+        X[:8] = np.arange(1.0, 49.0).reshape(8, 6)
+        ws = WindowSchedule([((0, 3), (0, 32)), ((3, 6), (16, 32))])
+        with pytest.raises(ValueError, match=r"window \[16, 32\) is identically"
+                           r" zero for snapshots \[3, 6\)"):
+            track_front(X, grid, windows=ws, statistic=statistic)
+
+    def test_schedule_errors_come_before_zero_windows(self):
+        grid = Grid1D(32, 1.0 / 32, "periodic")
+        X = np.zeros((32, 6))
+        X[:8] = 1.0
+        for entries, message in [([((0, 6), (16, 64))], "outside grid"),
+                                 ([((0, 7), (16, 32))], "runs past the 6"),
+                                 ([((1, 6), (16, 32))], "no window covers")]:
+            with pytest.raises(ValueError, match=message):
+                track_front(X, grid, windows=WindowSchedule(entries),
+                            statistic="peak")
+
 
 class TestSmoothing:
     def test_moving_average_damps_jitter(self):
