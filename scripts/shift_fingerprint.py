@@ -2,6 +2,7 @@
 
     PYTHONPATH=src python scripts/shift_fingerprint.py OUT.npz [--seeds 0-10]
     python scripts/shift_fingerprint.py --compare A.npz B.npz [--rtol X]
+        [--up-to-sign]
 
 The first form decomposes the wave-pair and crossing-fronts scenarios of
 bench/workloads.py with the package found on the path, for every seed
@@ -31,7 +32,11 @@ difference is at most rtol times its largest magnitude (in either file)
 passes; every differing float array is still printed with that relative
 difference.  Integer arrays (work counts, chosen frames, final mode
 counts, operator indices, text outputs) are always compared exactly, and
-a differing one is printed with both values when it is small.
+a differing one is printed with both values when it is small.  With
+--up-to-sign, the sign of every mode, which the method leaves arbitrary,
+is fixed before comparing in both files: a mode column whose
+largest-magnitude entry is negative is negated, and so is its row of
+amplitudes.  Without it a flipped mode is a difference.
 """
 
 import argparse
@@ -39,6 +44,7 @@ import contextlib
 import difflib
 import io
 import os
+import re
 import sys
 import tempfile
 
@@ -176,16 +182,29 @@ def _values(x):
     return x.tolist() if x.size <= 20 else f"shape {x.shape}"
 
 
-def compare(a_path: str, b_path: str, rtol=None) -> int:
+def _sign_fixed(f, k):
+    """f[k], but a mode column times the sign of its largest-magnitude
+    entry (the first one on ties) and an amplitude row times its mode's."""
+    match = re.fullmatch(r"(.*)/(modes|amplitudes)(\d+)", k)
+    if match is None:
+        return f[k]
+    W = f[f"{match[1]}/modes{match[3]}"]
+    peak = W[np.argmax(np.abs(W), axis=0), np.arange(W.shape[1])]
+    sign = np.where(peak < 0, -1.0, 1.0)
+    return f[k] * (sign if match[2] == "modes" else sign[:, None])
+
+
+def compare(a_path: str, b_path: str, rtol=None, up_to_sign=False) -> int:
     a, b = np.load(a_path), np.load(b_path)
+    get = _sign_fixed if up_to_sign else (lambda f, k: f[k])
     bad = sorted(set(a.files) ^ set(b.files))
     for k in bad:
         print(f"differs: {k} (in one file only)")
     differ = [k for k in sorted(set(a.files) & set(b.files))
-              if not np.array_equal(a[k], b[k])]
+              if not np.array_equal(get(a, k), get(b, k))]
     n_differ = len(bad) + len(differ)
     for k in differ:
-        x, y = a[k], b[k]
+        x, y = get(a, k), get(b, k)
         within = False
         if x.dtype.kind == y.dtype.kind == "f" and x.shape == y.shape:
             rel = _relative_difference(x, y)
@@ -221,17 +240,20 @@ def main() -> int:
     ap.add_argument("--compare", action="store_true")
     ap.add_argument("--rtol", type=float,
                     help="with --compare: tolerance for float arrays")
+    ap.add_argument("--up-to-sign", action="store_true",
+                    help="with --compare: fix each mode's sign by its "
+                         "largest-magnitude entry, flipping its amplitudes too")
     ap.add_argument("--seeds", type=_seeds, default=[0],
                     help="scenario seeds, such as 0-10 or 0,3 (default 0)")
     args = ap.parse_args()
     if args.compare:
         if len(args.paths) != 2:
             ap.error("--compare takes two fingerprints")
-        return compare(*args.paths, rtol=args.rtol)
+        return compare(*args.paths, rtol=args.rtol, up_to_sign=args.up_to_sign)
     if len(args.paths) != 1:
         ap.error("give one output path")
-    if args.rtol is not None:
-        ap.error("--rtol goes with --compare")
+    if args.rtol is not None or args.up_to_sign:
+        ap.error("--rtol and --up-to-sign go with --compare")
     out, operators_saved = cli_outputs(), set()
     for seed in args.seeds:
         out.update(fingerprint(seed, operators_saved))

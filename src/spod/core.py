@@ -205,9 +205,9 @@ class _FramePlan:
         n, nb, m = R.shape
         r = A.shape[1]
         out = np.empty((nb * m, r))
-        for b in range(nb):
-            Z = R[:, b, :, None] * A[:, None, :]
-            out[b * m:(b + 1) * m] = self.stacked_T @ Z.reshape(n * m, r)
+        for k, b in np.ndindex(r, nb):
+            Z = R[:, b] * A[:, k, None]
+            out[b * m:(b + 1) * m, k] = self.stacked_T @ Z.ravel()
         return out
 
 

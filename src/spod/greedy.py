@@ -9,9 +9,14 @@ snapshots; a candidate starts from the incumbent plus one new mode, the
 leading left singular vector of the frame's back-shifted residual.  Both
 come from _seed_modes by the method of snapshots (Sirovich, Q. Appl.
 Math. 45, 1987), not a full thin SVD: an eigensolve of the small Gram
-matrix of the back-shifted matrix, which is first divided by its largest
-magnitude so that the Gram matrix neither overflows nor underflows.  The
-sign of a mode is arbitrary.
+matrix of the back-shifted matrix.  That matrix is divided by its
+largest magnitude, so that the Gram matrix cannot overflow, after its
+entries below sqrt(tiny) times that magnitude are set to zero, so that
+no product in the Gram matrix underflows into slow subnormal arithmetic
+(the pulse tails of the wave data reach 1e-323).  A zeroed entry moves a
+Gram entry by at most k sqrt(tiny) of the Gram norm (k the length of the
+inner products), far below the eigensolver's backward error, eps times
+that norm.  The sign of a mode is arbitrary.
 
 Every solve (the initial one and each candidate) runs L-BFGS on the
 scaled variables u = z / s, minimizing J(s * u) with gradient s * g: a
@@ -67,6 +72,13 @@ from .core import (RANK_TOL, Decomposition, FrameBasis, FrameShifts,
 from .lbfgs import OptimizerAbort, OptimizerOptions, minimize, start_state
 from .shifts import apply_shift
 from .snapshots import SnapshotSet
+
+# entries of a peak-scaled back-shifted matrix below this are set to zero,
+# so that products of two kept entries stay normal floats; a Python float,
+# so that the cut of a peak below about 1e-154 rounds into the subnormal
+# range (the rule then holds to within that rounding) instead of raising
+# under np.errstate(under="raise")
+_SQRT_TINY = float(np.finfo(float).tiny) ** 0.5
 
 
 @dataclass
@@ -130,10 +142,20 @@ def _seed_modes(data: np.ndarray, snaps: SnapshotSet, shifts: FrameShifts,
     back_shifted_matrix B of data: the top r eigenvectors of B B^T when B
     has fewer rows than columns, else the left singular vectors of the
     thin product B V, V the top r eigenvectors of B^T B, which are
-    orthonormal even when r exceeds rank(B)."""
+    orthonormal even when r exceeds rank(B).
+
+    B is divided by its largest magnitude, after its entries below
+    _SQRT_TINY times that magnitude are set to zero: every kept entry of
+    the scaled B is then at least sqrt(tiny), so no product in the Gram
+    matrix underflows into subnormal arithmetic.  The Gram norm is at
+    least 1, and each of its entries moves by at most k sqrt(tiny) (k
+    the length of the inner products; 3e-151 at k = 2048), far below the
+    backward error of eigh, eps times that norm.  data is not changed."""
     B = back_shifted_matrix(data, shifts, frame, snaps.grid, len(snaps.blocks))
-    peak = np.abs(B).max()
+    absB = np.abs(B)
+    peak = absB.max()
     if peak > 0:
+        B[absB < _SQRT_TINY * float(peak)] = 0.0
         B /= peak
     if B.shape[0] < B.shape[1]:
         return np.linalg.eigh(B @ B.T)[1][:, :-r - 1:-1].copy()

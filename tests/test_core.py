@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from spod.core import (GRAM_COND_MAX, Decomposition, FrameBasis, FrameShifts,
-                       ReducedObjective, _least_squares, _solve_amplitudes,
-                       objective_and_gradient, optimal_amplitudes, reconstruct)
+                       ReducedObjective, _FramePlan, _least_squares,
+                       _solve_amplitudes, objective_and_gradient,
+                       optimal_amplitudes, reconstruct)
 from spod.shifts import ShiftSpec, dense_shift_matrix
 from spod.snapshots import Grid1D, SnapshotSet, VariableBlock
 
@@ -365,6 +366,33 @@ class TestObjective:
         assert prob.relative_error_of(0.0) == 0.0
         assert prob.relative_error_of(prob.norm2) == pytest.approx(1.0)
         assert prob.relative_error_of(-1e-12) == 0.0
+
+
+class TestAccumulateTranspose:
+    # a non-periodic grid gets constant-boundary shifts
+    @pytest.mark.parametrize("grid_boundary", ["periodic", "non-periodic"])
+    @pytest.mark.parametrize("r", [2, 3])
+    def test_matches_columns_and_dense_reference(self, grid_boundary, r):
+        # fractional shifts, two blocks: every mode and block is its own
+        # sparse product, so r columns at once equal r single columns
+        snaps, shifts, rng = random_problem(m=12, n=5, n_s=1, n_blocks=2,
+                                            seed=21, boundary=grid_boundary)
+        m, nb, n = snaps.grid.m, 2, snaps.n_snapshots
+        assert np.any(shifts.d[0] * m % 1.0 != 0.0)
+        plan = _FramePlan(shifts.d[0], snaps.grid, shifts.spec)
+        R = rng.standard_normal((n, nb, m))
+        A = rng.standard_normal((n, r))
+        out = plan.accumulate_transpose(R, A)
+        for k in range(r):
+            np.testing.assert_array_equal(
+                out[:, [k]], plan.accumulate_transpose(R, A[:, [k]]))
+        ref = np.zeros((nb * m, r))
+        for j in range(n):
+            T = dense_shift_matrix(shifts.d[0, j], snaps.grid, shifts.spec)
+            for b in range(nb):
+                ref[b * m:(b + 1) * m] += np.outer(T.T @ R[j, b], A[j])
+        np.testing.assert_allclose(out, ref, rtol=1e-12,
+                                   atol=1e-12 * np.abs(ref).max())
 
 
 class TestPacking:

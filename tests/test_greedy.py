@@ -179,6 +179,30 @@ class TestSeedModes:
         signs = np.sign(np.sum(V * W, axis=0))
         np.testing.assert_allclose(V * signs, W, rtol=0, atol=1e-12)
 
+    @pytest.mark.parametrize("factor", [1.0, 1.7, 3e-5])
+    def test_pulse_tails_do_not_underflow(self, factor):
+        # the pulse tails reach below 1e-300: without the seed rule the
+        # scaled back-shifted matrix or its Gram matrix underflows
+        from spod.generators import WaveParams, wave_shifts, wave_snapshots
+        params = WaveParams(m=256, n=32)  # shifts of whole cells
+        snaps, shifts = wave_snapshots(params), wave_shifts(params)
+        data = snaps.data * factor
+        peak = np.abs(data).max()
+        cut = np.sqrt(np.finfo(float).tiny) * peak
+        assert np.any((data != 0.0) & (np.abs(data) < 1e-300 * factor))
+        flushed = np.where(np.abs(data) < cut, 0.0, data)
+        for frame in range(shifts.n_frames):
+            with np.errstate(under="raise"):
+                W = _seed_modes(data, snaps, shifts, frame, 2)
+            # the rule equals zeroing the small entries beforehand ...
+            np.testing.assert_array_equal(
+                W, _seed_modes(flushed, snaps, shifts, frame, 2))
+            # ... and keeps the leading singular vector of the raw data
+            B = back_shifted_matrix(data, shifts, frame, snaps.grid, 2)
+            u = np.linalg.svd(B, full_matrices=False)[0][:, :1]
+            np.testing.assert_allclose(W[:, :1] @ W[:, :1].T, u @ u.T,
+                                       rtol=0, atol=1e-12)
+
 
 class TestInitialize:
     def test_recovers_transport_profile(self):
