@@ -17,9 +17,13 @@ saved only when its shifts, grid or spec differ from those of a seed
 already saved, and otherwise its shift matrix ties it to the seed whose
 operators were saved.  Seed 0 keys start with "wave/" and "crossing/",
 seed S keys with "wave@S/" and "crossing@S/".  It also
-saves the work of each run: every stage's iterations, evaluations and
-rank-deficient snapshot solves, the chosen frames, the final mode counts and
-the number of ReducedObjective.evaluate calls.  Last, it runs the seed-0
+saves the work of each run: every stage's iterations, evaluations,
+rank-deficient snapshot solves and SVD fallback solves, the chosen frames,
+the final mode counts and the number of ReducedObjective.evaluate calls.
+It runs the seed-0 crossing-fronts scenario once more with the "species"
+rows masked in frames 1-4 (keys "crossing-masked/"), which puts the mask
+path under the check; that run makes no amplitude-solve fallback, so its
+svd_fallback_solves read 0 like the others.  Last, it runs the seed-0
 cli-pipeline chain of bench/workloads.py in-process in a temporary
 directory and saves the bytes of every .csv, .cfg and .json output, with
 that directory replaced by a fixed token.  The second form reports every
@@ -69,7 +73,7 @@ def scenarios(seed=0):
         optimizer=OptimizerOptions(max_iters=wl.CROSSING_MAX_ITERS))
 
 
-def counted_decompose(snaps, shifts, config):
+def counted_decompose(snaps, shifts, config, masks=None):
     """spod_decompose plus the number of ReducedObjective.evaluate calls."""
     from spod.core import ReducedObjective
     from spod.greedy import spod_decompose
@@ -84,41 +88,62 @@ def counted_decompose(snaps, shifts, config):
 
     ReducedObjective.evaluate = counting
     try:
-        dec, report = spod_decompose(snaps, shifts, config)
+        dec, report = spod_decompose(snaps, shifts, config, masks=masks)
     finally:
         ReducedObjective.evaluate = evaluate
     return dec, report, calls
 
 
+def run_arrays(name, snaps, shifts, config, masks=None) -> dict:
+    """Results and work counts of one decomposition, keyed under name."""
+    from spod.core import reconstruct
+
+    dec, report, calls = counted_decompose(snaps, shifts, config, masks)
+    out = {
+        "error_history": np.array(report.error_history),
+        "candidate_errors": np.array(report.candidate_errors),
+        "candidate_iterations": np.array(report.candidate_iterations),
+        "candidate_evaluations": np.array(report.candidate_evaluations),
+        "chosen_frames": np.array(report.chosen_frames),
+        "r_final": np.array(report.r_final),
+        "evaluate_calls": np.array(calls),
+        "reconstruct": reconstruct(dec),
+    }
+    for key in ("iterations", "evaluations", "rank_deficient_evals",
+                "svd_fallback_solves"):
+        out[f"stage_{key}"] = np.array([st[key] for st in report.stages])
+    for l, (frame, amps) in enumerate(zip(dec.frames, dec.amplitudes)):
+        out[f"modes{l}"] = frame.modes
+        out[f"amplitudes{l}"] = amps
+    return {f"{name}/{k}": v for k, v in out.items()}
+
+
+def masked_run() -> dict:
+    """The seed-0 crossing-fronts run with the species rows masked in
+    frames 1-4."""
+    _, (_, snaps, shifts, config) = scenarios(0)
+    species = np.zeros(snaps.n_rows, dtype=bool)
+    species[next(b for b in snaps.blocks if b.name == "species").rows] = True
+    masks = [None] + [species] * (shifts.n_frames - 1)
+    return run_arrays("crossing-masked", snaps, shifts, config, masks)
+
+
 def fingerprint(seed, operators_saved) -> dict:
     """Arrays of one seed; operators_saved holds the (shifts, grid, spec)
     of every seed whose operators are already saved, and grows."""
-    from spod.core import _FramePlan, reconstruct
+    from spod.core import _FramePlan
     from spod.greedy import back_shifted_matrix
 
     out = {}
     for name, snaps, shifts, config in scenarios(seed):
         if seed:
             name = f"{name}@{seed}"
-        dec, report, calls = counted_decompose(snaps, shifts, config)
-        out[f"{name}/error_history"] = np.array(report.error_history)
-        out[f"{name}/candidate_errors"] = np.array(report.candidate_errors)
-        out[f"{name}/candidate_iterations"] = np.array(report.candidate_iterations)
-        out[f"{name}/candidate_evaluations"] = np.array(
-            report.candidate_evaluations)
-        out[f"{name}/chosen_frames"] = np.array(report.chosen_frames)
-        out[f"{name}/r_final"] = np.array(report.r_final)
-        out[f"{name}/evaluate_calls"] = np.array(calls)
-        for key in ("iterations", "evaluations", "rank_deficient_evals"):
-            out[f"{name}/stage_{key}"] = np.array([st[key] for st in report.stages])
-        out[f"{name}/reconstruct"] = reconstruct(dec)
+        out.update(run_arrays(name, snaps, shifts, config))
         out[f"{name}/shifts"] = shifts.d
         operators = (shifts.d.shape, shifts.d.tobytes(), snaps.grid, shifts.spec)
         save_operators = operators not in operators_saved
         operators_saved.add(operators)
         for l in range(shifts.n_frames):
-            out[f"{name}/modes{l}"] = dec.frames[l].modes
-            out[f"{name}/amplitudes{l}"] = dec.amplitudes[l]
             out[f"{name}/backshift{l}"] = back_shifted_matrix(
                 snaps.data, shifts, l, snaps.grid, len(snaps.blocks))
             if not save_operators:
@@ -254,7 +279,7 @@ def main() -> int:
         ap.error("give one output path")
     if args.rtol is not None or args.up_to_sign:
         ap.error("--rtol and --up-to-sign go with --compare")
-    out, operators_saved = cli_outputs(), set()
+    out, operators_saved = {**cli_outputs(), **masked_run()}, set()
     for seed in args.seeds:
         out.update(fingerprint(seed, operators_saved))
     np.savez(args.paths[0], **out)

@@ -313,10 +313,11 @@ class ReducedObjective:
     def evaluate(self, modes_list, need_gradient: bool = True):
         """Returns (Jt, gradients, amplitudes, residual).
 
-        gradients is a per-frame list of (m_total, r_l) arrays (only when
-        requested, else None); amplitudes a per-frame list of (r_l, n)
-        arrays; residual the (m_total, n) residuals X_j - K_j a_j, a
-        transposed view of an (n, m_total) array.
+        modes_list: one (m_total, r_l) array per frame, masked rows zero
+        (as unpack and FrameBasis leave them).  gradients: per frame an
+        (m_total, r_l) array (None unless requested); amplitudes: per
+        frame an (r_l, n) array; residual: the (m_total, n) residuals
+        X_j - K_j a_j, a transposed view of an (n, m_total) array.
         """
         self.n_evals += 1
         n, m_total = self.n, self.m_total
@@ -324,7 +325,7 @@ class ReducedObjective:
         cols = np.cumsum([0] + self.mode_counts)
         frame_cols = [slice(a, b) for a, b in zip(cols, cols[1:])]
         K = np.empty((n, total_r, self.n_blocks, self.grid.m))  # mode-major
-        for plan, W, cl in zip(self.plans, self._masked(modes_list), frame_cols):
+        for plan, W, cl in zip(self.plans, modes_list, frame_cols):
             plan.shifted_modes(W, K[:, cl])
         A, resid, b, ranks, n_svd = _solve_amplitudes(
             K.reshape(n, total_r, m_total), self.XT, self.rank_tol)
@@ -343,15 +344,6 @@ class ReducedObjective:
                     G[mk] = 0.0
         amps = [A[:, cl].T.copy() for cl in frame_cols]
         return -float(np.vdot(b, A)), grads, amps, resid.T
-
-    def _masked(self, modes_list):
-        out = []
-        for W, mk in zip(modes_list, self.masks):
-            if mk is not None and np.any(W[mk]):
-                W = W.copy()
-                W[mk] = 0.0
-            out.append(W)
-        return out
 
     def value_and_gradient(self, z: np.ndarray):
         """Optimizer callback: full squared residual J and its flat gradient."""

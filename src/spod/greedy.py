@@ -8,15 +8,15 @@ modes are the leading left singular vectors of each frame's back-shifted
 snapshots; a candidate starts from the incumbent plus one new mode, the
 leading left singular vector of the frame's back-shifted residual.  Both
 come from _seed_modes by the method of snapshots (Sirovich, Q. Appl.
-Math. 45, 1987), not a full thin SVD: an eigensolve of the small Gram
-matrix of the back-shifted matrix.  That matrix is divided by its
-largest magnitude, so that the Gram matrix cannot overflow, after its
-entries below sqrt(tiny) times that magnitude are set to zero, so that
-no product in the Gram matrix underflows into slow subnormal arithmetic
-(the pulse tails of the wave data reach 1e-323).  A zeroed entry moves a
-Gram entry by at most k sqrt(tiny) of the Gram norm (k the length of the
-inner products), far below the eigensolver's backward error, eps times
-that norm.  The sign of a mode is arbitrary.
+Math. 45, 1987): one eigensolve of the snapshot Gram matrix B^T B of
+the back-shifted matrix B, then the thin SVD of B V, V its top
+eigenvectors.  B is divided by its largest magnitude, so that B^T B
+cannot overflow, after its entries below sqrt(tiny) times that
+magnitude are set to zero, so that no product in B^T B underflows into
+slow subnormal arithmetic (the wave pulse tails reach 1e-323).  A
+zeroed entry moves a Gram entry by at most k sqrt(tiny) of the Gram
+norm (k the length of the inner products), far below the eigensolver's
+backward error, eps times that norm.  The sign of a mode is arbitrary.
 
 Every solve (the initial one and each candidate) runs L-BFGS on the
 scaled variables u = z / s, minimizing J(s * u) with gradient s * g: a
@@ -29,15 +29,16 @@ step.  The optimizer's grad_tol is therefore tested on the scaled
 gradient, while a stage's grad_norm is that of dJ/dz.
 
 The candidates of one greedy iteration are solved by successive
-halving.  With N candidates and the cap B = max_iters there
+halving.  With N >= 3 candidates and the cap B = max_iters there
 are E = ceil(log2 N) rungs, at 0, ceil(B/2^E), ..., ceil(B/4)
 iterations: every surviving candidate runs on to the rung, then the
 better half, ceil(n/2) of n ranked by (error, frame), goes on; the last
-one runs to B.  The rung at 0 ranks the candidates by the error of their
-start point, which every solve evaluates anyway for its scale, so a
-candidate dropped there costs one evaluation and no iteration: the
-lowest rung of a successive-halving bracket (Jamieson & Talwalkar,
-AISTATS 2016; Li et al., JMLR 18, 2018).  A candidate whose solve ends
+one runs to B, as one or two candidates do (no rung).  The rung at 0
+ranks the candidates by their start point's error, which every solve
+evaluates anyway for its scale, so a candidate dropped there costs
+one evaluation and no iteration: the lowest rung of a
+successive-halving bracket (Jamieson & Talwalkar, AISTATS 2016; Li et
+al., JMLR 18, 2018).  A candidate whose solve ends
 early (gradient test, line-search failure) is ranked by its final value
 and not run further.  L-BFGS values never rise, so the survivor's final
 error is at most every dropped candidate's error at its rung, and the
@@ -139,10 +140,9 @@ def back_shifted_matrix(data: np.ndarray, shifts: FrameShifts, frame: int,
 def _seed_modes(data: np.ndarray, snaps: SnapshotSet, shifts: FrameShifts,
                 frame: int, r: int) -> np.ndarray:
     """The leading r left singular vectors of the frame's
-    back_shifted_matrix B of data: the top r eigenvectors of B B^T when B
-    has fewer rows than columns, else the left singular vectors of the
-    thin product B V, V the top r eigenvectors of B^T B, which are
-    orthonormal even when r exceeds rank(B).
+    back_shifted_matrix B of data: the left singular vectors of the thin
+    product B V, V the top r eigenvectors of B^T B, for every shape of B.
+    They are orthonormal even when r exceeds rank(B).
 
     B is divided by its largest magnitude, after its entries below
     _SQRT_TINY times that magnitude are set to zero: every kept entry of
@@ -157,8 +157,6 @@ def _seed_modes(data: np.ndarray, snaps: SnapshotSet, shifts: FrameShifts,
     if peak > 0:
         B[absB < _SQRT_TINY * float(peak)] = 0.0
         B /= peak
-    if B.shape[0] < B.shape[1]:
-        return np.linalg.eigh(B @ B.T)[1][:, :-r - 1:-1].copy()
     V = np.linalg.eigh(B.T @ B)[1][:, :-r - 1:-1]
     return np.linalg.svd(B @ V, full_matrices=False)[0]
 
@@ -190,9 +188,10 @@ def initialize_frames(snaps: SnapshotSet, shifts: FrameShifts, r0,
 def halving_rungs(n_candidates: int, max_iters: int) -> list:
     """Iteration counts at which the worse half of the candidates drops
     out: 0, the start point, then ceil(B/2^k) for k = E, ..., 2 with
-    E = ceil(log2 N); none for a single candidate."""
+    E = ceil(log2 N); none for one or two candidates, whose only rung
+    would rank them by their start points alone."""
     n_rungs = (n_candidates - 1).bit_length()
-    if not n_rungs:
+    if n_rungs < 2:
         return []
     return [0] + [-(-max_iters // 2 ** k) for k in range(n_rungs, 1, -1)]
 
@@ -201,14 +200,14 @@ class _Solve:
     """One L-BFGS solve of a problem in the scaled variables u = z / s, run
     on in segments through minimize, which continues it from the state
     where the last segment stopped.  The first segment evaluates the start
-    point and takes the scale s from its amplitudes
-    (ReducedObjective.variable_scale)."""
+    point and takes the scale s from its amplitudes (variable_scale).
+    prob.n_evals counts every evaluation: prob is the solve's own copy."""
 
     def __init__(self, prob: ReducedObjective, init):
         self.prob = prob
         self.start = prob.pack(init)  # then the SolverState of the last segment
         self.scale = self.z = self.trace = None
-        self.iterations = self.evaluations = 0
+        self.iterations = 0
         self.seconds = 0.0
 
     def scaled(self, u):
@@ -234,14 +233,12 @@ class _Solve:
             self.scale = self.prob.variable_scale(amps)
             self.start = start_state(z / self.scale, f, self.scale * g,
                                      opts.grad_tol)
-            self.evaluations += 1
         u, self.trace = minimize(
             self.scaled, self.start,
             replace(opts, max_iters=iterations - self.iterations))
         self.z = self.scale * u
         self.start = self.trace.state
         self.iterations += self.trace.iterations
-        self.evaluations += self.trace.n_evals
         self.seconds += time.perf_counter() - t0
 
     def result(self, label):
@@ -251,7 +248,7 @@ class _Solve:
             "label": label,
             "r": prob.mode_counts,
             "iterations": self.iterations,
-            "evaluations": self.evaluations,
+            "evaluations": prob.n_evals,
             "objective": float(trace.values[-1]),
             "grad_norm": float(np.linalg.norm(trace.state.g / self.scale)),
             "termination": trace.termination,
@@ -350,7 +347,7 @@ def spod_decompose(snaps: SnapshotSet, shifts: FrameShifts, config: GreedyConfig
         history.append(err)
         cand_hist.append(errors)
         cand_iters.append([sv.iterations for sv in solves])
-        cand_evals.append([sv.evaluations for sv in solves])
+        cand_evals.append([sv.prob.n_evals for sv in solves])
         chosen.append(q)
         stages.append(stage)
         if progress:

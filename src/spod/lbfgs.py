@@ -68,8 +68,8 @@ class OptimizerTrace:
     values[k+1] <= values[k] + c1*step_sizes[k]*slopes[k] is assertable
     directly from the trace.  A trace covers one call: a continued solve's
     values[0] is the value it resumed from, and its n_evals and iterations
-    count only that call's work.  state is where the call ended (None for
-    an empty variable vector).
+    count only that call's work.  state is where the call ended; minimize
+    sets it on every return, also for an empty variable vector.
     """
 
     values: list = field(default_factory=list)
@@ -209,9 +209,6 @@ def minimize(fg, x0, opts: OptimizerOptions | None = None):
 
     if not isinstance(x0, SolverState):
         x = np.asarray(x0, dtype=float).copy()
-        if x.size == 0:
-            trace.termination = "gradient"
-            return x, trace
         x0 = start_state(x, *ev(x), opts.grad_tol)
     x, f, g = x0.x, x0.f, x0.g
     trace.values.append(f)

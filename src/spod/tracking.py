@@ -44,8 +44,8 @@ class WindowSchedule:
             raise ValueError("window schedule is empty")
         prev_end = None
         for (t0, t1), (i0, i1) in self.entries:
-            if t1 <= t0:
-                raise ValueError(f"empty time interval [{t0}, {t1})")
+            if not 0 <= t0 < t1:
+                raise ValueError(f"empty or negative time interval [{t0}, {t1})")
             if i1 <= i0:
                 raise ValueError(f"empty window [{i0}, {i1})")
             if prev_end is not None and t0 != prev_end:
@@ -82,9 +82,9 @@ def track_front(block: np.ndarray, grid: Grid1D, windows: WindowSchedule | None 
 
     With the difference statistic only n-1 columns exist; the last
     position is replicated.  Argmax ties resolve to the smallest index.
-    The window schedule may not run past the n snapshots.  An
-    identically zero block, or a window that is identically zero over its
-    snapshots, holds no front and is rejected.
+    Under every statistic the windows must lie inside the grid and cover
+    the n snapshots, and no more.  An identically zero block, or a window
+    that is identically zero over its snapshots, holds no front: rejected.
     smooth > 1 applies a centered moving average of that width to the
     tracked positions.
     """
@@ -96,22 +96,21 @@ def track_front(block: np.ndarray, grid: Grid1D, windows: WindowSchedule | None 
         raise ValueError("tracking needs at least two snapshots")
     if not X.any():
         raise ValueError("block is identically zero: no front to track")
-    if windows is not None and windows.entries[-1][0][1] > n:
-        raise ValueError(f"window schedule runs past the {n} snapshots")
-    D = _column_statistic(X, grid, statistic)
-    idx = np.empty(n, dtype=int)
-    for j in range(D.shape[1]):
-        if windows is None:
-            lo, hi = 0, grid.m
-        else:
-            lo, hi = windows.window_at(j)
-            if not 0 <= lo < hi <= grid.m:
-                raise ValueError(f"window [{lo}, {hi}) outside grid of size {grid.m}")
-        idx[j] = lo + int(np.argmax(D[lo:hi, j]))
+    if windows is not None:
+        for _, (i0, i1) in windows.entries:
+            if not 0 <= i0 < i1 <= grid.m:
+                raise ValueError(f"window [{i0}, {i1}) outside grid of size {grid.m}")
+        if windows.entries[-1][0][1] > n:
+            raise ValueError(f"window schedule runs past the {n} snapshots")
+    wins = [windows.window_at(j) if windows else (0, grid.m) for j in range(n)]
     for (t0, t1), (i0, i1) in windows.entries if windows else ():
         if not X[i0:i1, t0:t1].any():
             raise ValueError(f"window [{i0}, {i1}) is identically zero for "
                              f"snapshots [{t0}, {t1}): no front to track")
+    D = _column_statistic(X, grid, statistic)
+    idx = np.empty(n, dtype=int)
+    for j, (lo, hi) in enumerate(wins[:D.shape[1]]):
+        idx[j] = lo + int(np.argmax(D[lo:hi, j]))
     idx[D.shape[1]:] = idx[D.shape[1] - 1]
     positions = grid.h * idx.astype(float)
     if smooth > 1:

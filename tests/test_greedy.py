@@ -454,20 +454,32 @@ class TestGreedyLoop:
         from spod.snapshots import relative_error
         snaps, shifts = three_transport_set(m=32, n=10)
         masks = [np.arange(32) < 8, None, np.arange(32) % 3 == 0]
-        points = []
-        evaluate = ReducedObjective.value_gradient_amplitudes
+        points, mode_lists = [], []
+        value_gradient_amplitudes = ReducedObjective.value_gradient_amplitudes
+        evaluate = ReducedObjective.evaluate
 
         def recording(self, z):
             points.append(z.copy())
-            return evaluate(self, z)
+            return value_gradient_amplitudes(self, z)
+
+        def recording_modes(self, modes_list, need_gradient=True):
+            mode_lists.append([W.copy() for W in modes_list])
+            return evaluate(self, modes_list, need_gradient)
 
         monkeypatch.setattr(ReducedObjective, "value_gradient_amplitudes",
                             recording)
+        monkeypatch.setattr(ReducedObjective, "evaluate", recording_modes)
         dec, rep = spod_decompose(snaps, shifts, GreedyConfig(
             r0=[1, 1, 1], tol=1e-12, p_max=2,
             optimizer=OptimizerOptions(max_iters=15)), masks=masks)
         assert rep.r_final != [1, 1, 1] and points
         assert all(np.all(np.isfinite(z)) for z in points)
+        # evaluate does not mask its modes: every caller passes them masked
+        assert len(mode_lists) > len(points)
+        for modes_list in mode_lists:
+            for W, mask in zip(modes_list, masks):
+                if mask is not None:
+                    assert np.all(W[mask] == 0.0)
         for frame, mask in zip(dec.frames, masks):
             if mask is not None:
                 assert frame.modes[mask].size and np.all(frame.modes[mask] == 0.0)
@@ -497,7 +509,7 @@ class TestHalving:
     def test_rung_schedule(self):
         assert halving_rungs(5, 30) == [0, 4, 8]
         assert halving_rungs(3, 20) == [0, 5]
-        assert halving_rungs(2, 7) == [0]
+        assert halving_rungs(2, 7) == []
         assert halving_rungs(1, 30) == []
         assert halving_rungs(9, 100) == [0, 7, 13, 25]
 
@@ -534,7 +546,10 @@ class TestHalving:
             optimizer=OptimizerOptions(max_iters=20)))
         assert len(rep.candidate_iterations) == 3
         for iters in rep.candidate_iterations:
-            assert sum(k > 0 for k in iters) <= (len(iters) + 1) // 2
+            if n_frames == 2:  # no rung: both candidates iterate
+                assert all(k > 0 for k in iters)
+            else:
+                assert sum(k > 0 for k in iters) <= (len(iters) + 1) // 2
 
     def test_one_frame_runs_its_candidate_to_the_cap(self):
         assert halving_rungs(1, 7) == []
@@ -579,11 +594,11 @@ class TestHalving:
                 assert errors[i] >= errors[q]
             stage, (_, sv) = rep.stages[p + 1], row[q]
             assert stage["iterations"] == sv.iterations
-            assert stage["evaluations"] == sv.evaluations
+            assert stage["evaluations"] == sv.prob.n_evals
             assert stage["termination"] == sv.trace.termination
-            assert rep.candidate_evaluations[p][q] == sv.evaluations
+            assert rep.candidate_evaluations[p][q] == sv.prob.n_evals
             assert sum(rep.candidate_evaluations[p]) < sum(
-                sv.evaluations for _, sv in row)
+                sv.prob.n_evals for _, sv in row)
 
 
     @pytest.mark.parametrize("params", [
@@ -615,6 +630,23 @@ class TestHalving:
             # iterations, 1 after 8, and the winner runs to 30
             assert sorted(iters) == [0, 0, 4, 8, 30] and iters[q] == 30
             assert min(errors) == errors[q]
+
+    def test_two_frames_match_solving_both_candidates_to_the_cap(self):
+        # ranked by their start points alone, the second iteration would
+        # keep frame 1, whose solve ends at a 30 % larger error
+        from spod.generators import CrossingFrontsParams, crossing_fronts
+        snaps, shifts = crossing_fronts(CrossingFrontsParams(m=200, n=60))
+        shifts = FrameShifts(shifts.d[[1, 4]], shifts.spec)
+        config = GreedyConfig(r0=[1, 1], tol=1e-12, p_max=2,
+                              optimizer=OptimizerOptions(max_iters=10))
+        dec, rep = spod_decompose(snaps, shifts, config)
+        modes, amps, history, chosen, rows = full_candidate_run(snaps, shifts,
+                                                                config)
+        assert rep.chosen_frames == chosen == [1, 0]
+        assert rep.error_history == history
+        for l in range(shifts.n_frames):
+            assert np.array_equal(dec.frames[l].modes, modes[l])
+            assert np.array_equal(dec.amplitudes[l], amps[l])
 
 
 class TestConfigValidation:

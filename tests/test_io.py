@@ -117,6 +117,34 @@ class TestSnapshotBinary:
         with pytest.raises(FormatError, match="holds 2 float64 values"):
             read_snapshots(path)
 
+    @pytest.mark.parametrize("kind", ["snapshots", "decomposition", "csv"])
+    def test_huge_header_fails_on_size_before_allocating(self, tmp_path, kind):
+        # m = 10^9 rows of n = 10^12 snapshots and no time key: each reader
+        # checks the data against the header before it builds anything of
+        # that size, the default time axis included
+        import tracemalloc
+        layout = "m=1000000000\nn=1000000000000\nh=0.5\nboundary=periodic\n"
+        path = tmp_path / "huge"
+        if kind == "csv":
+            path.write_text("# snapshots " + layout.replace("\n", " ")
+                            + "\nrow,snapshot0\n0,1.0\n")
+            read = read_snapshots_csv
+        else:
+            if kind == "decomposition":
+                layout += "ranks=1\nshift_boundary=periodic\ninterp_degree=3\n"
+            path.write_bytes((layout + "end-header\n").encode()
+                             + struct.pack("<2d", 1.0, 2.0))
+            read = read_snapshots if kind == "snapshots" else read_decomposition
+        tracemalloc.start()
+        try:
+            with pytest.raises(FormatError,
+                               match="data section holds 2|data is not"):
+                read(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
     def test_file_ends_inside_header(self, tmp_path):
         path = tmp_path / "h.bin"
         path.write_bytes(b"m=2\nn=1\nh=0.5\nboundary=periodic\n")
@@ -496,6 +524,8 @@ track = var0
         (_valid_with("frame.x", "track = v"), "numbered 0..Ns-1"),
         (_valid_with("frame.1", "windows = 3:1@0:4"),
          "bad window schedule"),
+        (_valid_with("frame.1", "windows = -2:4@0:4"),
+         r"bad window schedule.*negative time interval \[-2, 4\)"),
         (_SHIFT_FILE_FRAME + "windows = 0:4@0:8\n",
          r"\[frame.0\]: tracker keys \['windows'\] need 'track'"),
         (_SHIFT_FILE_FRAME + "statistic = peak\n",
@@ -567,9 +597,9 @@ _CONFIG_KEYS = st.sampled_from([
 _WORDS = ["", "1", "1,1", "0", "-1", "2", "abc", "1e-5", "nan", "inf", "yes",
           "maybe", "periodic", "constant", "non-periodic", "foo", "peak",
           "0:4@0:8", "3:1@0:4", "0:1", "x.bin", ",", "a:4", "a:4,b:4",
-          "0.0,0.5,1.0", "1.0,0.5,0.0", "0.0,0.5"]
-# values stay short: without a time key the readers allocate an n-entry
-# time axis before they check the payload length
+          "0.0,0.5,1.0", "1.0,0.5,0.0", "0.0,0.5", "1000000000000"]
+# a huge n is safe: the readers check the payload against the header
+# before they build the default n-entry time axis
 _VALUES = st.one_of(st.sampled_from(_WORDS), st.integers(-3, 40).map(str),
                     st.text("0123456789.,:@-=abex \t", max_size=6))
 

@@ -126,6 +126,13 @@ class TestTermination:
         x, trace = minimize(fg, np.zeros(0), OptimizerOptions())
         assert x.size == 0
         assert trace.termination == "gradient"
+        # the start point is evaluated and ends the solve by the gradient
+        # test: its target is zero, and so is the gradient norm
+        assert isinstance(trace.state, SolverState)
+        assert trace.state.x.size == 0 and trace.state.termination == "gradient"
+        assert trace.n_evals == 1 and trace.iterations == 0
+        trace = minimize(fg, np.zeros(0), OptimizerOptions(max_iters=0))[1]
+        assert trace.termination == "gradient" and trace.n_evals == 1
 
 
 def recorded(fg):

@@ -145,16 +145,23 @@ class TestWindows:
                            r" zero for snapshots \[3, 6\)"):
             track_front(X, grid, windows=ws, statistic=statistic)
 
-    def test_schedule_errors_come_before_zero_windows(self):
+    @pytest.mark.parametrize("statistic", ["difference", "gradient", "peak"])
+    def test_schedule_errors_come_before_zero_windows(self, statistic):
+        # the difference statistic has no column for the last snapshot,
+        # whose window is checked all the same
         grid = Grid1D(32, 1.0 / 32, "periodic")
         X = np.zeros((32, 6))
         X[:8] = 1.0
-        for entries, message in [([((0, 6), (16, 64))], "outside grid"),
-                                 ([((0, 7), (16, 32))], "runs past the 6"),
-                                 ([((1, 6), (16, 32))], "no window covers")]:
+        for entries, message in [
+                ([((0, 6), (16, 64))], "outside grid"),
+                ([((0, 7), (16, 32))], "runs past the 6"),
+                ([((1, 6), (16, 32))], "no window covers snapshot 0"),
+                ([((0, 5), (0, 32))], "no window covers snapshot 5"),
+                ([((0, 5), (0, 32)), ((5, 6), (0, 99))],
+                 r"window \[0, 99\) outside grid")]:
             with pytest.raises(ValueError, match=message):
                 track_front(X, grid, windows=WindowSchedule(entries),
-                            statistic="peak")
+                            statistic=statistic)
 
 
 class TestSmoothing:
