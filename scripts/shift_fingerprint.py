@@ -19,11 +19,17 @@ operators were saved.  Seed 0 keys start with "wave/" and "crossing/",
 seed S keys with "wave@S/" and "crossing@S/".  It also
 saves the work of each run: every stage's iterations, evaluations,
 rank-deficient snapshot solves and SVD fallback solves, the chosen frames,
-the final mode counts and the number of ReducedObjective.evaluate calls.
-It runs the seed-0 crossing-fronts scenario once more with the "species"
-rows masked in frames 1-4 (keys "crossing-masked/"), which puts the mask
-path under the check; that run makes no amplitude-solve fallback, so its
-svd_fallback_solves read 0 like the others.  Last, it runs the seed-0
+the final mode counts, and the number of ReducedObjective.evaluate calls
+with the SVD fallback solves they made, dropped candidates' included.
+It runs the seed-0 crossing-fronts scenario twice more: with the
+"species" rows masked in frames 1-4 (keys "crossing-masked/"), which
+puts the mask path under the check, and with every row of frame 4
+masked (keys "crossing-fallback/").  The benchmark scenarios make no
+amplitude-solve fallback; in the second run the candidates of frame 4
+start with an all-zero mode, whose snapshots the amplitude solve sends
+to the SVD fallback, which puts the split between the Gram solve and
+the fallback under the check (the script fails if that run makes no
+fallback solve).  Last, it runs the seed-0
 cli-pipeline chain of bench/workloads.py in-process in a temporary
 directory and saves the bytes of every .csv, .cfg and .json output, with
 that directory replaced by a fixed token.  The second form reports every
@@ -74,31 +80,36 @@ def scenarios(seed=0):
 
 
 def counted_decompose(snaps, shifts, config, masks=None):
-    """spod_decompose plus the number of ReducedObjective.evaluate calls."""
+    """spod_decompose plus the number of ReducedObjective.evaluate calls
+    and the number of SVD fallback solves those calls made."""
     from spod.core import ReducedObjective
     from spod.greedy import spod_decompose
 
-    calls = 0
+    calls = fallbacks = 0
     evaluate = ReducedObjective.evaluate
 
     def counting(self, *args, **kwargs):
-        nonlocal calls
+        nonlocal calls, fallbacks
         calls += 1
-        return evaluate(self, *args, **kwargs)
+        before = self.svd_fallback_solves
+        out = evaluate(self, *args, **kwargs)
+        fallbacks += self.svd_fallback_solves - before
+        return out
 
     ReducedObjective.evaluate = counting
     try:
         dec, report = spod_decompose(snaps, shifts, config, masks=masks)
     finally:
         ReducedObjective.evaluate = evaluate
-    return dec, report, calls
+    return dec, report, calls, fallbacks
 
 
 def run_arrays(name, snaps, shifts, config, masks=None) -> dict:
     """Results and work counts of one decomposition, keyed under name."""
     from spod.core import reconstruct
 
-    dec, report, calls = counted_decompose(snaps, shifts, config, masks)
+    dec, report, calls, fallbacks = counted_decompose(snaps, shifts, config,
+                                                      masks)
     out = {
         "error_history": np.array(report.error_history),
         "candidate_errors": np.array(report.candidate_errors),
@@ -107,6 +118,7 @@ def run_arrays(name, snaps, shifts, config, masks=None) -> dict:
         "chosen_frames": np.array(report.chosen_frames),
         "r_final": np.array(report.r_final),
         "evaluate_calls": np.array(calls),
+        "svd_fallback_solves": np.array(fallbacks),
         "reconstruct": reconstruct(dec),
     }
     for key in ("iterations", "evaluations", "rank_deficient_evals",
@@ -118,14 +130,20 @@ def run_arrays(name, snaps, shifts, config, masks=None) -> dict:
     return {f"{name}/{k}": v for k, v in out.items()}
 
 
-def masked_run() -> dict:
+def masked_runs() -> dict:
     """The seed-0 crossing-fronts run with the species rows masked in
-    frames 1-4."""
+    frames 1-4, and with every row of frame 4 masked."""
     _, (_, snaps, shifts, config) = scenarios(0)
     species = np.zeros(snaps.n_rows, dtype=bool)
     species[next(b for b in snaps.blocks if b.name == "species").rows] = True
-    masks = [None] + [species] * (shifts.n_frames - 1)
-    return run_arrays("crossing-masked", snaps, shifts, config, masks)
+    out = run_arrays("crossing-masked", snaps, shifts, config,
+                     [None] + [species] * (shifts.n_frames - 1))
+    whole = np.ones(snaps.n_rows, dtype=bool)
+    out.update(run_arrays("crossing-fallback", snaps, shifts, config,
+                          [None] * (shifts.n_frames - 1) + [whole]))
+    if not out["crossing-fallback/svd_fallback_solves"]:
+        raise RuntimeError("the crossing-fallback run made no SVD fallback solve")
+    return out
 
 
 def fingerprint(seed, operators_saved) -> dict:
@@ -279,7 +297,7 @@ def main() -> int:
         ap.error("give one output path")
     if args.rtol is not None or args.up_to_sign:
         ap.error("--rtol and --up-to-sign go with --compare")
-    out, operators_saved = {**cli_outputs(), **masked_run()}, set()
+    out, operators_saved = {**cli_outputs(), **masked_runs()}, set()
     for seed in args.seeds:
         out.update(fingerprint(seed, operators_saved))
     np.savez(args.paths[0], **out)

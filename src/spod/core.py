@@ -31,6 +31,7 @@ eliminating variables.
 from __future__ import annotations
 
 import copy
+import itertools
 from dataclasses import dataclass
 from typing import Optional
 
@@ -149,20 +150,26 @@ def _solve_amplitudes(K: np.ndarray, XT: np.ndarray, rank_tol: float):
     G = np.matmul(K, K.transpose(0, 2, 1))
     b = np.matmul(K, XT[:, :, None])[..., 0]
     d = np.sqrt(np.diagonal(G, axis1=1, axis2=2))
-    fast = np.flatnonzero(np.all((d > 0.0) & (d < np.inf), axis=1))
-    d = d[fast]
-    lam, V = np.linalg.eigh(G[fast] / (d[:, :, None] * d[:, None, :]))
+    fast = np.all((d > 0.0) & (d < np.inf), axis=1)
+    G, d, bf = (G, d, b) if fast.all() else (G[fast], d[fast], b[fast])
+    lam, V = np.linalg.eigh(G / (d[:, :, None] * d[:, None, :]))
     inv_cond = np.sqrt(np.maximum(lam[:, 0], 0.0) / lam[:, -1])
     ok = (inv_cond * GRAM_COND_MAX >= 1.0) & (
         inv_cond * d.min(axis=1) / d.max(axis=1) > RANK_MARGIN * rank_tol)
-    fast, d, lam, V = fast[ok], d[ok], lam[ok], V[ok]
-    slow = np.setdiff1d(np.arange(n), fast)
-    A, ranks = np.empty((n, R)), np.full(n, R)
-    y = np.matmul((b[fast] / d)[:, None, :], V)[:, 0] / lam
-    A[fast] = np.matmul(V, y[:, :, None])[..., 0] / d
-    A[slow], resid_slow, ranks[slow] = _least_squares(K[slow], XT[slow], rank_tol)
-    resid = XT - np.matmul(A[:, None, :], K)[:, 0]
-    resid[slow] = resid_slow
+    if not ok.all():
+        d, bf, lam, V = d[ok], bf[ok], lam[ok], V[ok]
+        fast[fast] = ok
+    y = np.matmul((bf / d)[:, None, :], V)[:, 0] / lam
+    A = np.matmul(V, y[:, :, None])[..., 0] / d
+    ranks, slow = np.full(n, R), np.flatnonzero(~fast)
+    if slow.size:
+        A_fast, A = A, np.empty((n, R))
+        A[fast] = A_fast
+        A[slow], resid_slow, ranks[slow] = _least_squares(K[slow], XT[slow], rank_tol)
+    resid = np.matmul(A[:, None, :], K)[:, 0]
+    np.subtract(XT, resid, out=resid)
+    if slow.size:
+        resid[slow] = resid_slow
     return A, resid, b, ranks, slow.size
 
 
@@ -184,9 +191,8 @@ class _FramePlan:
     """Cached sparse shift operators for one frame's whole shift sequence.
 
     stacked is shift_operator(d_row), the (n*m, m) vertical stack
-    [T(d_1); ...; T(d_n)], so one spgemm shifts a block of modes for every
-    snapshot at once; stacked_T = [T_1^T ... T_n^T] accumulates transposed
-    applications the same way.
+    [T(d_1); ...; T(d_n)]: one CSR matvec shifts one mode's block for every
+    snapshot, and stacked_T = [T_1^T ... T_n^T] accumulates the transposes.
     """
 
     def __init__(self, d_row: np.ndarray, grid: Grid1D, spec: ShiftSpec):
@@ -196,17 +202,16 @@ class _FramePlan:
     def shifted_modes(self, W: np.ndarray, out: np.ndarray):
         """Fill out, mode-major (n, r, nb, m), with T(d_j) W[block b, mode k]."""
         n, r, nb, m = out.shape
-        for k, b in np.ndindex(r, nb):
+        for k, b in itertools.product(range(r), range(nb)):
             out[:, k, b] = (self.stacked @ W[b * m:(b + 1) * m, k]).reshape(n, m)
 
     def accumulate_transpose(self, R: np.ndarray, A: np.ndarray) -> np.ndarray:
         """sum_j T(d_j)^T R[j, b] a_j^T per block, for residual blocks R of
         shape (n, nb, m) and amplitudes A of shape (n, r)."""
-        n, nb, m = R.shape
-        r = A.shape[1]
-        out = np.empty((nb * m, r))
-        for k, b in np.ndindex(r, nb):
-            Z = R[:, b] * A[:, k, None]
+        (n, nb, m), r = R.shape, A.shape[1]
+        out, Z = np.empty((nb * m, r)), np.empty((n, m))  # Z: one scaled block
+        for k, b in itertools.product(range(r), range(nb)):
+            np.multiply(R[:, b], A[:, k, None], out=Z)
             out[b * m:(b + 1) * m, k] = self.stacked_T @ Z.ravel()
         return out
 
@@ -350,12 +355,12 @@ class ReducedObjective:
         return self.value_gradient_amplitudes(z)[:2]
 
     def value_gradient_amplitudes(self, z: np.ndarray):
-        """J, its flat gradient and the per-frame amplitudes of one
-        evaluation at the flat variables z."""
+        """J, its flat gradient, and the per-frame amplitudes and residual
+        (as evaluate returns them) of one evaluation at the flat variables z."""
         _, grads, amps, resid = self.evaluate(self.unpack(z), need_gradient=True)
         g = np.concatenate([G.ravel(order="F") for G in grads]) if grads else np.zeros(0)
         r = resid.ravel(order="K")  # memory order: a view, not a copy
-        return float(r @ r), g, amps
+        return float(r @ r), g, amps, resid
 
     def variable_scale(self, amps) -> np.ndarray:
         """Diagonal scale s of the flat variables (pack layout) for the

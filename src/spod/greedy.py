@@ -10,13 +10,9 @@ leading left singular vector of the frame's back-shifted residual.  Both
 come from _seed_modes by the method of snapshots (Sirovich, Q. Appl.
 Math. 45, 1987): one eigensolve of the snapshot Gram matrix B^T B of
 the back-shifted matrix B, then the thin SVD of B V, V its top
-eigenvectors.  B is divided by its largest magnitude, so that B^T B
-cannot overflow, after its entries below sqrt(tiny) times that
-magnitude are set to zero, so that no product in B^T B underflows into
-slow subnormal arithmetic (the wave pulse tails reach 1e-323).  A
-zeroed entry moves a Gram entry by at most k sqrt(tiny) of the Gram
-norm (k the length of the inner products), far below the eigensolver's
-backward error, eps times that norm.  The sign of a mode is arbitrary.
+eigenvectors, with B scaled so that B^T B neither overflows nor falls
+into slow subnormal arithmetic (the wave pulse tails reach 1e-323; see
+_seed_modes).  The sign of a mode is arbitrary.
 
 Every solve (the initial one and each candidate) runs L-BFGS on the
 scaled variables u = z / s, minimizing J(s * u) with gradient s * g: a
@@ -54,10 +50,10 @@ configuration (max_iters = 500) it does not, as the README records.
 
 A run builds one ReducedObjective: its shift operators and data depend
 on the shifts alone, so every solve takes it with its own mode counts
-through with_counts.  A solve yields the modes, their error and the
-stage record; the incumbent's amplitudes and residual come from one
-value-only evaluation, which serves the next warm start and, on the
-last incumbent, the returned Decomposition.
+through with_counts.  A solve yields the modes, their error, the stage
+record, and the amplitudes and residual that serve the next warm start
+and the returned Decomposition: its last evaluation's where that was
+made at the final modes, else those of one more, value-only, evaluation.
 """
 from __future__ import annotations
 
@@ -152,10 +148,10 @@ def _seed_modes(data: np.ndarray, snaps: SnapshotSet, shifts: FrameShifts,
     the length of the inner products; 3e-151 at k = 2048), far below the
     backward error of eigh, eps times that norm.  data is not changed."""
     B = back_shifted_matrix(data, shifts, frame, snaps.grid, len(snaps.blocks))
-    absB = np.abs(B)
-    peak = absB.max()
+    peak = max(B.max(), -B.min())  # no full-size |B|
     if peak > 0:
-        B[absB < _SQRT_TINY * float(peak)] = 0.0
+        cut = _SQRT_TINY * float(peak)
+        B[(B < cut) & (B > -cut)] = 0.0
         B /= peak
     V = np.linalg.eigh(B.T @ B)[1][:, :-r - 1:-1]
     return np.linalg.svd(B @ V, full_matrices=False)[0]
@@ -206,13 +202,19 @@ class _Solve:
     def __init__(self, prob: ReducedObjective, init):
         self.prob = prob
         self.start = prob.pack(init)  # then the SolverState of the last segment
-        self.scale = self.z = self.trace = None
-        self.iterations = 0
-        self.seconds = 0.0
+        self.scale = self.z = self.trace = self.last = None  # last: see evaluate
+        self.iterations, self.seconds = 0, 0.0
+
+    def evaluate(self, z):
+        """J, dJ/dz and the amplitudes at z, kept in last with z and the residual."""
+        self.last = None  # freed before this evaluation allocates
+        f, g, amps, resid = self.prob.value_gradient_amplitudes(z)
+        self.last = z, amps, resid
+        return f, g, amps
 
     def scaled(self, u):
         """Value and gradient of u -> J(s * u)."""
-        f, g = self.prob.value_and_gradient(self.scale * u)
+        f, g, _ = self.evaluate(self.scale * u)
         return f, self.scale * g
 
     @property
@@ -228,10 +230,9 @@ class _Solve:
         """Continue the solve until it has run `iterations` in all."""
         t0 = time.perf_counter()
         if self.scale is None:
-            z = self.start
-            f, g, amps = self.prob.value_gradient_amplitudes(z)
+            f, g, amps = self.evaluate(self.start)
             self.scale = self.prob.variable_scale(amps)
-            self.start = start_state(z / self.scale, f, self.scale * g,
+            self.start = start_state(self.start / self.scale, f, self.scale * g,
                                      opts.grad_tol)
         u, self.trace = minimize(
             self.scaled, self.start,
@@ -239,7 +240,17 @@ class _Solve:
         self.z = self.scale * u
         self.start = self.trace.state
         self.iterations += self.trace.iterations
+        if not self.ended and self.iterations < opts.max_iters:
+            self.last = None  # stopped at a rung: evaluates again or is dropped
         self.seconds += time.perf_counter() - t0
+
+    def fit(self):
+        """Amplitudes and residual at the final modes: the last evaluation's
+        if it was made there, else a value-only one's, after the stage record."""
+        if self.last is not None and np.array_equal(self.last[0], self.z):
+            return self.last[1:]
+        self.last = None
+        return self.prob.evaluate(self.prob.unpack(self.z), need_gradient=False)[2:]
 
     def result(self, label):
         """Optimized modes, their relative error and the stage record."""
@@ -275,16 +286,10 @@ def spod_decompose(snaps: SnapshotSet, shifts: FrameShifts, config: GreedyConfig
     history, cand_hist, chosen, stages = [], [], [], []
     cand_iters, cand_evals = [], []
 
-    def fit(modes):
-        """Amplitudes and residual of the incumbent modes."""
-        prob = base.with_counts([W.shape[1] for W in modes])
-        return prob.evaluate(modes, need_gradient=False)[2:]
-
-    def finish(modes, termination, amps=None):
+    def finish(modes, termination, amps):
         frames = [FrameBasis(W, None if masks is None else masks[l])
                   for l, W in enumerate(modes)]
-        dec = Decomposition(frames, fit(modes)[0] if amps is None else amps,
-                            shifts, snaps.grid, list(snaps.blocks))
+        dec = Decomposition(frames, amps, shifts, snaps.grid, list(snaps.blocks))
         report = GreedyReport(
             r0=list(config.r0), r_final=[W.shape[1] for W in modes],
             error_history=history, candidate_errors=cand_hist,
@@ -308,20 +313,20 @@ def spod_decompose(snaps: SnapshotSet, shifts: FrameShifts, config: GreedyConfig
                 step(sv)
 
     frames0 = initialize_frames(snaps, shifts, config.r0, masks)
-    initial = _Solve(base.with_counts(config.r0), [f.modes for f in frames0])
+    incumbent = _Solve(base.with_counts(config.r0), [f.modes for f in frames0])
     try:
-        initial.run_to(max_iters, config.optimizer)
+        incumbent.run_to(max_iters, config.optimizer)
     except OptimizerAbort:
         return finish([f.modes for f in frames0], "optimizer failure",
                       [np.zeros((f.n_modes, snaps.n_snapshots)) for f in frames0])
-    modes, err, stage = initial.result("initial")
+    modes, err, stage = incumbent.result("initial")
     history.append(err)
     stages.append(stage)
     if progress:
         progress({"stage": "initial", "r": list(stage["r"]), "error": err})
 
     while err > config.tol and len(chosen) < p_max:
-        amps, resid = fit(modes)
+        amps, resid = incumbent.fit()
 
         def candidate(i):
             counts = [W.shape[1] for W in modes]
@@ -341,9 +346,9 @@ def spod_decompose(snaps: SnapshotSet, shifts: FrameShifts, config: GreedyConfig
         except OptimizerAbort:
             return finish(modes, "optimizer failure", amps)
 
-        q = alive[0]
+        q, incumbent = alive[0], solves[alive[0]]
         errors = [sv.error for sv in solves]
-        modes, err, stage = solves[q].result(f"iteration {len(chosen) + 1}")
+        modes, err, stage = incumbent.result(f"iteration {len(chosen) + 1}")
         history.append(err)
         cand_hist.append(errors)
         cand_iters.append([sv.iterations for sv in solves])
@@ -354,4 +359,5 @@ def spod_decompose(snaps: SnapshotSet, shifts: FrameShifts, config: GreedyConfig
             progress({"stage": "greedy", "p": len(chosen), "r": list(stage["r"]),
                       "error": err, "candidate_errors": errors, "chosen": q})
 
-    return finish(modes, "tolerance" if err <= config.tol else "iteration cap")
+    return finish(modes, "tolerance" if err <= config.tol else "iteration cap",
+                  incumbent.fit()[0])

@@ -55,7 +55,7 @@ class ShiftSpec:
             )
 
 
-_MAX_CELLS = 2.0 ** 62  # largest |d / h|: node indices stay inside int64
+_MAX_CELLS = 2.0 ** 62  # largest |d / h|: offsets stay inside int64
 
 
 def _stencils(d, grid: Grid1D, spec: ShiftSpec):
@@ -98,11 +98,14 @@ def _stencils(d, grid: Grid1D, spec: ShiftSpec):
 
 
 def _node_indices(offset, n_weights: int, m: int, boundary: str) -> np.ndarray:
-    """Source node indices, wrapped or clamped, shaped offset.shape +
-    (m, n_weights): leg q of row i reads node i + offset + q."""
-    base = np.add.outer(offset, np.arange(m)[:, None] + np.arange(n_weights))
-    if boundary == "periodic":
-        return np.mod(base, m, out=base)
+    """Source node indices in int32, wrapped or clamped, shaped offset.shape +
+    (m, n_weights): leg q of row i reads node i + offset + q.  The offsets
+    are reduced mod m, or clamped to [-m - n_weights, m], which moves no node."""
+    legs = np.arange(m, dtype=np.int32)[:, None] + np.arange(n_weights, dtype=np.int32)
+    if boundary == "periodic":  # both terms below m: one wrap is enough
+        base = np.add.outer(np.mod(offset, m).astype(np.int32), legs % m)
+        return np.subtract(base, m, out=base, where=base >= m)
+    base = np.add.outer(np.clip(offset, -m - n_weights, m).astype(np.int32), legs)
     return np.clip(base, 0, m - 1, out=base)
 
 
@@ -120,8 +123,10 @@ def apply_shift(v, d, grid: Grid1D, spec: ShiftSpec):
     offset, weights, _ = _stencils(d.reshape(-1), grid, spec)
     mid = math.prod(v.shape[1:-1] if d.ndim else v.shape[1:])
     blocks = v.reshape(v.shape[0] // m, m * mid * d.size)
-    idx = _node_indices(offset, weights.shape[1], m, spec.boundary)
-    columns = np.arange(mid * d.size).reshape(mid, d.size)
+    itype = np.int32 if blocks.shape[1] < 2 ** 31 else np.int64  # flat indices
+    idx = _node_indices(offset, weights.shape[1], m, spec.boundary).astype(
+        itype, copy=False)
+    columns = np.arange(mid * d.size, dtype=itype).reshape(mid, d.size)
 
     def leg(q):  # weight q of every column times its gathered source nodes
         flat = idx[:, :, q].T[:, None, :] * (mid * d.size) + columns
@@ -149,9 +154,7 @@ def dense_shift_matrix(d: float, grid: Grid1D, spec: ShiftSpec) -> np.ndarray:
     offset, weights, _ = _stencils([d], grid, spec)
     idx = _node_indices(offset[0], weights.shape[1], grid.m, spec.boundary)
     M = np.zeros((grid.m, grid.m))
-    rows = np.arange(grid.m)
-    for q in range(weights.shape[1]):
-        np.add.at(M, (rows, idx[:, q]), weights[0, q])
+    np.add.at(M, (np.arange(grid.m)[:, None], idx), weights[0])  # legs in order
     return M
 
 
@@ -165,12 +168,18 @@ def shift_operator(d, grid: Grid1D, spec: ShiftSpec) -> sparse.csr_matrix:
     if d.ndim > 1:
         raise ValueError(f"shifts of shape {d.shape}: need one shift or a 1-d sequence")
     offset, weights, exact = _stencils(d.reshape(-1), grid, spec)
-    m, k = grid.m, d.size
-    idx = _node_indices(offset, weights.shape[1], m, spec.boundary)
+    m, k, legs = grid.m, d.size, weights.shape[1]
+    idx = _node_indices(offset, legs, m, spec.boundary)
     vals = np.broadcast_to(weights[:, None, :], idx.shape)
-    keep = (vals != 0.0) | ~exact[:, None, None]  # drop the padding of exact shifts
-    counts = np.where(exact, 1, weights.shape[1]).repeat(m)
-    indptr = np.concatenate([[0], np.cumsum(counts)])
-    op = sparse.csr_matrix((vals[keep], idx[keep], indptr), shape=(k * m, m))
+    itype = np.int32 if idx.size < 2 ** 31 else np.int64  # row pointers
+    if exact.all() or not exact.any():  # the same number of legs in every row
+        vals, idx = vals.ravel(), idx.ravel()
+        indptr = np.arange(0, idx.size + 1, legs, dtype=itype)
+    else:  # drop the padding of exact shifts
+        keep = (vals != 0.0) | ~exact[:, None, None]
+        vals, idx = vals[keep], idx[keep]
+        indptr = np.zeros(k * m + 1, dtype=itype)
+        np.cumsum(np.where(exact, 1, legs).astype(itype).repeat(m), out=indptr[1:])
+    op = sparse.csr_matrix((vals, idx, indptr), shape=(k * m, m))
     op.sum_duplicates()  # clamped legs that meet on a boundary node
     return op

@@ -156,6 +156,32 @@ class TestGramSolve:
                 A[j], np.linalg.pinv(K[j].T, rtol=1e-10) @ XT[j],
                 rtol=1e-9, atol=1e-9 * np.linalg.norm(A[j]))
 
+    def test_passing_snapshots_solve_as_in_an_all_passing_batch(self):
+        # the four failing systems of guarded_stack among passing ones
+        K_bad, XT_bad = self.guarded_stack()
+        rng = np.random.default_rng(25)
+        n, M = 10, K_bad.shape[2]
+        slow = np.array([1, 4, 5, 7])
+        fast = np.setdiff1d(np.arange(n), slow)
+        K, XT = np.empty((n, 3, M)), np.empty((n, M))
+        K[slow], XT[slow] = K_bad[:4], XT_bad[:4]
+        K[fast] = np.concatenate([K_bad[4:], rng.standard_normal((5, 3, M))])
+        XT[fast] = np.concatenate([XT_bad[4:], rng.standard_normal((5, M))])
+        A, resid, b, ranks, n_svd = _solve_amplitudes(K, XT, 1e-10)
+        A_ok, resid_ok, b_ok, ranks_ok, n_ok = _solve_amplitudes(
+            np.ascontiguousarray(K[fast]), np.ascontiguousarray(XT[fast]), 1e-10)
+        assert (n_svd, n_ok) == (4, 0)
+        for ours, alone in [(A, A_ok), (resid, resid_ok), (b, b_ok),
+                            (ranks, ranks_ok)]:
+            assert np.array_equal(ours[fast], alone)
+        np.testing.assert_array_equal(ranks[slow], [2, 2, 3, 3])
+        for j in range(n):  # within the rounding of A K; bit-equal below
+            scale = np.max(np.abs(XT[j]) + np.abs(A[j]) @ np.abs(K[j]))
+            np.testing.assert_allclose(resid[j], XT[j] - A[j] @ K[j], rtol=0,
+                                       atol=1e-12 * scale)
+        assert np.array_equal(
+            resid[fast], XT[fast] - np.matmul(A[fast, None, :], K[fast])[:, 0])
+
     def test_rank_tol_sets_the_rank_of_widely_spread_columns(self):
         # cond(K D^-1) = 1, yet s_min/s_max = 1e-12 < rank_tol: rank 2
         K = np.array([[[1.0, 0.0, 0.0], [0.0, 1e-12, 0.0], [0.0, 0.0, 1.0]]])
@@ -479,11 +505,13 @@ class TestVariableScale:
         prob = ReducedObjective(snaps, shifts, [1, 2])
         modes = [rng.standard_normal((10, 1)), rng.standard_normal((10, 2))]
         z = prob.pack(modes)
-        f, g, amps = prob.value_gradient_amplitudes(z)
+        f, g, amps, resid = prob.value_gradient_amplitudes(z)
         assert (f, g.tolist()) == (prob.value_and_gradient(z)[0],
                                    prob.value_and_gradient(z)[1].tolist())
-        for A, B in zip(amps, prob.evaluate(modes)[2]):
+        _, _, amps_ref, resid_ref = prob.evaluate(modes, need_gradient=False)
+        for A, B in zip(amps, amps_ref):
             np.testing.assert_array_equal(A, B)
+        np.testing.assert_array_equal(resid, resid_ref)
 
 
 class TestReconstruct:

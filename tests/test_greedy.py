@@ -474,8 +474,9 @@ class TestGreedyLoop:
             optimizer=OptimizerOptions(max_iters=15)), masks=masks)
         assert rep.r_final != [1, 1, 1] and points
         assert all(np.all(np.isfinite(z)) for z in points)
-        # evaluate does not mask its modes: every caller passes them masked
-        assert len(mode_lists) > len(points)
+        # evaluate does not mask its modes: every caller passes them masked;
+        # here every call is a solve's, as the incumbents' fits reuse them
+        assert len(mode_lists) == len(points)
         for modes_list in mode_lists:
             for W, mask in zip(modes_list, masks):
                 if mask is not None:
@@ -643,6 +644,105 @@ class TestHalving:
         modes, amps, history, chosen, rows = full_candidate_run(snaps, shifts,
                                                                 config)
         assert rep.chosen_frames == chosen == [1, 0]
+        assert rep.error_history == history
+        for l in range(shifts.n_frames):
+            assert np.array_equal(dec.frames[l].modes, modes[l])
+            assert np.array_equal(dec.amplitudes[l], amps[l])
+
+
+class TestIncumbentFit:
+    """The incumbent's amplitudes and residual are those of its solve's
+    last evaluation whenever that was made at the final modes."""
+
+    @staticmethod
+    def counted_evaluations(monkeypatch):
+        calls = []  # need_gradient of every ReducedObjective.evaluate call
+        evaluate = ReducedObjective.evaluate
+
+        def counting(self, modes_list, need_gradient=True):
+            calls.append(need_gradient)
+            return evaluate(self, modes_list, need_gradient)
+
+        monkeypatch.setattr(ReducedObjective, "evaluate", counting)
+        return calls
+
+    @staticmethod
+    def case(name):
+        import spod
+        if name == "wave":  # the benchmark's wave pair
+            return spod.wave_snapshots(), spod.wave_shifts(), GreedyConfig(
+                r0=[1, 1], tol=1e-6), None
+        if name == "three-signal":
+            snaps, shifts = spod.three_signal_default()
+            return snaps, shifts, GreedyConfig(
+                r0=[1, 0, 0], tol=1e-12, p_max=2,
+                optimizer=OptimizerOptions(max_iters=20)), None
+        snaps, shifts = spod.crossing_fronts(spod.CrossingFrontsParams(m=100, n=30))
+        species = np.zeros(snaps.n_rows, dtype=bool)
+        species[next(b for b in snaps.blocks if b.name == "species").rows] = True
+        return snaps, shifts, GreedyConfig(
+            r0=[1, 1, 1, 1, 0], tol=0.01, p_max=2,
+            optimizer=OptimizerOptions(max_iters=10)), [None] + [species] * 4
+
+    @staticmethod
+    def assert_fresh_amplitudes(snaps, shifts, dec, rep, masks):
+        prob = ReducedObjective(snaps, shifts, rep.r_final, masks=masks)
+        amps = prob.evaluate([f.modes for f in dec.frames],
+                             need_gradient=False)[2]
+        for A, B in zip(dec.amplitudes, amps):
+            assert np.array_equal(A, B)
+
+    @pytest.mark.parametrize("name", ["wave", "three-signal", "crossing-masked"])
+    def test_every_evaluation_is_a_counted_solve_evaluation(self, name,
+                                                            monkeypatch):
+        snaps, shifts, config, masks = self.case(name)
+        calls = self.counted_evaluations(monkeypatch)
+        dec, rep = spod_decompose(snaps, shifts, config, masks=masks)
+        assert len(calls) == (rep.stages[0]["evaluations"]
+                              + sum(map(sum, rep.candidate_evaluations)))
+        if name != "wave":
+            assert rep.chosen_frames  # the seeds of an iteration reused a fit
+        monkeypatch.undo()
+        self.assert_fresh_amplitudes(snaps, shifts, dec, rep, masks)
+
+    def test_a_solve_stopped_at_a_rung_keeps_no_residual(self):
+        snaps, shifts = three_transport_set(m=32, n=10)
+        counts = [1, 1, 0]
+        sv = _Solve(ReducedObjective(snaps, shifts, counts),
+                    [f.modes for f in initialize_frames(snaps, shifts, counts)])
+        opts = OptimizerOptions(max_iters=6)
+        sv.run_to(3, opts)
+        assert not sv.ended and sv.last is None  # it evaluates again
+        sv.run_to(6, opts)
+        n_evals = sv.prob.n_evals
+        amps, resid = sv.fit()
+        assert sv.prob.n_evals == n_evals  # the last evaluation's, at sv.z
+        _, _, amps_ref, resid_ref = ReducedObjective(snaps, shifts, counts).evaluate(
+            sv.prob.unpack(sv.z), need_gradient=False)
+        for A, B in zip(amps, amps_ref):
+            assert np.array_equal(A, B)
+        assert np.array_equal(resid, resid_ref)
+
+    def test_a_solve_ending_off_its_last_evaluation_is_evaluated_once_more(
+            self, monkeypatch):
+        # the initial solve ends by a line-search failure: its final
+        # iterate precedes the failed trials, the last evaluated points
+        snaps, shifts = two_transport_set(m=32, n=10)
+        config = GreedyConfig(r0=[1, 0], tol=1e-12, p_max=2,
+                              optimizer=OptimizerOptions(max_iters=8))
+        calls = self.counted_evaluations(monkeypatch)
+        dec, rep = spod_decompose(snaps, shifts, config)
+        assert rep.stages[0]["termination"] == "line search failure"
+        assert calls.count(False) == 1  # the one value-only evaluation
+        assert calls.count(True) == (rep.stages[0]["evaluations"]
+                                     + sum(map(sum, rep.candidate_evaluations)))
+        monkeypatch.undo()
+        self.assert_fresh_amplitudes(snaps, shifts, dec, rep, None)
+        # two frames, no rung: the run equals the one whose seeds and
+        # amplitudes come from fresh evaluations of every incumbent
+        modes, amps, history, chosen, _ = full_candidate_run(snaps, shifts,
+                                                             config)
+        assert rep.chosen_frames and rep.chosen_frames == chosen
         assert rep.error_history == history
         for l in range(shifts.n_frames):
             assert np.array_equal(dec.frames[l].modes, modes[l])

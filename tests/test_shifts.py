@@ -278,6 +278,85 @@ class TestOperators:
                                        apply_shift(V[:, c], 1.3 * g.h, g, PER3))
 
 
+# on a periodic grid of M16 = 16 nodes: fractional shifts (in mesh units)
+# whose cubic stencils start 15 or 14 nodes ahead mod 16, so that their
+# legs pass 16 twice; grid multiples with those offsets; and shifts by
+# 2**40 cells, a multiple of 16
+M16 = 16
+WRAP_CELLS = np.array([0.25, 0.5 - M16, 3 * M16 + 0.75, M16 - 0.5,
+                       2 * M16 - 0.75, -0.5])
+EXACT_WRAP_CELLS = np.array([M16 - 1.0, M16 - 2.0, -1.0, -2.0, 5 * M16 - 1.0])
+HUGE_CELLS = np.array([2.0 ** 40, -2.0 ** 40, 2.0 ** 40 + 0.5, -2.0 ** 40 - 0.25])
+INDEX_CASES = pytest.mark.parametrize("spec,cells", [
+    pytest.param(PER3, WRAP_CELLS, id="wrap"),
+    pytest.param(PER3, EXACT_WRAP_CELLS, id="exact-wrap"),
+    pytest.param(PER3, np.r_[WRAP_CELLS, EXACT_WRAP_CELLS], id="mixed-wrap"),
+    *[pytest.param(spec, cells, id=f"{spec.boundary}{spec.interp_degree}-{name}")
+      for spec in (PER1, PER3, CON1, CON3)
+      for name, cells in [("huge", HUGE_CELLS), ("huge-exact", HUGE_CELLS[:2]),
+                          ("mixed-huge", np.r_[MIXED_CELLS, HUGE_CELLS])]],
+])
+
+
+class TestIndexArithmetic:
+    """Offsets are reduced mod m or clamped before the int32 node sums."""
+
+    def grid_for(self, spec):
+        return grid(m=M16, boundary="periodic" if spec.boundary == "periodic"
+                    else "non-periodic")
+
+    @INDEX_CASES
+    def test_operator_is_canonical_int32(self, spec, cells):
+        from scipy import sparse
+
+        g = self.grid_for(spec)
+        op = shift_operator(cells * g.h, g, spec)
+        assert op.indices.dtype == op.indptr.dtype == np.int32
+        # a fresh matrix checks its format instead of trusting a flag
+        fresh = sparse.csr_matrix((op.data, op.indices, op.indptr), shape=op.shape)
+        fresh.check_format(full_check=True)
+        assert fresh.has_canonical_format
+
+    @INDEX_CASES
+    def test_rows_and_applications_match_the_dense_matrices(self, spec, cells):
+        g = self.grid_for(spec)
+        d_row = cells * g.h
+        A = shift_operator(d_row, g, spec).toarray()
+        V = np.random.default_rng(8).standard_normal((g.m, d_row.size))
+        out = apply_shift(V, d_row, g, spec)
+        for j, d in enumerate(d_row):
+            T = dense_shift_matrix(d, g, spec)
+            np.testing.assert_allclose(A[j * g.m:(j + 1) * g.m], T, rtol=0,
+                                       atol=1e-15)
+            np.testing.assert_allclose(out[:, j], T @ V[:, j], rtol=0, atol=1e-13)
+            np.testing.assert_allclose(apply_shift(V[:, j], d, g, spec),
+                                       T @ V[:, j], rtol=0, atol=1e-13)
+
+    @pytest.mark.parametrize("spec", [PER1, PER3])
+    def test_periodic_shift_is_a_roll_then_a_sub_cell_shift(self, spec):
+        # an oracle without the operators' index arithmetic: dyadic shifts
+        # on h = 1/4 make every split into k + rho exact
+        g = self.grid_for(spec)
+        v = np.random.default_rng(9).standard_normal(g.m)
+        for cells in np.r_[WRAP_CELLS, EXACT_WRAP_CELLS, HUGE_CELLS]:
+            k = int(np.floor(cells))
+            expected = apply_shift(np.roll(v, -k), (cells - k) * g.h, g, spec)
+            assert np.array_equal(apply_shift(v, cells * g.h, g, spec), expected)
+            op = shift_operator(cells * g.h, g, spec)
+            np.testing.assert_allclose(op @ v, expected, rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("spec", [CON1, CON3])
+    def test_constant_shift_beyond_the_domain_reads_one_edge(self, spec):
+        g = self.grid_for(spec)
+        v = np.random.default_rng(10).standard_normal(g.m)
+        # +d reads to the left, so every leg parks on node 0; -d on node m-1
+        for cells, edge in zip(HUGE_CELLS, [0, -1, 0, -1]):
+            out = apply_shift(v, cells * g.h, g, spec)
+            np.testing.assert_allclose(out, v[edge], rtol=1e-15, atol=0)
+            if cells == int(cells):
+                assert np.all(out == v[edge])
+
+
 class TestValidation:
     def test_bad_boundary_rejected(self):
         with pytest.raises(ValueError):
