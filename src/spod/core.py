@@ -31,7 +31,6 @@ eliminating variables.
 from __future__ import annotations
 
 import copy
-import itertools
 from dataclasses import dataclass
 from typing import Optional
 
@@ -151,25 +150,20 @@ def _solve_amplitudes(K: np.ndarray, XT: np.ndarray, rank_tol: float):
     b = np.matmul(K, XT[:, :, None])[..., 0]
     d = np.sqrt(np.diagonal(G, axis1=1, axis2=2))
     fast = np.all((d > 0.0) & (d < np.inf), axis=1)
-    G, d, bf = (G, d, b) if fast.all() else (G[fast], d[fast], b[fast])
-    lam, V = np.linalg.eigh(G / (d[:, :, None] * d[:, None, :]))
+    d = d[fast]
+    lam, V = np.linalg.eigh(G[fast] / (d[:, :, None] * d[:, None, :]))
     inv_cond = np.sqrt(np.maximum(lam[:, 0], 0.0) / lam[:, -1])
     ok = (inv_cond * GRAM_COND_MAX >= 1.0) & (
         inv_cond * d.min(axis=1) / d.max(axis=1) > RANK_MARGIN * rank_tol)
-    if not ok.all():
-        d, bf, lam, V = d[ok], bf[ok], lam[ok], V[ok]
-        fast[fast] = ok
-    y = np.matmul((bf / d)[:, None, :], V)[:, 0] / lam
-    A = np.matmul(V, y[:, :, None])[..., 0] / d
-    ranks, slow = np.full(n, R), np.flatnonzero(~fast)
-    if slow.size:
-        A_fast, A = A, np.empty((n, R))
-        A[fast] = A_fast
-        A[slow], resid_slow, ranks[slow] = _least_squares(K[slow], XT[slow], rank_tol)
+    fast[fast] = ok
+    d, lam, V, slow = d[ok], lam[ok], V[ok], np.flatnonzero(~fast)
+    A, ranks = np.empty((n, R)), np.full(n, R)
+    y = np.matmul((b[fast] / d)[:, None, :], V)[:, 0] / lam
+    A[fast] = np.matmul(V, y[:, :, None])[..., 0] / d
+    A[slow], resid_slow, ranks[slow] = _least_squares(K[slow], XT[slow], rank_tol)
     resid = np.matmul(A[:, None, :], K)[:, 0]
     np.subtract(XT, resid, out=resid)
-    if slow.size:
-        resid[slow] = resid_slow
+    resid[slow] = resid_slow
     return A, resid, b, ranks, slow.size
 
 
@@ -202,7 +196,7 @@ class _FramePlan:
     def shifted_modes(self, W: np.ndarray, out: np.ndarray):
         """Fill out, mode-major (n, r, nb, m), with T(d_j) W[block b, mode k]."""
         n, r, nb, m = out.shape
-        for k, b in itertools.product(range(r), range(nb)):
+        for k, b in np.ndindex(r, nb):
             out[:, k, b] = (self.stacked @ W[b * m:(b + 1) * m, k]).reshape(n, m)
 
     def accumulate_transpose(self, R: np.ndarray, A: np.ndarray) -> np.ndarray:
@@ -210,7 +204,7 @@ class _FramePlan:
         shape (n, nb, m) and amplitudes A of shape (n, r)."""
         (n, nb, m), r = R.shape, A.shape[1]
         out, Z = np.empty((nb * m, r)), np.empty((n, m))  # Z: one scaled block
-        for k, b in itertools.product(range(r), range(nb)):
+        for k, b in np.ndindex(r, nb):
             np.multiply(R[:, b], A[:, k, None], out=Z)
             out[b * m:(b + 1) * m, k] = self.stacked_T @ Z.ravel()
         return out

@@ -342,6 +342,8 @@ def spod_decompose(snaps: SnapshotSet, shifts: FrameShifts, config: GreedyConfig
             for rung in halving_rungs(len(alive), max_iters) + [max_iters]:
                 run_round([solves[i] for i in alive], rung)
                 alive.sort(key=lambda i: (solves[i].error, i))
+                for i in alive[(len(alive) + 1) // 2:]:
+                    solves[i].last = None  # dropped: its fit is never read
                 del alive[(len(alive) + 1) // 2:]
         except OptimizerAbort:
             return finish(modes, "optimizer failure", amps)

@@ -723,6 +723,28 @@ class TestIncumbentFit:
             assert np.array_equal(A, B)
         assert np.array_equal(resid, resid_ref)
 
+    @pytest.mark.parametrize("name", ["two-frame", "crossing-masked"])
+    def test_a_dropped_candidate_keeps_no_residual(self, name, monkeypatch):
+        if name == "two-frame":  # both candidates run to the cap, one drops
+            snaps, shifts = two_transport_set(m=32, n=10)
+            config, masks = GreedyConfig(r0=[1, 0], tol=1e-12, p_max=2,
+                                         optimizer=OptimizerOptions(max_iters=8)), None
+        else:
+            snaps, shifts, config, masks = self.case(name)
+        solves, init = [], _Solve.__init__
+
+        def recording(sv, *args):
+            init(sv, *args)
+            solves.append(sv)
+
+        monkeypatch.setattr(_Solve, "__init__", recording)
+        dec, rep = spod_decompose(snaps, shifts, config, masks=masks)
+        n = shifts.n_frames
+        assert rep.chosen_frames and len(solves) == 1 + n * len(rep.chosen_frames)
+        for p, q in enumerate(rep.chosen_frames):
+            row = solves[1 + n * p:1 + n * (p + 1)]
+            assert all(sv.last is None for i, sv in enumerate(row) if i != q)
+
     def test_a_solve_ending_off_its_last_evaluation_is_evaluated_once_more(
             self, monkeypatch):
         # the initial solve ends by a line-search failure: its final
