@@ -6,11 +6,12 @@
 
 The first form decomposes the wave-pair and crossing-fronts scenarios of
 bench/workloads.py with the package found on the path, for every seed
-given (default 0: the default scenarios), and saves the error history,
-candidate errors with each candidate's iteration and evaluation counts,
-modes, amplitudes, reconstruction, the shift matrix,
-every frame's back-shifted snapshot matrix and the indptr/indices/data
-of every frame's stacked sparse operators.  The operators depend only on
+given (default 0: the default scenarios), and saves the input snapshot
+matrix ("data"), the error history, candidate errors with each
+candidate's iteration and evaluation counts, modes, amplitudes,
+reconstruction, the shift matrix, every frame's back-shifted snapshot
+matrix and the indptr/indices/data of every frame's stacked sparse
+operators.  The operators depend only on
 the shifts, the grid and the shift spec, and the bench seeds change the
 pulse and front shapes, not the shifts: so a seed's operator arrays are
 saved only when its shifts, grid or spec differ from those of a seed
@@ -29,11 +30,18 @@ amplitude-solve fallback; in the second run the candidates of frame 4
 start with an all-zero mode, whose snapshots the amplitude solve sends
 to the SVD fallback, which puts the split between the Gram solve and
 the fallback under the check (the script fails if that run makes no
-fallback solve).  Last, it runs the seed-0
+fallback solve).  It runs the three-signal scenario with the settings
+of tests/test_acceptance.py (keys "three-signal/") and saves its
+operators: rounding leaves 7 of its frame-0 and frame-1 shifts a few
+1e-15 cells off the grid, so those operators mix rows of 1 and 4 stored
+entries, which puts the mixed-row branch of shift_operator under the
+check (the script fails if no saved three-signal operator has rows of
+two lengths).  Last, it runs the seed-0
 cli-pipeline chain of bench/workloads.py in-process in a temporary
 directory and saves the bytes of every .csv, .cfg and .json output, with
 that directory replaced by a fixed token.  The second form reports every
-array that is not bit-for-bit equal (np.array_equal) between two
+array that is not bit-for-bit equal (same dtype, shape and bytes, so
+-0.0 differs from 0.0 and a NaN equals itself) between two
 fingerprints, with a line diff for each differing text output, so two
 checkouts can be compared after a refactoring that must change neither a
 result, nor the work that produced it, nor the bytes of a file it writes.
@@ -120,6 +128,7 @@ def run_arrays(name, snaps, shifts, config, masks=None) -> dict:
         "evaluate_calls": np.array(calls),
         "svd_fallback_solves": np.array(fallbacks),
         "reconstruct": reconstruct(dec),
+        "data": snaps.data,
     }
     for key in ("iterations", "evaluations", "rank_deficient_evals",
                 "svd_fallback_solves"):
@@ -146,30 +155,60 @@ def masked_runs() -> dict:
     return out
 
 
-def fingerprint(seed, operators_saved) -> dict:
-    """Arrays of one seed; operators_saved holds the (shifts, grid, spec)
-    of every seed whose operators are already saved, and grows."""
+def shift_arrays(name, snaps, shifts, save_operators=True) -> dict:
+    """The shift matrix and every frame's back-shifted snapshot matrix,
+    with every frame's stacked sparse operators if save_operators."""
     from spod.core import _FramePlan
     from spod.greedy import back_shifted_matrix
 
+    out = {f"{name}/shifts": shifts.d}
+    for l in range(shifts.n_frames):
+        out[f"{name}/backshift{l}"] = back_shifted_matrix(
+            snaps.data, shifts, l, snaps.grid, len(snaps.blocks))
+        if not save_operators:
+            continue
+        plan = _FramePlan(shifts.d[l], snaps.grid, shifts.spec)
+        for op in ("stacked", "stacked_T"):
+            for part in ("indptr", "indices", "data"):
+                out[f"{name}/{op}{l}.{part}"] = getattr(getattr(plan, op), part)
+    return out
+
+
+def fingerprint(seed, operators_saved) -> dict:
+    """Arrays of one seed; operators_saved holds the (shifts, grid, spec)
+    of every seed whose operators are already saved, and grows."""
     out = {}
     for name, snaps, shifts, config in scenarios(seed):
         if seed:
             name = f"{name}@{seed}"
         out.update(run_arrays(name, snaps, shifts, config))
-        out[f"{name}/shifts"] = shifts.d
         operators = (shifts.d.shape, shifts.d.tobytes(), snaps.grid, shifts.spec)
-        save_operators = operators not in operators_saved
+        out.update(shift_arrays(name, snaps, shifts,
+                                operators not in operators_saved))
         operators_saved.add(operators)
-        for l in range(shifts.n_frames):
-            out[f"{name}/backshift{l}"] = back_shifted_matrix(
-                snaps.data, shifts, l, snaps.grid, len(snaps.blocks))
-            if not save_operators:
-                continue
-            plan = _FramePlan(shifts.d[l], snaps.grid, shifts.spec)
-            for op in ("stacked", "stacked_T"):
-                for part in ("indptr", "indices", "data"):
-                    out[f"{name}/{op}{l}.{part}"] = getattr(getattr(plan, op), part)
+    return out
+
+
+def mixed_row_frames(out) -> list:
+    """Frames whose saved three-signal operator has rows of two lengths."""
+    return [l for l in range(len(out["three-signal/shifts"]))
+            if np.unique(np.diff(out[f"three-signal/stacked{l}.indptr"])).size > 1]
+
+
+def three_signal_run() -> dict:
+    """The three-signal run of tests/test_acceptance.py, with its shift
+    matrix, back-shifted matrices and operators."""
+    import spod
+    from spod.lbfgs import OptimizerOptions
+
+    snaps, shifts = spod.three_signal_default()
+    config = spod.GreedyConfig(
+        r0=[1, 1, 1], tol=1e-12, p_max=0,
+        optimizer=OptimizerOptions(grad_tol=1e-10, max_iters=2000))
+    out = run_arrays("three-signal", snaps, shifts, config)
+    out.update(shift_arrays("three-signal", snaps, shifts))
+    if not mixed_row_frames(out):
+        raise RuntimeError("no three-signal operator has rows of two lengths")
     return out
 
 
@@ -215,6 +254,10 @@ def _text_diff(a, b):
     return list(lines)[2:]  # without the ---/+++ file lines
 
 
+def _bit_equal(x, y):
+    return (x.dtype, x.shape, x.tobytes()) == (y.dtype, y.shape, y.tobytes())
+
+
 def _relative_difference(a, b):
     """Largest elementwise |a - b| over the largest magnitude of a or b."""
     scale = max(np.max(np.abs(a)), np.max(np.abs(b)))
@@ -244,7 +287,7 @@ def compare(a_path: str, b_path: str, rtol=None, up_to_sign=False) -> int:
     for k in bad:
         print(f"differs: {k} (in one file only)")
     differ = [k for k in sorted(set(a.files) & set(b.files))
-              if not np.array_equal(get(a, k), get(b, k))]
+              if not _bit_equal(get(a, k), get(b, k))]
     n_differ = len(bad) + len(differ)
     for k in differ:
         x, y = get(a, k), get(b, k)
@@ -297,7 +340,8 @@ def main() -> int:
         ap.error("give one output path")
     if args.rtol is not None or args.up_to_sign:
         ap.error("--rtol and --up-to-sign go with --compare")
-    out, operators_saved = {**cli_outputs(), **masked_runs()}, set()
+    out = {**cli_outputs(), **masked_runs(), **three_signal_run()}
+    operators_saved = set()
     for seed in args.seeds:
         out.update(fingerprint(seed, operators_saved))
     np.savez(args.paths[0], **out)

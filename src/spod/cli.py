@@ -45,6 +45,7 @@ def _build_parser() -> _Parser:
     g.add_argument("--m", type=int, default=None)
     g.add_argument("--n", type=int, default=None)
     g.add_argument("--t-final", type=float, default=None)
+    g.set_defaults(func=_cmd_generate)
 
     t = sub.add_parser("track", help="estimate shifts from a variable block")
     t.add_argument("snapshots")
@@ -58,6 +59,7 @@ def _build_parser() -> _Parser:
                    help="negate centered positions; 'auto' negates on "
                         "periodic grids so the CSV feeds T(d) directly")
     t.add_argument("--out", required=True, help="shift CSV path")
+    t.set_defaults(func=_cmd_track)
 
     d = sub.add_parser("pod", help="POD baseline: mode counts and SV decay")
     d.add_argument("snapshots")
@@ -66,19 +68,23 @@ def _build_parser() -> _Parser:
     d.add_argument("--curve", default=None, help="write SV-decay CSV here")
     d.add_argument("--center", action=argparse.BooleanOptionalAction,
                    default=True, help="row-mean centering (default: centered)")
+    d.set_defaults(func=_cmd_pod)
 
     s = sub.add_parser("spod", help="greedy shifted decomposition from a config")
     s.add_argument("--config", required=True)
     s.add_argument("--threads", type=int, default=None,
                    help="override the candidate parallelism degree")
+    s.set_defaults(func=_cmd_spod)
 
     r = sub.add_parser("reconstruct", help="decomposition -> snapshot file")
     r.add_argument("decomposition")
     r.add_argument("--out", required=True)
+    r.set_defaults(func=_cmd_reconstruct)
 
     e = sub.add_parser("error", help="squared relative Frobenius error")
     e.add_argument("reference")
     e.add_argument("test")
+    e.set_defaults(func=_cmd_error)
 
     c = sub.add_parser("export-curves",
                        help="error-vs-modes tables for POD and sPOD")
@@ -87,27 +93,24 @@ def _build_parser() -> _Parser:
     c.add_argument("--outdir", required=True)
     c.add_argument("--center", action=argparse.BooleanOptionalAction,
                    default=True)
+    c.set_defaults(func=_cmd_export_curves)
     return p
 
 
 def _cmd_generate(args) -> int:
-    def override(make, **extra):  # flags left out keep make's defaults
-        return make(**{k: v for k, v in extra.items() if v is not None})
-
+    kw = {k: getattr(args, k) for k in ("m", "n", "t_final")  # flags given
+          if getattr(args, k) is not None}
     try:  # generation reads no file, so a ValueError comes from a flag
         if args.scenario == "wave":
-            kw = {"m": args.m, "n": args.n, "t_final": args.t_final}
-            params = override(generators.WaveParams, **kw)
+            params = generators.WaveParams(**kw)
             snaps = generators.wave_snapshots(params)
             shifts = generators.wave_shifts(params)
         elif args.scenario == "three-signal":
-            if args.t_final is not None:
+            if "t_final" in kw:
                 raise _Usage("generate three-signal: takes no --t-final")
-            snaps, shifts = override(generators.three_signal_default,
-                                     m=args.m, n=args.n)
+            snaps, shifts = generators.three_signal_default(**kw)
         else:
-            kw = {"m": args.m, "n": args.n, "t_final": args.t_final}
-            params = override(generators.CrossingFrontsParams, **kw)
+            params = generators.CrossingFrontsParams(**kw)
             snaps, shifts = generators.crossing_fronts(params)
     except ValueError as e:
         raise _Usage(f"generate {args.scenario}: {e}") from None
@@ -194,14 +197,14 @@ def _resolve_frames(cfg, snaps) -> FrameShifts:
 def _frame_masks(cfg, snaps):
     if not any(fc.mask for fc in cfg.frames):
         return None
+    blocks = {blk.name: blk for blk in snaps.blocks}
     masks = []
     for l, fc in enumerate(cfg.frames):
         mask = np.zeros(snaps.n_rows, dtype=bool)
         for name in fc.mask:
-            if name not in snaps.block_names():
+            if name not in blocks:
                 raise io.ConfigError(f"frame {l}: no variable block '{name}'")
-            blk = next(b for b in snaps.blocks if b.name == name)
-            mask[blk.rows] = True
+            mask[blocks[name].rows] = True
         masks.append(mask)
     return masks
 
@@ -301,17 +304,6 @@ def _cmd_export_curves(args) -> int:
     return 0
 
 
-_COMMANDS = {
-    "generate": _cmd_generate,
-    "track": _cmd_track,
-    "pod": _cmd_pod,
-    "spod": _cmd_spod,
-    "reconstruct": _cmd_reconstruct,
-    "error": _cmd_error,
-    "export-curves": _cmd_export_curves,
-}
-
-
 def run_cli(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     if argv and argv[0].startswith("-") and argv[0] not in ("-h", "--help"):
@@ -319,16 +311,12 @@ def run_cli(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-    except _Usage as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
+        if args.command is None:
+            parser.print_usage(sys.stderr)
+            return 1
+        return args.func(args)
     except SystemExit as e:  # --help
         return int(e.code or 0)
-    if args.command is None:
-        parser.print_usage(sys.stderr)
-        return 1
-    try:
-        return _COMMANDS[args.command](args)
     except _Usage as e:
         print(f"error: {e}", file=sys.stderr)
         return 1

@@ -14,7 +14,7 @@ import textwrap
 import numpy as np
 import pytest
 
-from spod import io
+from spod import generators, io
 from spod.cli import run_cli
 
 
@@ -122,6 +122,28 @@ class TestGenerate:
         snaps = io.read_snapshots(str(tmp_path / "crossing-fronts.snap"))
         assert snaps.data.shape == (200, 20)
         assert snaps.grid.boundary == "non-periodic"
+
+    @pytest.mark.parametrize("scenario, flags, make", [
+        ("wave", ["--t-final", "2"], lambda: (
+            generators.wave_snapshots(generators.WaveParams(t_final=2.0)),
+            generators.wave_shifts(generators.WaveParams(t_final=2.0)))),
+        ("crossing-fronts", ["--m", "100", "--n", "20"], lambda:
+            generators.crossing_fronts(
+                generators.CrossingFrontsParams(m=100, n=20))),
+        ("three-signal", ["--n", "12"],
+         lambda: generators.three_signal_default(n=12)),
+    ])
+    def test_files_match_library_call(self, tmp_path, capsys, scenario,
+                                      flags, make):
+        # flags left out keep the library defaults, flags given override
+        assert run_cli(["generate", scenario, "--out", str(tmp_path)]
+                       + flags) == 0
+        snap_path, shift_path = capsys.readouterr().out.splitlines()
+        snaps, shifts = make()
+        got = io.read_snapshots(snap_path)
+        assert got.data.tobytes() == snaps.data.tobytes()
+        assert got.time.values.tobytes() == snaps.time.values.tobytes()
+        assert io.read_shifts(shift_path).tobytes() == shifts.d.tobytes()
 
 
 class TestTrack:
