@@ -11,7 +11,12 @@ matrix ("data"), the error history, candidate errors with each
 candidate's iteration and evaluation counts, modes, amplitudes,
 reconstruction, the shift matrix, every frame's back-shifted snapshot
 matrix and the indptr/indices/data of every frame's stacked sparse
-operators.  The operators depend only on
+operator shift_operator(d, grid, spec) ("stacked") and of its CSR
+transpose ("stacked_T"), the two operators ReducedObjective holds per
+frame (tests/test_fingerprint.py checks that they are byte-equal); they
+are built from the public shift_operator alone, so the same script runs
+on checkouts before and after a refactoring of the objective.  The
+operators depend only on
 the shifts, the grid and the shift spec, and the bench seeds change the
 pulse and front shapes, not the shifts: so a seed's operator arrays are
 saved only when its shifts, grid or spec differ from those of a seed
@@ -157,9 +162,10 @@ def masked_runs() -> dict:
 
 def shift_arrays(name, snaps, shifts, save_operators=True) -> dict:
     """The shift matrix and every frame's back-shifted snapshot matrix,
-    with every frame's stacked sparse operators if save_operators."""
-    from spod.core import _FramePlan
+    with every frame's stacked shift operator and its CSR transpose if
+    save_operators."""
     from spod.greedy import back_shifted_matrix
+    from spod.shifts import shift_operator
 
     out = {f"{name}/shifts": shifts.d}
     for l in range(shifts.n_frames):
@@ -167,10 +173,10 @@ def shift_arrays(name, snaps, shifts, save_operators=True) -> dict:
             snaps.data, shifts, l, snaps.grid, len(snaps.blocks))
         if not save_operators:
             continue
-        plan = _FramePlan(shifts.d[l], snaps.grid, shifts.spec)
-        for op in ("stacked", "stacked_T"):
+        stacked = shift_operator(shifts.d[l], snaps.grid, shifts.spec)
+        for op, M in (("stacked", stacked), ("stacked_T", stacked.T.tocsr())):
             for part in ("indptr", "indices", "data"):
-                out[f"{name}/{op}{l}.{part}"] = getattr(getattr(plan, op), part)
+                out[f"{name}/{op}{l}.{part}"] = getattr(M, part)
     return out
 
 

@@ -14,10 +14,12 @@ objective in the modes alone,
     Jt(W) = - sum_j (K_j^T X_j) . a_j  =  - sum_j || U_j1^T X_j ||^2 ,
 
 with U_j1 the left singular vectors of K_j spanning its numerical range;
-the full squared residual is J = sum_j ||X_j||^2 + Jt.  The gradient of Jt
-with respect to mode k of frame l is
+the full squared residual is J = sum_j ||X_j||^2 + Jt.  The modes of all
+frames are the columns of one matrix W = [W^1 ... W^L], the variables are
+z = vec(W), and the gradient of Jt with respect to column c of W, a mode
+of frame l, is
 
-    -2 sum_j a^l_{k,j} T(d^l_j)^T (X_j - K_j a_j) ,
+    -2 sum_j a_{c,j} T(d^l_j)^T (X_j - K_j a_j) ,
 
 which matches central finite differences to the expected order (the
 factor -2 is the usual derivative of a squared projection norm).  The
@@ -181,50 +183,23 @@ def optimal_amplitudes(K: np.ndarray, x: np.ndarray) -> np.ndarray:
     return _solve_amplitudes(K.T[None], x[None], RANK_TOL)[0][0]
 
 
-class _FramePlan:
-    """Cached sparse shift operators for one frame's whole shift sequence.
-
-    stacked is shift_operator(d_row), the (n*m, m) vertical stack
-    [T(d_1); ...; T(d_n)]: one CSR matvec shifts one mode's block for every
-    snapshot, and stacked_T = [T_1^T ... T_n^T] accumulates the transposes.
-    """
-
-    def __init__(self, d_row: np.ndarray, grid: Grid1D, spec: ShiftSpec):
-        self.stacked = shift_operator(d_row, grid, spec)
-        self.stacked_T = self.stacked.T.tocsr()
-
-    def shifted_modes(self, W: np.ndarray, out: np.ndarray):
-        """Fill out, mode-major (n, r, nb, m), with T(d_j) W[block b, mode k]."""
-        n, r, nb, m = out.shape
-        for k, b in np.ndindex(r, nb):
-            out[:, k, b] = (self.stacked @ W[b * m:(b + 1) * m, k]).reshape(n, m)
-
-    def accumulate_transpose(self, R: np.ndarray, A: np.ndarray) -> np.ndarray:
-        """sum_j T(d_j)^T R[j, b] a_j^T per block, for residual blocks R of
-        shape (n, nb, m) and amplitudes A of shape (n, r)."""
-        (n, nb, m), r = R.shape, A.shape[1]
-        out, Z = np.empty((nb * m, r)), np.empty((n, m))  # Z: one scaled block
-        for k, b in np.ndindex(r, nb):
-            np.multiply(R[:, b], A[:, k, None], out=Z)
-            out[b * m:(b + 1) * m, k] = self.stacked_T @ Z.ravel()
-        return out
-
-
 class ReducedObjective:
     """Reduced objective and gradient for fixed shifts and mode counts.
 
-    Holds the cached shift operators and one contiguous copy of X^T, so
-    that repeated evaluations (line searches) only pay sparse products
-    plus one batched Gram solve of all frame matrices K_j (an SVD where
-    it is unsafe, counted in svd_fallback_solves).  The operators and
-    the data depend on the shifts alone, never on the mode counts:
-    with_counts returns the same problem with other mode counts, sharing
-    both with this one.  value_and_gradient works on the flat variable
-    vector (frames in order, each frame's modes raveled column by column)
-    and returns the full squared residual J = sum_j ||X_j - K_j a_j||^2,
-    summed from the explicit residual rather than as ||X||^2 + Jt, which
-    cancels to noise once the fit is close; J is the quantity the
-    optimizer traces and the reduced part Jt is available from evaluate().
+    Holds per frame l the stacked operator ops[l] = shift_operator(d^l),
+    [T(d_1); ...; T(d_n)] of shape (n*m, m), its CSR transpose ops_T[l],
+    and one contiguous copy of X^T, so that repeated evaluations (line
+    searches) only pay sparse products plus one batched Gram solve of all
+    frame matrices K_j (an SVD where it is unsafe, counted in
+    svd_fallback_solves).  The operators and the data depend on the shifts
+    alone: with_counts returns the same problem with other mode counts,
+    sharing both.  Column c of W = [W^1 ... W^L] belongs to frame
+    frame_of[c], frame l owns the columns frame_cols[l], and the flat
+    variables are z = vec(W).  value_and_gradient returns the full squared
+    residual J = sum_j ||X_j - K_j a_j||^2, summed from the explicit
+    residual rather than as ||X||^2 + Jt, which cancels to noise once the
+    fit is close; J is the quantity the optimizer traces and the reduced
+    part Jt is available from evaluate().
 
     rank_events collects (eval_index, snapshot, rank) whenever some K_j
     was numerically rank-deficient, since the objective is not smooth
@@ -238,21 +213,18 @@ class ReducedObjective:
                 f"shifts cover {shifts.n_snapshots} snapshots, data has "
                 f"{snaps.n_snapshots}"
             )
-        self.X = snaps.data
-        self.XT = np.ascontiguousarray(self.X.T)  # one row per snapshot
+        self.XT = np.ascontiguousarray(snaps.data.T)  # one row per snapshot
         self.grid = snaps.grid
         self.n_blocks = len(snaps.blocks)
         self.rank_tol = rank_tol
-        self.plans = [
-            _FramePlan(shifts.d[l], snaps.grid, shifts.spec)
-            for l in range(shifts.n_frames)
-        ]
+        self.m_total = snaps.n_rows
+        self.ops = [shift_operator(d_row, snaps.grid, shifts.spec)
+                    for d_row in shifts.d]
+        self.ops_T = [T.T.tocsr() for T in self.ops]
         self.masks = self._check_masks(masks)
-        self.norm2 = float(np.sum(self.X * self.X))
+        self.norm2 = float(np.sum(snaps.data * snaps.data))
         if self.norm2 == 0.0:  # relative errors divide by it
             raise ValueError("snapshot matrix is identically zero")
-        self.m_total = snaps.n_rows
-        self.n = snaps.n_snapshots
         self._set_counts(mode_counts)
 
     def with_counts(self, mode_counts) -> "ReducedObjective":
@@ -263,49 +235,58 @@ class ReducedObjective:
         return other
 
     def _set_counts(self, mode_counts):
-        if len(mode_counts) != len(self.plans):
+        if len(mode_counts) != len(self.ops):
             raise ValueError(
-                f"{len(mode_counts)} mode counts for {len(self.plans)} frames"
-            )
+                f"{len(mode_counts)} mode counts for {len(self.ops)} frames")
         self.mode_counts = [int(r) for r in mode_counts]
         if any(r < 0 for r in self.mode_counts):
             raise ValueError("mode counts must be nonnegative")
+        self.frame_of = np.repeat(np.arange(len(self.ops)), self.mode_counts)
+        cols = np.cumsum([0] + self.mode_counts)
+        self.frame_cols = [slice(a, b) for a, b in zip(cols, cols[1:])]
         self.n_evals = 0
         self.rank_events = []
         self.svd_fallback_solves = 0
 
     def _check_masks(self, masks):
         if masks is None:
-            return [None] * len(self.plans)
-        if len(masks) != len(self.plans):
-            raise ValueError(f"{len(masks)} masks for {len(self.plans)} frames")
-        return [None if mk is None else np.asarray(mk, dtype=bool) for mk in masks]
+            return [None] * len(self.ops)
+        if len(masks) != len(self.ops):
+            raise ValueError(f"{len(masks)} masks for {len(self.ops)} frames")
+        masks = [None if mk is None else np.asarray(mk, dtype=bool) for mk in masks]
+        for l, mk in enumerate(masks):
+            if mk is not None and mk.shape != (self.m_total,):
+                raise ValueError(f"mask of frame {l} has shape {mk.shape}, "
+                                 f"expected ({self.m_total},)")
+        return masks
 
     # --- flat variable layout -------------------------------------------
-    def pack(self, modes_list) -> np.ndarray:
-        parts = []
-        for W, r in zip(modes_list, self.mode_counts):
+    def _stack(self, modes_list) -> np.ndarray:
+        """W = [W^1 ... W^L] from one (m_total, r_l) array per frame."""
+        if len(modes_list) != len(self.ops):
+            raise ValueError(
+                f"{len(modes_list)} mode blocks for {len(self.ops)} frames")
+        blocks = [np.asarray(W, dtype=float) for W in modes_list]
+        for W, r in zip(blocks, self.mode_counts):
             if W.shape != (self.m_total, r):
                 raise ValueError(
-                    f"mode block {W.shape} does not match ({self.m_total}, {r})"
-                )
-            parts.append(np.asarray(W, dtype=float).ravel(order="F"))
-        if not parts:
-            return np.zeros(0)
-        return np.concatenate(parts)
+                    f"mode block {W.shape} does not match ({self.m_total}, {r})")
+        return np.hstack(blocks) if blocks else np.empty((self.m_total, 0))
+
+    def pack(self, modes_list) -> np.ndarray:
+        """z = vec(W) for one (m_total, r_l) array per frame."""
+        return self._stack(modes_list).ravel(order="F")
 
     def unpack(self, z: np.ndarray) -> list:
-        out = []
-        pos = 0
-        for r, mk in zip(self.mode_counts, self.masks):
-            size = self.m_total * r
-            W = z[pos:pos + size].reshape((self.m_total, r), order="F").copy()
+        """The per-frame column blocks W^l of W = mat(z), masked rows zero."""
+        size = self.m_total * self.frame_of.size
+        if z.size != size:
+            raise ValueError(f"variable vector has {z.size} entries, expected {size}")
+        W = z.reshape((self.m_total, self.frame_of.size), order="F")
+        out = [W[:, cl].copy() for cl in self.frame_cols]
+        for Wl, mk in zip(out, self.masks):
             if mk is not None:
-                W[mk] = 0.0
-            out.append(W)
-            pos += size
-        if pos != z.size:
-            raise ValueError(f"variable vector has {z.size} entries, expected {pos}")
+                Wl[mk] = 0.0
         return out
 
     # --- evaluation ------------------------------------------------------
@@ -314,34 +295,40 @@ class ReducedObjective:
 
         modes_list: one (m_total, r_l) array per frame, masked rows zero
         (as unpack and FrameBasis leave them).  gradients: per frame an
-        (m_total, r_l) array (None unless requested); amplitudes: per
-        frame an (r_l, n) array; residual: the (m_total, n) residuals
+        (m_total, r_l) array, the column block frame_cols[l] of one
+        gradient with respect to W (None unless requested); amplitudes:
+        per frame an (r_l, n) array; residual: the (m_total, n) residuals
         X_j - K_j a_j, a transposed view of an (n, m_total) array.
         """
+        W = self._stack(modes_list)
         self.n_evals += 1
-        n, m_total = self.n, self.m_total
-        total_r = sum(self.mode_counts)
-        cols = np.cumsum([0] + self.mode_counts)
-        frame_cols = [slice(a, b) for a, b in zip(cols, cols[1:])]
-        K = np.empty((n, total_r, self.n_blocks, self.grid.m))  # mode-major
-        for plan, W, cl in zip(self.plans, modes_list, frame_cols):
-            plan.shifted_modes(W, K[:, cl])
+        (n, m_total), R, nb, m = self.XT.shape, W.shape[1], self.n_blocks, self.grid.m
+        K = np.empty((n, R, nb, m))  # mode-major: K[j, c, k] = T(d_j) W[block k, c]
+        for c, k in np.ndindex(R, nb):
+            T = self.ops[self.frame_of[c]]
+            K[:, c, k] = (T @ W[k * m:(k + 1) * m, c]).reshape(n, m)
+        del W  # freed before the solve: alive, it left glibc's heap 0.7 MB larger
         A, resid, b, ranks, n_svd = _solve_amplitudes(
-            K.reshape(n, total_r, m_total), self.XT, self.rank_tol)
+            K.reshape(n, R, m_total), self.XT, self.rank_tol)
         del K  # freed before the gradient allocates its products
         self.svd_fallback_solves += n_svd
-        for j in np.flatnonzero(ranks < min(m_total, total_r)):
+        for j in np.flatnonzero(ranks < min(m_total, R)):
             self.rank_events.append((self.n_evals, int(j), int(ranks[j])))
 
         grads = None
         if need_gradient:
-            resid_blocks = resid.reshape(n, self.n_blocks, self.grid.m)
-            grads = [-2.0 * plan.accumulate_transpose(resid_blocks, A[:, cl])
-                     for plan, cl in zip(self.plans, frame_cols)]
-            for G, mk in zip(grads, self.masks):
+            # column c, block k: sum_j a_cj T(d_j)^T [X_j - K_j a_j]_k
+            resid_blocks = resid.reshape(n, nb, m)
+            G, Z = np.empty((m_total, R), order="F"), np.empty((n, m))
+            for c, k in np.ndindex(R, nb):
+                np.multiply(resid_blocks[:, k], A[:, c, None], out=Z)
+                G[k * m:(k + 1) * m, c] = self.ops_T[self.frame_of[c]] @ Z.ravel()
+            G *= -2.0  # before masking, so that masked entries are +0.0
+            for mk, cl in zip(self.masks, self.frame_cols):
                 if mk is not None:
-                    G[mk] = 0.0
-        amps = [A[:, cl].T.copy() for cl in frame_cols]
+                    G[mk, cl] = 0.0
+            grads = [G[:, cl] for cl in self.frame_cols]
+        amps = [A[:, cl].T.copy() for cl in self.frame_cols]
         return -float(np.vdot(b, A)), grads, amps, resid.T
 
     def value_and_gradient(self, z: np.ndarray):
@@ -357,29 +344,27 @@ class ReducedObjective:
         return float(r @ r), g, amps, resid
 
     def variable_scale(self, amps) -> np.ndarray:
-        """Diagonal scale s of the flat variables (pack layout) for the
+        """Diagonal scale s of the flat variables z = vec(W) for the
         per-frame amplitudes amps, shaped (r_l, n).
 
-        Entry i of mode k of frame l has the coverage c = sum_j a_kj^2
-        ||T(d^l_j) e_i||^2 in every variable block: how strongly the
-        residuals see it, and so the diagonal of the Gauss-Newton matrix
-        up to the projection.  c is clamped at COVERAGE_FLOOR times its
-        maximum, so that entries the shifts never reach stay finite, and
-        s = c^-1/2 / max(c^-1/2) lies in (0, 1].  Without a finite
-        positive maximum of c, s is all ones.
+        Entry i of column k of W, a mode of frame l, has the coverage
+        c = sum_j a_kj^2 ||T(d^l_j) e_i||^2 in every variable block: how
+        strongly the residuals see it, and so the diagonal of the
+        Gauss-Newton matrix up to the projection.  c is clamped at
+        COVERAGE_FLOOR times its maximum, so that entries the shifts never
+        reach stay finite, and s = c^-1/2 / max(c^-1/2) lies in (0, 1].
+        Without a finite positive maximum of c, s is all ones.
         """
         from scipy import sparse  # local: keeps scipy out of start-up
 
         m = self.grid.m
-        parts = []
-        for plan, A in zip(self.plans, amps):
-            # squared entries for this call only: the plans keep no copy
-            T = plan.stacked_T
+        C = np.empty((m, self.frame_of.size))  # coverage of one block
+        for T, A, cl in zip(self.ops_T, amps, self.frame_cols, strict=True):
+            # squared entries for this call only: the objective keeps no copy
             T2 = sparse.csr_matrix((T.data ** 2, T.indices, T.indptr),
                                    shape=T.shape)
-            C = T2 @ np.repeat(A.T ** 2, m, axis=0)  # (m, r_l)
-            parts.append(np.tile(C, (self.n_blocks, 1)).ravel(order="F"))
-        c = np.concatenate(parts)
+            C[:, cl] = T2 @ np.repeat(A.T ** 2, m, axis=0)
+        c = np.tile(C, (self.n_blocks, 1)).ravel(order="F")
         top = c.max(initial=0.0)
         if not 0.0 < top < np.inf:
             return np.ones_like(c)

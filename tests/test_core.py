@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from spod.core import (GRAM_COND_MAX, Decomposition, FrameBasis, FrameShifts,
-                       ReducedObjective, _FramePlan, _least_squares,
+                       ReducedObjective, _least_squares,
                        _solve_amplitudes, objective_and_gradient,
                        optimal_amplitudes, reconstruct)
+from spod.generators import three_signal_default
 from spod.shifts import ShiftSpec, dense_shift_matrix
 from spod.snapshots import Grid1D, SnapshotSet, VariableBlock
 
@@ -330,16 +331,18 @@ class TestObjective:
             np.testing.assert_allclose(resid[:, j], snaps.data[:, j] - K @ a,
                                        atol=1e-10)
 
-    def test_frames_without_modes_leave_the_data_as_residual(self):
-        snaps, shifts, _ = random_problem(n_s=2)
-        frames = [FrameBasis(np.zeros((snaps.n_rows, 0))) for _ in range(2)]
+    @pytest.mark.parametrize("n_s", [0, 2])  # no frames: W is (m_total, 0)
+    def test_frames_without_modes_leave_the_data_as_residual(self, n_s):
+        snaps, shifts, _ = random_problem(n_s=n_s)
+        frames = [FrameBasis(np.zeros((snaps.n_rows, 0))) for _ in range(n_s)]
         Jt, grads, amps = objective_and_gradient(snaps, frames, shifts)
         assert Jt == 0.0
-        assert [g.shape for g in grads] == [(snaps.n_rows, 0)] * 2
-        assert [A.shape for A in amps] == [(0, snaps.n_snapshots)] * 2
-        prob = ReducedObjective(snaps, shifts, [0, 0])
+        assert [g.shape for g in grads] == [(snaps.n_rows, 0)] * n_s
+        assert [A.shape for A in amps] == [(0, snaps.n_snapshots)] * n_s
+        prob = ReducedObjective(snaps, shifts, [0] * n_s)
         _, _, _, resid = prob.evaluate([f.modes for f in frames])
         np.testing.assert_array_equal(resid, snaps.data)
+        assert prob.value_and_gradient(np.zeros(0))[1].shape == (0,)
 
     def test_masked_rows_stay_zero_and_carry_no_gradient(self):
         snaps, shifts, rng = random_problem(m=8, n=4, n_s=2, n_blocks=2,
@@ -352,7 +355,31 @@ class TestObjective:
         assert np.array_equal(modes[0][8:], np.zeros((8, 1)))
         _, g = prob.value_and_gradient(z)
         np.testing.assert_array_equal(g[8:16], 0.0)
+        assert not np.any(np.signbit(g[8:16]))  # +0.0: zeroed after scaling
         assert np.any(g[:8] != 0.0)
+
+    def test_masks_must_cover_every_row(self):
+        snaps, shifts, _ = random_problem(m=32, n=4, n_s=2)
+        msg = r"mask of frame 1 has shape \(31,\), expected \(32,\)"
+        with pytest.raises(ValueError, match=msg):
+            ReducedObjective(snaps, shifts, [1, 1],
+                             masks=[None, np.zeros(31, dtype=bool)])
+
+    def test_mode_blocks_must_match_the_frames_and_counts(self):
+        # evaluate and pack share one check: a short list would leave
+        # columns of K unset, a wide block would be cut to its counts
+        snaps, shifts = three_signal_default(m=32, n=8)
+        prob = ReducedObjective(snaps, shifts, [1, 1, 1])
+        w = np.ones((snaps.n_rows, 1))
+        wide = rf"mode block \({snaps.n_rows}, 2\) does not match"
+        for modes, msg in [([w, w], "2 mode blocks for 3 frames"),
+                           ([w, w, w, w], "4 mode blocks for 3 frames"),
+                           ([w, np.hstack([w, w]), w], wide)]:
+            with pytest.raises(ValueError, match=msg):
+                prob.evaluate(modes)
+            with pytest.raises(ValueError, match=msg):
+                prob.pack(modes)
+        assert prob.n_evals == 0
 
     def test_with_counts_shares_operators_and_data(self):
         snaps, shifts, rng = random_problem(m=12, n=5, n_s=2, n_blocks=2,
@@ -365,7 +392,8 @@ class TestObjective:
         assert base.n_evals == 1 and base.rank_events
 
         prob = base.with_counts([1, 2])
-        assert prob.plans is base.plans and prob.XT is base.XT
+        assert prob.ops is base.ops and prob.ops_T is base.ops_T
+        assert prob.XT is base.XT
         assert prob.masks is base.masks
         assert prob.n_evals == 0 and prob.rank_events == []
         assert prob.mode_counts == [1, 2] and base.mode_counts == [2, 1]
@@ -394,31 +422,31 @@ class TestObjective:
         assert prob.relative_error_of(-1e-12) == 0.0
 
 
-class TestAccumulateTranspose:
+class TestGradientAssembly:
     # a non-periodic grid gets constant-boundary shifts
     @pytest.mark.parametrize("grid_boundary", ["periodic", "non-periodic"])
     @pytest.mark.parametrize("r", [2, 3])
-    def test_matches_columns_and_dense_reference(self, grid_boundary, r):
-        # fractional shifts, two blocks: every mode and block is its own
-        # sparse product, so r columns at once equal r single columns
-        snaps, shifts, rng = random_problem(m=12, n=5, n_s=1, n_blocks=2,
+    def test_matches_dense_reference(self, grid_boundary, r):
+        # fractional shifts, two blocks, two frames: the gradient of mode k
+        # of frame l is -2 sum_j a^l_kj T(d^l_j)^T (X_j - K_j a_j) per
+        # block, with the amplitudes and residual of the same evaluation
+        snaps, shifts, rng = random_problem(m=12, n=5, n_s=2, n_blocks=2,
                                             seed=21, boundary=grid_boundary)
-        m, nb, n = snaps.grid.m, 2, snaps.n_snapshots
-        assert np.any(shifts.d[0] * m % 1.0 != 0.0)
-        plan = _FramePlan(shifts.d[0], snaps.grid, shifts.spec)
-        R = rng.standard_normal((n, nb, m))
-        A = rng.standard_normal((n, r))
-        out = plan.accumulate_transpose(R, A)
-        for k in range(r):
-            np.testing.assert_array_equal(
-                out[:, [k]], plan.accumulate_transpose(R, A[:, [k]]))
-        ref = np.zeros((nb * m, r))
-        for j in range(n):
-            T = dense_shift_matrix(shifts.d[0, j], snaps.grid, shifts.spec)
-            for b in range(nb):
-                ref[b * m:(b + 1) * m] += np.outer(T.T @ R[j, b], A[j])
-        np.testing.assert_allclose(out, ref, rtol=1e-12,
-                                   atol=1e-12 * np.abs(ref).max())
+        m, n = snaps.grid.m, snaps.n_snapshots
+        assert np.all(shifts.d * m % 1.0 != 0.0)
+        counts = [r, 1]
+        modes = [rng.standard_normal((snaps.n_rows, k)) for k in counts]
+        _, grads, amps, resid = ReducedObjective(snaps, shifts, counts).evaluate(
+            modes)
+        for l, (G, A) in enumerate(zip(grads, amps)):
+            ref = np.zeros_like(G)
+            for j in range(n):
+                T = dense_shift_matrix(shifts.d[l, j], snaps.grid, shifts.spec)
+                for b in range(2):
+                    rows = slice(b * m, (b + 1) * m)
+                    ref[rows] -= 2.0 * np.outer(T.T @ resid[rows, j], A[:, j])
+            np.testing.assert_allclose(G, ref, rtol=1e-12,
+                                       atol=1e-12 * np.abs(ref).max())
 
 
 class TestPacking:
@@ -493,6 +521,13 @@ class TestVariableScale:
         assert np.all(np.isfinite(s)) and np.all(s > 0.0) and s.max() == 1.0
         np.testing.assert_array_equal(s[m - k:], 1.0)
         assert np.all(s[:m - k - 1] < 1e-3)
+
+    def test_amplitudes_must_match_the_frames(self):
+        # the coverage matrix is filled frame by frame: none may be missing
+        snaps, shifts, _ = random_problem(m=8, n=4, seed=23)
+        prob = ReducedObjective(snaps, shifts, [1, 1])
+        with pytest.raises(ValueError):
+            prob.variable_scale([np.ones((1, 4))])
 
     def test_without_a_positive_coverage_the_scale_is_one(self):
         snaps, shifts, _ = random_problem(m=8, n=4, seed=23)

@@ -39,6 +39,22 @@ def test_three_signal_run_saves_mixed_row_operators(monkeypatch, tmp_path,
     assert capsys.readouterr().out.endswith(f"{len(out)} arrays, 0 differ\n")
 
 
+def test_saved_operators_are_the_objectives(monkeypatch):
+    # the fingerprint checks the operators the solver multiplies with
+    from spod import three_signal_default
+    from spod.core import ReducedObjective
+
+    fp = _load_script(monkeypatch)
+    snaps, shifts = three_signal_default()
+    out = fp.shift_arrays("three-signal", snaps, shifts)
+    prob = ReducedObjective(snaps, shifts, [1] * shifts.n_frames)
+    for l in range(shifts.n_frames):
+        for op, M in (("stacked", prob.ops[l]), ("stacked_T", prob.ops_T[l])):
+            for part in ("indptr", "indices", "data"):
+                assert fp._bit_equal(getattr(M, part),
+                                     out[f"three-signal/{op}{l}.{part}"])
+
+
 def test_compare_is_bitwise(monkeypatch, tmp_path, capsys):
     # np.array_equal would pass -0.0 against 0.0 and fail NaN against NaN
     fp = _load_script(monkeypatch)
