@@ -26,7 +26,11 @@ seed S keys with "wave@S/" and "crossing@S/".  It also
 saves the work of each run: every stage's iterations, evaluations,
 rank-deficient snapshot solves and SVD fallback solves, the chosen frames,
 the final mode counts, and the number of ReducedObjective.evaluate calls
-with the SVD fallback solves they made, dropped candidates' included.
+with the SVD fallback solves they made, dropped candidates' included;
+and how every stage ended: its termination ("stage_termination", such
+as "gradient" or "iteration cap") and the norm of dJ/dz at its end
+("stage_grad_norm"), so that a comparison shows a change in how the
+stages stop.
 It runs the seed-0 crossing-fronts scenario twice more: with the
 "species" rows masked in frames 1-4 (keys "crossing-masked/"), which
 puts the mask path under the check, and with every row of frame 4
@@ -53,9 +57,10 @@ result, nor the work that produced it, nor the bytes of a file it writes.
 With --rtol, a float array of equal shape whose largest elementwise
 difference is at most rtol times its largest magnitude (in either file)
 passes; every differing float array is still printed with that relative
-difference.  Integer arrays (work counts, chosen frames, final mode
-counts, operator indices, text outputs) are always compared exactly, and
-a differing one is printed with both values when it is small.  With
+difference.  Integer and string arrays (work counts, chosen frames, final
+mode counts, stage terminations, operator indices, text outputs) are
+always compared exactly, and a differing one is printed with both values
+when it is small.  With
 --up-to-sign, the sign of every mode, which the method leaves arbitrary,
 is fixed before comparing in both files: a mode column whose
 largest-magnitude entry is negative is negated, and so is its row of
@@ -136,7 +141,7 @@ def run_arrays(name, snaps, shifts, config, masks=None) -> dict:
         "data": snaps.data,
     }
     for key in ("iterations", "evaluations", "rank_deficient_evals",
-                "svd_fallback_solves"):
+                "svd_fallback_solves", "termination", "grad_norm"):
         out[f"stage_{key}"] = np.array([st[key] for st in report.stages])
     for l, (frame, amps) in enumerate(zip(dec.frames, dec.amplitudes)):
         out[f"modes{l}"] = frame.modes

@@ -21,8 +21,17 @@ Numerical Optimization, 2nd ed., sec. 7.2).  s is the coverage scale of
 ReducedObjective.variable_scale for the amplitudes at the solve's start
 point, taken from the start point's own evaluation: an entry that the
 shifts let few residuals see has little curvature and gets a larger
-step.  The optimizer's grad_tol is therefore tested on the scaled
-gradient, while a stage's grad_norm is that of dJ/dz.
+step.  After every SCALE_REFRESH iterations of the whole solve, short of
+max_iters, s is taken anew from the amplitudes of the solve's last
+evaluation, so that it follows the amplitudes as they move, and the
+L-BFGS state is mapped to the new variables: BFGS is invariant under a
+linear change of variables (Nocedal & Wright, sec. 6.1), so only the
+diagonal start matrix changes, as in Gilbert & Lemarechal (Math.
+Programming 45, 1989).  A refresh costs no evaluation.  The optimizer's
+grad_tol is tested on the scaled gradient: the solve stops once
+|s * dJ/dz| <= grad_tol |s * g0|, g0 the gradient dJ/dz at the start
+point and s the current scale, while a stage's grad_norm is that of
+dJ/dz.
 
 The candidates of one greedy iteration are solved by successive
 halving.  With N >= 3 candidates and the cap B = max_iters there
@@ -40,10 +49,11 @@ and not run further.  L-BFGS values never rise, so the survivor's final
 error is at most every dropped candidate's error at its rung, and the
 choice equals the argmin of the candidate errors.  A dropped candidate's
 error therefore comes from a truncated solve or is its start point's;
-candidate_iterations says how far each candidate ran.  A scaled solve
-keeps its scale and is continued exactly as one uninterrupted scaled
-solve would go on, so whenever the candidate that wins at B survives the
-rungs, every output is the one of solving all candidates to B.  Halving
+candidate_iterations says how far each candidate ran.  A solve counts
+the iterations between refreshes over the whole solve, not per call, and
+is continued exactly as one uninterrupted solve would go on, so whenever
+the candidate that wins at B survives the rungs, every output is the one
+of solving all candidates to B.  Halving
 can in principle drop a candidate that would overtake the survivor after
 its rung; on the crossing-fronts benchmark seeds 0-10 and the acceptance
 configuration (max_iters = 500) it does not, as the README records.
@@ -76,6 +86,7 @@ from .snapshots import SnapshotSet
 # range (the rule then holds to within that rounding) instead of raising
 # under np.errstate(under="raise")
 _SQRT_TINY = float(np.finfo(float).tiny) ** 0.5
+SCALE_REFRESH = 10  # iterations of a solve between refreshes of its scale
 
 
 @dataclass
@@ -196,13 +207,18 @@ class _Solve:
     """One L-BFGS solve of a problem in the scaled variables u = z / s, run
     on in segments through minimize, which continues it from the state
     where the last segment stopped.  The first segment evaluates the start
-    point and takes the scale s from its amplitudes (variable_scale).
+    point and takes the scale s from its amplitudes (variable_scale); after
+    every SCALE_REFRESH iterations of the whole solve (short of
+    max_iters), refresh takes s anew.  values holds J at every iterate of
+    the whole solve, z and grad the iterate and dJ/dz there.
     prob.n_evals counts every evaluation: prob is the solve's own copy."""
 
     def __init__(self, prob: ReducedObjective, init):
         self.prob = prob
         self.start = prob.pack(init)  # then the SolverState of the last segment
-        self.scale = self.z = self.trace = self.last = None  # last: see evaluate
+        self.scale = self.z = self.grad = self.g0 = None  # g0: dJ/dz at the start
+        self.trace = self.last = None  # trace: the last segment's; last: see evaluate
+        self.values = []
         self.iterations, self.seconds = 0, 0.0
 
     def evaluate(self, z):
@@ -224,25 +240,59 @@ class _Solve:
 
     @property
     def error(self) -> float:
-        return self.prob.relative_error_of(self.trace.values[-1])
+        return self.prob.relative_error_of(self.values[-1])
 
     def run_to(self, iterations: int, opts: OptimizerOptions):
         """Continue the solve until it has run `iterations` in all."""
         t0 = time.perf_counter()
         if self.scale is None:
-            f, g, amps = self.evaluate(self.start)
+            f, self.g0, amps = self.evaluate(self.start)
             self.scale = self.prob.variable_scale(amps)
-            self.start = start_state(self.start / self.scale, f, self.scale * g,
-                                     opts.grad_tol)
-        u, self.trace = minimize(
-            self.scaled, self.start,
-            replace(opts, max_iters=iterations - self.iterations))
-        self.z = self.scale * u
-        self.start = self.trace.state
-        self.iterations += self.trace.iterations
+            self.start = start_state(self.start / self.scale, f,
+                                     self.scale * self.g0, opts.grad_tol)
+        while True:  # one segment per stretch between refreshes
+            stop = min(iterations,
+                       SCALE_REFRESH * (self.iterations // SCALE_REFRESH + 1))
+            u, self.trace = minimize(
+                self.scaled, self.start,
+                replace(opts, max_iters=stop - self.iterations))
+            self.values += self.trace.values[1 if self.values else 0:]
+            self.start = self.trace.state
+            if self.trace.iterations or self.z is None:  # else z stands
+                self.z = self.scale * u
+                self.grad = self.start.g / self.scale
+            self.iterations += self.trace.iterations
+            if self.ended:
+                break
+            if (self.trace.iterations and self.iterations % SCALE_REFRESH == 0
+                    and self.iterations < opts.max_iters):
+                self.refresh(opts.grad_tol)
+            if self.iterations >= iterations:
+                break
         if not self.ended and self.iterations < opts.max_iters:
             self.last = None  # stopped at a rung: evaluates again or is dropped
         self.seconds += time.perf_counter() - t0
+
+    def refresh(self, grad_tol: float):
+        """Take the scale s' from the amplitudes of the last evaluation (at
+        z, unless the line search kept an earlier trial) and map the
+        solver state to u' = z / s': x and every step sigma times s/s', the
+        gradient and every y times s'/s, rho as it is (sigma.y does not
+        change), gamma from the newest mapped pair and the gradient target
+        restated in the new metric, grad_tol |s' * g0|.  z, J and dJ/dz stay
+        as they are: only the metric changes, and no evaluation is made."""
+        scale = self.prob.variable_scale(self.last[1])
+        ratio = self.scale / scale
+        st = self.start
+        pairs = tuple((sigma * ratio, y / ratio, rho) for sigma, y, rho in st.pairs)
+        gamma = st.gamma
+        if pairs:
+            sigma, y, _ = pairs[-1]
+            gamma = float(sigma @ y) / float(y @ y)
+        target = grad_tol * float(np.linalg.norm(scale * self.g0))
+        self.start = replace(st, x=st.x * ratio, g=st.g / ratio, pairs=pairs,
+                             gamma=gamma, target=target)
+        self.scale = scale
 
     def fit(self):
         """Amplitudes and residual at the final modes: the last evaluation's
@@ -260,8 +310,8 @@ class _Solve:
             "r": prob.mode_counts,
             "iterations": self.iterations,
             "evaluations": prob.n_evals,
-            "objective": float(trace.values[-1]),
-            "grad_norm": float(np.linalg.norm(trace.state.g / self.scale)),
+            "objective": float(self.values[-1]),
+            "grad_norm": float(np.linalg.norm(self.grad)),
             "termination": trace.termination,
             "converged": trace.termination == "gradient",
             "rank_deficient_evals": len(prob.rank_events),

@@ -32,7 +32,9 @@ class OptimizerAbort(RuntimeError):
 
 @dataclass(frozen=True)
 class OptimizerOptions:
-    grad_tol: float = 1e-6          # relative to the initial gradient norm
+    # relative to the start point's gradient norm; a greedy solve takes
+    # both norms in its current scale (spod.greedy)
+    grad_tol: float = 1e-6
     max_iters: int = 500
 
     def __post_init__(self):
@@ -44,8 +46,9 @@ class OptimizerOptions:
 class SolverState:
     """Where a solve stands at the end of one minimize() call: the iterate,
     its value and gradient, the (s, y, 1/s.y) pairs (oldest first), the
-    initial-Hessian scale gamma and the gradient-norm target set at the
-    start point.  Only a state whose termination is "iteration cap" goes
+    initial-Hessian scale gamma and the gradient-norm target, set at the
+    start point (a caller that changes the variables between calls maps
+    all of these).  Only a state whose termination is "iteration cap" goes
     on when passed back to minimize().  minimize() never writes into these
     arrays."""
 

@@ -32,6 +32,10 @@ def test_three_signal_run_saves_mixed_row_operators(monkeypatch, tmp_path,
     row_lengths = np.diff(out["three-signal/stacked0.indptr"])
     assert set(row_lengths.tolist()) == {1, 4}
     assert out["three-signal/data"].shape == (128, 48)
+    # how each stage ended: the one three-signal stage meets the gradient test
+    assert out["three-signal/stage_termination"].tolist() == ["gradient"]
+    grad_norm = out["three-signal/stage_grad_norm"]
+    assert grad_norm.dtype == float and grad_norm.shape == (1,)
 
     path = str(tmp_path / "fp.npz")
     np.savez(path, **out)

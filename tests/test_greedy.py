@@ -1,5 +1,7 @@
 """Greedy mode addition: initialization, candidate selection, reports."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -50,7 +52,7 @@ def three_transport_set(m=64, n=24, speed=1.37):
 
 def full_candidate_run(snaps, shifts, config):
     """The greedy run with every candidate solved to the cap in one
-    segment of spod_decompose's own solve (_Solve): final modes and
+    run_to call of spod_decompose's own solve (_Solve): final modes and
     amplitudes, error history, chosen frames, and every candidate's
     modes and solve per greedy iteration."""
     base = ReducedObjective(snaps, shifts, config.r0, rank_tol=config.rank_tol)
@@ -591,7 +593,7 @@ class TestHalving:
                 # a dropped error is the full solve's value at its rung,
                 # the start value at the rung at 0
                 assert errors[i] == sv.prob.relative_error_of(
-                    sv.trace.values[iters[i]])
+                    sv.values[iters[i]])
                 assert errors[i] >= errors[q]
             stage, (_, sv) = rep.stages[p + 1], row[q]
             assert stage["iterations"] == sv.iterations
@@ -648,6 +650,114 @@ class TestHalving:
         for l in range(shifts.n_frames):
             assert np.array_equal(dec.frames[l].modes, modes[l])
             assert np.array_equal(dec.amplitudes[l], amps[l])
+
+
+class TestScaleRefresh:
+    """Every SCALE_REFRESH iterations a solve takes its scale anew from its
+    last evaluation's amplitudes and maps its L-BFGS state; only the
+    metric changes."""
+
+    OPTS = OptimizerOptions(max_iters=30, grad_tol=0.0)
+
+    @staticmethod
+    def solve():
+        # runs 30 iterations to its cap without a line-search failure
+        snaps, shifts = three_transport_set(m=32, n=10)
+        counts = [1, 1, 1]
+        return _Solve(ReducedObjective(snaps, shifts, counts),
+                      [f.modes for f in initialize_frames(snaps, shifts, counts)])
+
+    def test_only_the_metric_changes(self):
+        sv = self.solve()
+        sv.run_to(10, replace(self.OPTS, max_iters=10))  # no refresh at the cap
+        scale = sv.scale
+        assert len(sv.values) == 11 and sv.trace.termination == "iteration cap"
+        st, z, grad, n_evals = sv.start, sv.z, sv.grad, sv.prob.n_evals
+        sv.refresh(self.OPTS.grad_tol)
+        new = sv.start
+        assert sv.prob.n_evals == n_evals
+        assert not np.array_equal(sv.scale, scale)
+        ratio = scale / sv.scale
+        assert sv.z is z and sv.grad is grad  # z and dJ/dz bit-equal
+        assert new.f == st.f  # J bit-equal
+        assert np.array_equal(new.x, st.x * ratio)
+        assert np.array_equal(new.g, st.g / ratio)
+        np.testing.assert_allclose(sv.scale * new.x, z, rtol=1e-14)
+        np.testing.assert_allclose(new.g / sv.scale, grad, rtol=1e-14)
+        assert len(new.pairs) == len(st.pairs) == 10
+        for (sigma, y, rho), (sigma0, y0, rho0) in zip(new.pairs, st.pairs):
+            assert np.array_equal(sigma, sigma0 * ratio)
+            assert np.array_equal(y, y0 / ratio)
+            assert rho == rho0
+            assert sigma @ y == pytest.approx(1.0 / rho, rel=1e-12)
+        sigma, y, _ = new.pairs[-1]
+        assert new.gamma == float(sigma @ y) / float(y @ y)
+        assert new.target == 0.0 and new.termination == "iteration cap"
+        # a segment that takes no step after a refresh leaves z standing, so
+        # the last evaluation, made at z, still serves the fit
+        sv.start = replace(new, target=np.inf)
+        sv.run_to(10, replace(self.OPTS, max_iters=10))
+        assert sv.trace.termination == "gradient"
+        assert np.array_equal(sv.z, z) and np.array_equal(sv.grad, grad)
+        sv.fit()
+        assert sv.prob.n_evals == n_evals
+
+    def test_rungs_match_one_run_to(self):
+        whole = self.solve()
+        whole.run_to(30, self.OPTS)
+        assert whole.iterations == 30 and not whole.ended
+        cut = self.solve()
+        for rung in (4, 10, 15, 30):  # on and off multiples of 10
+            cut.run_to(rung, self.OPTS)
+        assert cut.iterations == 30 and cut.trace.termination == "iteration cap"
+        assert cut.values == whole.values
+        assert cut.prob.n_evals == whole.prob.n_evals
+        for name in ("z", "grad", "scale"):
+            assert np.array_equal(getattr(cut, name), getattr(whole, name))
+        a, b = cut.start, whole.start
+        assert (a.f, a.gamma, a.target) == (b.f, b.gamma, b.target)
+        assert np.array_equal(a.x, b.x) and np.array_equal(a.g, b.g)
+        for p, q in zip(a.pairs, b.pairs, strict=True):
+            assert all(np.array_equal(u, v) for u, v in zip(p, q))
+
+    def test_refreshes_make_no_evaluation(self, monkeypatch):
+        import spod.greedy as greedy
+        traces, minimize = [], greedy.minimize
+
+        def recording(*args):
+            x, trace = minimize(*args)
+            traces.append(trace)
+            return x, trace
+
+        monkeypatch.setattr(greedy, "minimize", recording)
+        sv, scales = self.solve(), []
+        refresh = sv.refresh
+
+        def counting(grad_tol):
+            refresh(grad_tol)
+            scales.append(sv.scale)
+
+        sv.refresh = counting
+        sv.run_to(30, self.OPTS)
+        # segments 0-10, 10-20 and 20-30; no refresh at max_iters
+        assert [t.iterations for t in traces] == [10, 10, 10]
+        assert len(scales) == 2
+        assert sv.prob.n_evals == sum(t.n_evals for t in traces) + 1
+
+    def test_gradient_target_is_the_start_rule_until_the_first_refresh(self):
+        grad_tol = 1e-3
+        opts = replace(self.OPTS, grad_tol=grad_tol)
+        sv = self.solve()
+        fresh = ReducedObjective(*three_transport_set(m=32, n=10), [1, 1, 1])
+        g0 = fresh.value_and_gradient(sv.start)[1]
+        sv.run_to(9, opts)
+        assert not sv.ended
+        # the target start_state set from the scaled start gradient
+        assert sv.start.target == grad_tol * float(np.linalg.norm(sv.scale * g0))
+        first = sv.start.target
+        sv.run_to(10, opts)  # refreshed: the same rule in the new scale
+        assert sv.start.target != first
+        assert sv.start.target == grad_tol * float(np.linalg.norm(sv.scale * g0))
 
 
 class TestIncumbentFit:
