@@ -26,15 +26,15 @@ factor -2 is the usual derivative of a squared projection norm).  The
 amplitudes come from the scaled Gram matrix K_j^T K_j (CholeskyQR with a
 guard, Yamamoto et al., ETNA 44, 2015), or from an SVD where the guard fails.
 
-Modes can be masked: entries marked by a frame's mask stay pinned to zero,
-enforced by zeroing those rows of iterates and gradients rather than by
-eliminating variables.
+Modes can be masked: the rows a frame's mask marks stay pinned to zero.
+ReducedObjective holds the masks and enforces them by zeroing those rows
+of the unpacked iterates and of the gradients rather than by eliminating
+variables.
 """
 from __future__ import annotations
 
 import copy
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -68,24 +68,14 @@ class FrameShifts:
 
 @dataclass
 class FrameBasis:
-    """Modes of one frame; masked entries are forced to zero on creation."""
+    """Modes of one frame, one column per mode."""
 
     modes: np.ndarray
-    mask: Optional[np.ndarray] = None
 
     def __post_init__(self):
         self.modes = np.asarray(self.modes, dtype=float)
         if self.modes.ndim != 2:
             raise ValueError("frame modes must form a 2-d array")
-        if self.mask is not None:
-            self.mask = np.asarray(self.mask, dtype=bool)
-            if self.mask.shape != (self.modes.shape[0],):
-                raise ValueError(
-                    f"mask length {self.mask.shape} does not match "
-                    f"{self.modes.shape[0]} mode rows"
-                )
-            self.modes = self.modes.copy()
-            self.modes[self.mask] = 0.0
 
     @property
     def n_modes(self) -> int:
@@ -107,7 +97,11 @@ class Decomposition:
             )
         if len(self.amplitudes) != len(self.frames):
             raise ValueError("one amplitude matrix per frame required")
-        for fb, A in zip(self.frames, self.amplitudes):
+        rows = len(self.blocks) * self.grid.m
+        for l, (fb, A) in enumerate(zip(self.frames, self.amplitudes)):
+            if fb.modes.shape[0] != rows:
+                raise ValueError(f"frame {l} has {fb.modes.shape[0]} mode rows,"
+                                 f" expected {rows}")
             if A.shape != (fb.n_modes, self.shifts.n_snapshots):
                 raise ValueError(
                     f"amplitude shape {A.shape} does not match "
@@ -294,7 +288,7 @@ class ReducedObjective:
         """Returns (Jt, gradients, amplitudes, residual).
 
         modes_list: one (m_total, r_l) array per frame, masked rows zero
-        (as unpack and FrameBasis leave them).  gradients: per frame an
+        (as unpack leaves them).  gradients: per frame an
         (m_total, r_l) array, the column block frame_cols[l] of one
         gradient with respect to W (None unless requested); amplitudes:
         per frame an (r_l, n) array; residual: the (m_total, n) residuals
@@ -379,13 +373,11 @@ class ReducedObjective:
 def objective_and_gradient(snaps: SnapshotSet, frames, shifts: FrameShifts):
     """One-shot reduced objective Jt, per-mode gradients and amplitudes.
 
-    The gradients respect the frame masks (masked entries are exactly
-    zero).  For repeated evaluations construct a ReducedObjective instead,
-    which caches the shift operators.
+    For masked modes, or for repeated evaluations, construct a
+    ReducedObjective instead, which takes the masks and caches the shift
+    operators.
     """
-    prob = ReducedObjective(
-        snaps, shifts, [f.n_modes for f in frames],
-        masks=[f.mask for f in frames])
+    prob = ReducedObjective(snaps, shifts, [f.n_modes for f in frames])
     Jt, grads, amps, _ = prob.evaluate([f.modes for f in frames])
     return Jt, grads, amps
 

@@ -58,12 +58,14 @@ can in principle drop a candidate that would overtake the survivor after
 its rung; on the crossing-fronts benchmark seeds 0-10 and the acceptance
 configuration (max_iters = 500) it does not, as the README records.
 
-A run builds one ReducedObjective: its shift operators and data depend
-on the shifts alone, so every solve takes it with its own mode counts
-through with_counts.  A solve yields the modes, their error, the stage
-record, and the amplitudes and residual that serve the next warm start
-and the returned Decomposition: its last evaluation's where that was
-made at the final modes, else those of one more, value-only, evaluation.
+A run builds one ReducedObjective, which holds the frame masks and whose
+unpack, the path of every seed and iterate, zeroes the masked rows; its
+operators and data depend on the shifts alone, so every solve takes it
+with its own mode counts through with_counts.  A solve yields the modes,
+their error and stage record (read from its SolverState), and the
+amplitudes and residual that serve the next warm start and the returned
+Decomposition: its last evaluation's where that was made at the final
+modes, else those of one more, value-only, evaluation.
 """
 from __future__ import annotations
 
@@ -168,12 +170,11 @@ def _seed_modes(data: np.ndarray, snaps: SnapshotSet, shifts: FrameShifts,
     return np.linalg.svd(B @ V, full_matrices=False)[0]
 
 
-def initialize_frames(snaps: SnapshotSet, shifts: FrameShifts, r0,
-                      masks=None) -> list:
+def initialize_frames(snaps: SnapshotSet, shifts: FrameShifts, r0) -> list:
     """Initial frame bases from the back-shifted snapshot matrices.
 
     Frame l receives the leading r0[l] left singular vectors of
-    [T(-d^l_1) X_1, ..., T(-d^l_n) X_n]; masks are applied afterwards.
+    [T(-d^l_1) X_1, ..., T(-d^l_n) X_n].
     """
     if len(r0) != shifts.n_frames:
         raise ValueError(f"{len(r0)} mode counts for {shifts.n_frames} frames")
@@ -183,12 +184,10 @@ def initialize_frames(snaps: SnapshotSet, shifts: FrameShifts, r0,
         r = int(r)
         if not 0 <= r <= limit:
             raise ValueError(f"r0[{l}] = {r} exceeds min(m_total, n) = {limit}")
-        mask = masks[l] if masks is not None else None
         if r == 0:
-            frames.append(FrameBasis(np.zeros((snaps.n_rows, 0)), mask))
+            frames.append(FrameBasis(np.zeros((snaps.n_rows, 0))))
             continue
-        frames.append(FrameBasis(_seed_modes(snaps.data, snaps, shifts, l, r),
-                                 mask))
+        frames.append(FrameBasis(_seed_modes(snaps.data, snaps, shifts, l, r)))
     return frames
 
 
@@ -205,20 +204,19 @@ def halving_rungs(n_candidates: int, max_iters: int) -> list:
 
 class _Solve:
     """One L-BFGS solve of a problem in the scaled variables u = z / s, run
-    on in segments through minimize, which continues it from the state
-    where the last segment stopped.  The first segment evaluates the start
-    point and takes the scale s from its amplitudes (variable_scale); after
-    every SCALE_REFRESH iterations of the whole solve (short of
-    max_iters), refresh takes s anew.  values holds J at every iterate of
-    the whole solve, z and grad the iterate and dJ/dz there.
+    on in segments through minimize, each continuing from state, the
+    SolverState where the last one stopped.  z starts as the packed start
+    point; the first segment evaluates it and takes the scale s from its
+    amplitudes (variable_scale), and after every SCALE_REFRESH iterations
+    of the whole solve (short of max_iters) refresh takes s anew.  z and
+    grad are the iterate and dJ/dz there, state.f is J there, and only a
+    segment that takes a step moves them; g0 is dJ/dz at the start point.
     prob.n_evals counts every evaluation: prob is the solve's own copy."""
 
     def __init__(self, prob: ReducedObjective, init):
         self.prob = prob
-        self.start = prob.pack(init)  # then the SolverState of the last segment
-        self.scale = self.z = self.grad = self.g0 = None  # g0: dJ/dz at the start
-        self.trace = self.last = None  # trace: the last segment's; last: see evaluate
-        self.values = []
+        self.z = prob.pack(init)
+        self.state = self.scale = self.grad = self.g0 = self.last = None
         self.iterations, self.seconds = 0, 0.0
 
     def evaluate(self, z):
@@ -236,35 +234,33 @@ class _Solve:
     @property
     def ended(self) -> bool:
         """True once the solve stopped before its iteration cap."""
-        return self.trace is not None and self.trace.termination != "iteration cap"
+        return self.state is not None and self.state.termination != "iteration cap"
 
     @property
     def error(self) -> float:
-        return self.prob.relative_error_of(self.values[-1])
+        return self.prob.relative_error_of(self.state.f)
 
     def run_to(self, iterations: int, opts: OptimizerOptions):
         """Continue the solve until it has run `iterations` in all."""
         t0 = time.perf_counter()
-        if self.scale is None:
-            f, self.g0, amps = self.evaluate(self.start)
-            self.scale = self.prob.variable_scale(amps)
-            self.start = start_state(self.start / self.scale, f,
+        if self.state is None:
+            f, self.g0, amps = self.evaluate(self.z)
+            self.grad, self.scale = self.g0, self.prob.variable_scale(amps)
+            self.state = start_state(self.z / self.scale, f,
                                      self.scale * self.g0, opts.grad_tol)
         while True:  # one segment per stretch between refreshes
             stop = min(iterations,
                        SCALE_REFRESH * (self.iterations // SCALE_REFRESH + 1))
-            u, self.trace = minimize(
-                self.scaled, self.start,
-                replace(opts, max_iters=stop - self.iterations))
-            self.values += self.trace.values[1 if self.values else 0:]
-            self.start = self.trace.state
-            if self.trace.iterations or self.z is None:  # else z stands
+            u, trace = minimize(self.scaled, self.state,
+                                replace(opts, max_iters=stop - self.iterations))
+            self.state = trace.state
+            if trace.iterations:  # else z stands
                 self.z = self.scale * u
-                self.grad = self.start.g / self.scale
-            self.iterations += self.trace.iterations
+                self.grad = self.state.g / self.scale
+            self.iterations += trace.iterations
             if self.ended:
                 break
-            if (self.trace.iterations and self.iterations % SCALE_REFRESH == 0
+            if (trace.iterations and self.iterations % SCALE_REFRESH == 0
                     and self.iterations < opts.max_iters):
                 self.refresh(opts.grad_tol)
             if self.iterations >= iterations:
@@ -283,14 +279,14 @@ class _Solve:
         as they are: only the metric changes, and no evaluation is made."""
         scale = self.prob.variable_scale(self.last[1])
         ratio = self.scale / scale
-        st = self.start
+        st = self.state
         pairs = tuple((sigma * ratio, y / ratio, rho) for sigma, y, rho in st.pairs)
         gamma = st.gamma
         if pairs:
             sigma, y, _ = pairs[-1]
             gamma = float(sigma @ y) / float(y @ y)
         target = grad_tol * float(np.linalg.norm(scale * self.g0))
-        self.start = replace(st, x=st.x * ratio, g=st.g / ratio, pairs=pairs,
+        self.state = replace(st, x=st.x * ratio, g=st.g / ratio, pairs=pairs,
                              gamma=gamma, target=target)
         self.scale = scale
 
@@ -304,16 +300,16 @@ class _Solve:
 
     def result(self, label):
         """Optimized modes, their relative error and the stage record."""
-        prob, trace = self.prob, self.trace
+        prob, st = self.prob, self.state
         return prob.unpack(self.z), self.error, {
             "label": label,
             "r": prob.mode_counts,
             "iterations": self.iterations,
             "evaluations": prob.n_evals,
-            "objective": float(self.values[-1]),
+            "objective": st.f,
             "grad_norm": float(np.linalg.norm(self.grad)),
-            "termination": trace.termination,
-            "converged": trace.termination == "gradient",
+            "termination": st.termination,
+            "converged": st.termination == "gradient",
             "rank_deficient_evals": len(prob.rank_events),
             "svd_fallback_solves": prob.svd_fallback_solves,
             "seconds": self.seconds,
@@ -337,9 +333,7 @@ def spod_decompose(snaps: SnapshotSet, shifts: FrameShifts, config: GreedyConfig
     cand_iters, cand_evals = [], []
 
     def finish(modes, termination, amps):
-        frames = [FrameBasis(W, None if masks is None else masks[l])
-                  for l, W in enumerate(modes)]
-        dec = Decomposition(frames, amps, shifts, snaps.grid, list(snaps.blocks))
+        dec = Decomposition([FrameBasis(W) for W in modes], amps, shifts, snaps.grid, list(snaps.blocks))
         report = GreedyReport(
             r0=list(config.r0), r_final=[W.shape[1] for W in modes],
             error_history=history, candidate_errors=cand_hist,
@@ -362,13 +356,14 @@ def spod_decompose(snaps: SnapshotSet, shifts: FrameShifts, config: GreedyConfig
             for sv in todo:
                 step(sv)
 
-    frames0 = initialize_frames(snaps, shifts, config.r0, masks)
-    incumbent = _Solve(base.with_counts(config.r0), [f.modes for f in frames0])
+    seeds = base.unpack(base.pack(  # unpack zeroes the masked rows
+        [f.modes for f in initialize_frames(snaps, shifts, config.r0)]))
+    incumbent = _Solve(base.with_counts(config.r0), seeds)
     try:
         incumbent.run_to(max_iters, config.optimizer)
     except OptimizerAbort:
-        return finish([f.modes for f in frames0], "optimizer failure",
-                      [np.zeros((f.n_modes, snaps.n_snapshots)) for f in frames0])
+        return finish(seeds, "optimizer failure",
+                      [np.zeros((W.shape[1], snaps.n_snapshots)) for W in seeds])
     modes, err, stage = incumbent.result("initial")
     history.append(err)
     stages.append(stage)

@@ -162,7 +162,14 @@ def _time_values(time, n, path):
 
 
 def _format_layout(grid, blocks, time):
-    """Layout keys as text, in file order."""
+    """Layout keys as text, in file order.  A block name must read back
+    from the header and from the CSV comments: printable ASCII without
+    spaces, ',' or ':'."""
+    for b in blocks:
+        if not (b.name.isascii() and b.name.isprintable()) or any(
+                c in b.name for c in " ,:"):
+            raise FormatError(f"block name {b.name!r} is not printable ASCII"
+                              " without spaces, ',' or ':'")
     return {"m": grid.m, "n": len(time), "h": _fmt(grid.h),
             "boundary": grid.boundary,
             "blocks": _join(f"{b.name}:{b.stop - b.start}" for b in blocks),
@@ -193,9 +200,10 @@ def _write_binary(path, header, arrays):
     """Header lines, end-header, then each array in column-major order."""
     if not all(np.all(np.isfinite(a)) for a in arrays):
         raise FormatError("refusing to write non-finite data")
-    text = "".join(f"{k}={v}\n" for k, v in header.items()) + "end-header\n"
+    text = ("".join(f"{k}={v}\n" for k, v in header.items())
+            + "end-header\n").encode("ascii")  # before open truncates the file
     with open(path, "wb") as f:
-        f.write(text.encode("ascii"))
+        f.write(text)
         for a in arrays:
             f.write(np.asarray(a, dtype="<f8").tobytes(order="F"))
 
@@ -294,9 +302,12 @@ def read_shifts(path):
 
 
 def write_decomposition(dec: Decomposition, path, times=None):
-    spec = dec.shifts.spec
-    if times is None:
-        times = np.arange(dec.shifts.n_snapshots)
+    """times: one strictly increasing time per snapshot (default 0..n-1)."""
+    spec, n = dec.shifts.spec, dec.shifts.n_snapshots
+    times = _build(FormatError, path, TimeAxis,
+                   np.arange(n) if times is None else times).values
+    if times.size != n:
+        raise FormatError(f"{path}: {times.size} times for {n} snapshots")
     header = _format_layout(dec.grid, dec.blocks, times)
     header.update(ranks=_join(f.n_modes for f in dec.frames),
                   shift_boundary=spec.boundary,

@@ -604,16 +604,33 @@ class TestReconstruct:
 
 
 class TestFrameBasis:
-    def test_mask_zeroes_rows_on_construction(self):
+    def test_mask_zeroes_rows_in_the_objective(self):
+        # a frame basis keeps its modes as given; the objective that holds
+        # the masks zeroes the masked rows of every mode it unpacks
+        grid = Grid1D(4, 0.25, "periodic")
+        snaps = SnapshotSet(np.arange(1.0, 13.0).reshape(4, 3), grid,
+                            np.arange(3.0))
+        shifts = FrameShifts(np.zeros((1, 3)), PER3)
         mask = np.array([True, False, False, True])
-        fb = FrameBasis(np.ones((4, 2)), mask)
-        np.testing.assert_array_equal(fb.modes[0], 0.0)
-        np.testing.assert_array_equal(fb.modes[3], 0.0)
-        np.testing.assert_array_equal(fb.modes[1:3], 1.0)
+        fb = FrameBasis(np.ones((4, 2)))
+        np.testing.assert_array_equal(fb.modes, 1.0)
+        prob = ReducedObjective(snaps, shifts, [2], masks=[mask])
+        W, = prob.unpack(prob.pack([fb.modes]))
+        np.testing.assert_array_equal(W[0], 0.0)
+        np.testing.assert_array_equal(W[3], 0.0)
+        np.testing.assert_array_equal(W[1:3], 1.0)
+        np.testing.assert_array_equal(fb.modes, 1.0)  # unpack copies
 
     def test_shape_validation(self):
-        with pytest.raises(ValueError):
-            FrameBasis(np.ones((4, 2)), np.array([True, False]))
+        for modes in (np.ones(4), np.ones((4, 2, 1))):
+            with pytest.raises(ValueError, match="2-d"):
+                FrameBasis(modes)
+        grid = Grid1D(4, 0.25, "periodic")
+        snaps = SnapshotSet(np.arange(1.0, 13.0).reshape(4, 3), grid,
+                            np.arange(3.0))
+        with pytest.raises(ValueError, match=r"has shape \(2,\), expected \(4,\)"):
+            ReducedObjective(snaps, FrameShifts(np.zeros((1, 3)), PER3), [2],
+                             masks=[np.array([True, False])])
 
 
 class TestDecompositionType:
@@ -624,3 +641,18 @@ class TestDecompositionType:
         with pytest.raises(ValueError):
             Decomposition(frames, [np.zeros((3, 3))], shifts, grid,
                           [VariableBlock("var0", 0, 4)])
+
+    def test_mode_rows_must_match_the_blocks(self):
+        # written, such a decomposition would not read back, and
+        # reconstruct would fail on its shape
+        grid = Grid1D(4, 0.25, "periodic")
+        shifts = FrameShifts(np.zeros((2, 3)), PER3)
+        blocks = [VariableBlock("u", 0, 4), VariableBlock("v", 4, 8)]
+        amps = [np.zeros((1, 3)), np.zeros((0, 3))]
+        ok = [FrameBasis(np.ones((8, 1))), FrameBasis(np.zeros((8, 0)))]
+        Decomposition(ok, amps, shifts, grid, blocks)
+        for rows in (4, 9):
+            frames = [ok[0], FrameBasis(np.zeros((rows, 0)))]
+            with pytest.raises(ValueError,
+                               match=f"frame 1 has {rows} mode rows, expected 8"):
+                Decomposition(frames, amps, shifts, grid, blocks)

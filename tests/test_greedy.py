@@ -54,15 +54,15 @@ def full_candidate_run(snaps, shifts, config):
     """The greedy run with every candidate solved to the cap in one
     run_to call of spod_decompose's own solve (_Solve): final modes and
     amplitudes, error history, chosen frames, and every candidate's
-    modes and solve per greedy iteration."""
+    modes, solve and start modes per greedy iteration."""
     base = ReducedObjective(snaps, shifts, config.r0, rank_tol=config.rank_tol)
 
     def solve(counts, init):
         sv = _Solve(base.with_counts(counts), init)
         sv.run_to(config.optimizer.max_iters, config.optimizer)
-        return sv.prob.unpack(sv.z), sv
+        return sv.prob.unpack(sv.z), sv, init
 
-    modes, sv = solve(config.r0, [f.modes for f in initialize_frames(
+    modes, sv, _ = solve(config.r0, [f.modes for f in initialize_frames(
         snaps, shifts, config.r0)])
     history, chosen, rows = [sv.error], [], []
     p_max = snaps.n_snapshots if config.p_max is None else config.p_max
@@ -76,7 +76,7 @@ def full_candidate_run(snaps, shifts, config):
             init = [W if l != i else np.hstack([W, w_new])
                     for l, W in enumerate(modes)]
             row.append(solve(grown, init))
-        q = int(np.argmin([sv.error for _, sv in row]))
+        q = int(np.argmin([sv.error for _, sv, _ in row]))
         modes = row[q][0]
         history.append(row[q][1].error)
         chosen.append(q)
@@ -235,13 +235,6 @@ class TestInitialize:
         with pytest.raises(ValueError):
             initialize_frames(snaps, shifts, [5, 1])
 
-    def test_masks_applied(self):
-        snaps, shifts = two_transport_set(m=32, n=8)
-        mask = np.zeros(32, dtype=bool)
-        mask[:16] = True
-        frames = initialize_frames(snaps, shifts, [1, 1], masks=[mask, None])
-        np.testing.assert_array_equal(frames[0].modes[:16], 0.0)
-
 
 class TestGreedyLoop:
     def test_two_transports_converge_without_iterations(self):
@@ -371,14 +364,36 @@ class TestGreedyLoop:
         assert free.stages[0]["termination"] == "gradient"
         assert free.stages[0]["converged"] is True
 
-    def test_optimizer_failure_reported(self):
+    @pytest.mark.parametrize("masked", [False, True])
+    def test_optimizer_failure_reported(self, masked):
+        # the failure returns the seeds; masked, the objective's unpack
+        # zeroes their masked rows
         snaps, shifts = two_transport_set(m=16, n=4)
         big = SnapshotSet(snaps.data * 1e200, snaps.grid, snaps.time.values,
                           snaps.blocks)
+        mask = np.arange(16) < 8
         with np.errstate(over="ignore", invalid="ignore"):
-            dec, rep = spod_decompose(big, shifts, GreedyConfig(r0=[1, 1]))
+            dec, rep = spod_decompose(big, shifts, GreedyConfig(r0=[1, 1]),
+                                      masks=[mask, None] if masked else None)
         assert rep.termination == "optimizer failure"
         assert not rep.converged
+        seeds = initialize_frames(big, shifts, [1, 1])
+        assert np.all(seeds[0].modes != 0.0)
+        if masked:
+            np.testing.assert_array_equal(dec.frames[0].modes[mask], 0.0)
+            seeds[0].modes[mask] = 0.0
+        for fa, fb in zip(dec.frames, seeds, strict=True):
+            assert np.array_equal(fa.modes, fb.modes)
+
+    def test_masks_hold_after_a_tolerance_stop(self):
+        snaps, shifts = two_transport_set(m=32, n=8)
+        mask = np.arange(32) < 16
+        assert np.any(initialize_frames(snaps, shifts, [1, 1])[0].modes[:16])
+        dec, rep = spod_decompose(snaps, shifts, GreedyConfig(r0=[1, 1], tol=0.5),
+                                  masks=[mask, None])
+        assert rep.termination == "tolerance"
+        np.testing.assert_array_equal(dec.frames[0].modes[mask], 0.0)
+        assert np.any(dec.frames[0].modes[~mask])
 
     def test_progress_callback_sees_every_stage(self):
         snaps, shifts = two_transport_set(m=32, n=10)
@@ -589,19 +604,21 @@ class TestHalving:
             # iterations, and the survivor runs to the cap of 20
             assert sorted(iters) == [0, 5, 20] and iters[q] == 20
             assert q == int(np.argmin(errors))
-            for i, (_, sv) in enumerate(row):
-                # a dropped error is the full solve's value at its rung,
+            for i, (_, sv, init) in enumerate(row):
+                # a dropped error is the value of a solve run to its rung,
                 # the start value at the rung at 0
-                assert errors[i] == sv.prob.relative_error_of(
-                    sv.values[iters[i]])
+                ref = _Solve(sv.prob.with_counts(sv.prob.mode_counts), init)
+                ref.run_to(iters[i], config.optimizer)
+                assert ref.iterations == iters[i]
+                assert errors[i] == ref.error
                 assert errors[i] >= errors[q]
-            stage, (_, sv) = rep.stages[p + 1], row[q]
+            stage, (_, sv, _) = rep.stages[p + 1], row[q]
             assert stage["iterations"] == sv.iterations
             assert stage["evaluations"] == sv.prob.n_evals
-            assert stage["termination"] == sv.trace.termination
+            assert stage["termination"] == sv.state.termination
             assert rep.candidate_evaluations[p][q] == sv.prob.n_evals
             assert sum(rep.candidate_evaluations[p]) < sum(
-                sv.prob.n_evals for _, sv in row)
+                sv.prob.n_evals for _, sv, _ in row)
 
 
     @pytest.mark.parametrize("params", [
@@ -671,10 +688,10 @@ class TestScaleRefresh:
         sv = self.solve()
         sv.run_to(10, replace(self.OPTS, max_iters=10))  # no refresh at the cap
         scale = sv.scale
-        assert len(sv.values) == 11 and sv.trace.termination == "iteration cap"
-        st, z, grad, n_evals = sv.start, sv.z, sv.grad, sv.prob.n_evals
+        assert sv.iterations == 10 and sv.state.termination == "iteration cap"
+        st, z, grad, n_evals = sv.state, sv.z, sv.grad, sv.prob.n_evals
         sv.refresh(self.OPTS.grad_tol)
-        new = sv.start
+        new = sv.state
         assert sv.prob.n_evals == n_evals
         assert not np.array_equal(sv.scale, scale)
         ratio = scale / sv.scale
@@ -695,26 +712,41 @@ class TestScaleRefresh:
         assert new.target == 0.0 and new.termination == "iteration cap"
         # a segment that takes no step after a refresh leaves z standing, so
         # the last evaluation, made at z, still serves the fit
-        sv.start = replace(new, target=np.inf)
+        sv.state = replace(new, target=np.inf)
         sv.run_to(10, replace(self.OPTS, max_iters=10))
-        assert sv.trace.termination == "gradient"
+        assert sv.state.termination == "gradient"
         assert np.array_equal(sv.z, z) and np.array_equal(sv.grad, grad)
         sv.fit()
         assert sv.prob.n_evals == n_evals
 
+    @staticmethod
+    def recorded_values(sv):
+        """J of every evaluation the solve makes, in order."""
+        values, evaluate = [], sv.evaluate
+
+        def recording(z):
+            out = evaluate(z)
+            values.append(out[0])
+            return out
+
+        sv.evaluate = recording
+        return values
+
     def test_rungs_match_one_run_to(self):
         whole = self.solve()
+        whole_values = self.recorded_values(whole)
         whole.run_to(30, self.OPTS)
         assert whole.iterations == 30 and not whole.ended
         cut = self.solve()
+        cut_values = self.recorded_values(cut)
         for rung in (4, 10, 15, 30):  # on and off multiples of 10
             cut.run_to(rung, self.OPTS)
-        assert cut.iterations == 30 and cut.trace.termination == "iteration cap"
-        assert cut.values == whole.values
-        assert cut.prob.n_evals == whole.prob.n_evals
+        assert cut.iterations == 30 and cut.state.termination == "iteration cap"
+        assert cut_values == whole_values
+        assert len(cut_values) == cut.prob.n_evals == whole.prob.n_evals
         for name in ("z", "grad", "scale"):
             assert np.array_equal(getattr(cut, name), getattr(whole, name))
-        a, b = cut.start, whole.start
+        a, b = cut.state, whole.state
         assert (a.f, a.gamma, a.target) == (b.f, b.gamma, b.target)
         assert np.array_equal(a.x, b.x) and np.array_equal(a.g, b.g)
         for p, q in zip(a.pairs, b.pairs, strict=True):
@@ -749,15 +781,15 @@ class TestScaleRefresh:
         opts = replace(self.OPTS, grad_tol=grad_tol)
         sv = self.solve()
         fresh = ReducedObjective(*three_transport_set(m=32, n=10), [1, 1, 1])
-        g0 = fresh.value_and_gradient(sv.start)[1]
+        g0 = fresh.value_and_gradient(sv.z)[1]
         sv.run_to(9, opts)
         assert not sv.ended
         # the target start_state set from the scaled start gradient
-        assert sv.start.target == grad_tol * float(np.linalg.norm(sv.scale * g0))
-        first = sv.start.target
+        assert sv.state.target == grad_tol * float(np.linalg.norm(sv.scale * g0))
+        first = sv.state.target
         sv.run_to(10, opts)  # refreshed: the same rule in the new scale
-        assert sv.start.target != first
-        assert sv.start.target == grad_tol * float(np.linalg.norm(sv.scale * g0))
+        assert sv.state.target != first
+        assert sv.state.target == grad_tol * float(np.linalg.norm(sv.scale * g0))
 
 
 class TestIncumbentFit:
@@ -832,6 +864,24 @@ class TestIncumbentFit:
         for A, B in zip(amps, amps_ref):
             assert np.array_equal(A, B)
         assert np.array_equal(resid, resid_ref)
+
+    def test_a_solve_stopped_at_its_start_point_keeps_it(self):
+        # the gradient test holds at the start: z and dJ/dz are the ones
+        # evaluated there, and the fit reuses that evaluation
+        snaps, shifts = three_transport_set(m=32, n=10)
+        counts = [1, 1, 0]
+        init = [f.modes for f in initialize_frames(snaps, shifts, counts)]
+        prob = ReducedObjective(snaps, shifts, counts)
+        sv = _Solve(prob, init)
+        sv.run_to(5, OptimizerOptions(max_iters=5, grad_tol=1e300))
+        assert sv.iterations == 0 and sv.state.termination == "gradient"
+        z0 = prob.pack(init)
+        assert np.array_equal(sv.z, z0)
+        f, g = ReducedObjective(snaps, shifts, counts).value_and_gradient(z0)
+        assert sv.state.f == f and np.array_equal(sv.grad, g)
+        assert prob.n_evals == 1
+        sv.fit()
+        assert prob.n_evals == 1
 
     @pytest.mark.parametrize("name", ["two-frame", "crossing-masked"])
     def test_a_dropped_candidate_keeps_no_residual(self, name, monkeypatch):

@@ -303,6 +303,39 @@ class TestDecompositionFile:
         with pytest.raises(FormatError, match=match):
             read_decomposition(path)
 
+    def test_masked_greedy_result_round_trips(self, tmp_path):
+        # a masked run's decomposition holds its masks in no field: the
+        # file keeps every field of every frame
+        import dataclasses
+
+        from spod.generators import CrossingFrontsParams, crossing_fronts
+        from spod.greedy import spod_decompose
+        snaps, shifts = crossing_fronts(CrossingFrontsParams(m=60, n=16))
+        species = np.zeros(snaps.n_rows, dtype=bool)
+        species[next(b for b in snaps.blocks if b.name == "species").rows] = True
+        dec, rep = spod_decompose(snaps, shifts, GreedyConfig(
+            r0=[1, 1, 1, 1, 0], tol=1e-12, p_max=1,
+            optimizer=OptimizerOptions(max_iters=5)),
+            masks=[None] + [species] * 4)
+        assert rep.chosen_frames
+        path = tmp_path / "dec.bin"
+        write_decomposition(dec, path, times=snaps.time.values)
+        back, times = read_decomposition(path)
+        assert np.array_equal(times, snaps.time.values)
+        assert len(back.frames) == len(dec.frames)
+        for fa, fb in zip(dec.frames, back.frames):
+            for f in dataclasses.fields(fa):
+                a, b = getattr(fa, f.name), getattr(fb, f.name)
+                assert type(a) is type(b) and np.array_equal(a, b)
+        for l in range(1, 5):
+            assert np.all(back.frames[l].modes[species] == 0.0)
+        for aa, ab in zip(dec.amplitudes, back.amplitudes, strict=True):
+            assert np.array_equal(aa, ab)
+        assert np.array_equal(back.shifts.d, dec.shifts.d)
+        assert back.shifts.spec == dec.shifts.spec
+        assert back.grid == dec.grid
+        assert list(back.blocks) == list(dec.blocks)
+
     def test_payload_size_checked(self, tmp_path):
         dec = _sample_decomposition()
         path = tmp_path / "dec.bin"
@@ -312,6 +345,66 @@ class TestDecompositionFile:
         (tmp_path / "cut.bin").write_bytes(data[:-8])
         with pytest.raises(FormatError, match="data section holds"):
             read_decomposition(tmp_path / "cut.bin")
+
+
+def _named(name):
+    """The sample snapshots and a decomposition of them, the second block
+    renamed to name."""
+    snaps = _sample_snapshots()
+    blocks = (snaps.blocks[0], VariableBlock(name, 6, 12))
+    snaps = SnapshotSet(snaps.data, snaps.grid, snaps.time.values, blocks)
+    dec = Decomposition((FrameBasis(snaps.data[:, :1]),), (np.ones((1, 4)),),
+                        FrameShifts(np.zeros((1, 4)), ShiftSpec()),
+                        snaps.grid, blocks)
+    return snaps, dec
+
+
+_WRITERS = {  # kind -> (write(snaps, dec, path), read(path) -> block names)
+    "snap": (lambda snaps, dec, path: write_snapshots(snaps, path),
+             lambda path: read_snapshots(path).block_names()),
+    "csv": (lambda snaps, dec, path: write_snapshots_csv(snaps, path),
+            lambda path: read_snapshots_csv(path).block_names()),
+    "decomposition": (
+        lambda snaps, dec, path: write_decomposition(
+            dec, path, times=snaps.time.values),
+        lambda path: [b.name for b in read_decomposition(path)[0].blocks]),
+}
+
+
+class TestWritersRefuseWhatReadersReject:
+    """A writer raises FormatError, and leaves an existing file byte-equal,
+    where its reader would reject or misread the file."""
+
+    @pytest.mark.parametrize("kind", sorted(_WRITERS))
+    @pytest.mark.parametrize("name", ["a,b", "a:b", "a b", " a", "a\tb",
+                                      "a\nm=3", "\u00e9t\u00e9"])
+    def test_block_names(self, tmp_path, kind, name):
+        path = tmp_path / "out"
+        path.write_bytes(b"old contents")
+        with pytest.raises(FormatError, match="block name"):
+            _WRITERS[kind][0](*_named(name), path)
+        assert path.read_bytes() == b"old contents"
+
+    @pytest.mark.parametrize("kind", sorted(_WRITERS))
+    @pytest.mark.parametrize("name", ["a=b", "#t", "u.v_2", ""])
+    def test_other_names_round_trip(self, tmp_path, kind, name):
+        write, read = _WRITERS[kind]
+        write(*_named(name), tmp_path / "out")
+        assert read(tmp_path / "out") == ["density", name]
+
+    @pytest.mark.parametrize("times,match", [
+        ([0.0, 1.0, 2.0], "3 times for 4 snapshots"),
+        ([0.0, 1.0, 2.0, 3.0, 4.0], "5 times for 4 snapshots"),
+        ([0.0, 2.0, 1.0, 3.0], "strictly increasing"),
+        ([0.0, 1.0, 1.0, 3.0], "strictly increasing"),
+        ([0.0, 1.0, np.inf, 3.0], "finite"),
+    ])
+    def test_decomposition_times(self, tmp_path, times, match):
+        path = tmp_path / "dec.bin"
+        path.write_bytes(b"old contents")
+        with pytest.raises(FormatError, match=match):
+            write_decomposition(_sample_decomposition(), path, times=times)
+        assert path.read_bytes() == b"old contents"
 
 
 class TestReportJson:
