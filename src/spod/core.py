@@ -39,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .shifts import ShiftSpec, apply_shift, shift_operator
-from .snapshots import Grid1D, SnapshotSet, VariableBlock
+from .snapshots import Grid1D, SnapshotSet, check_blocks
 
 GRAM_COND_MAX, RANK_MARGIN = 1e4, 1e3
 RANK_TOL = 1e-10  # smallest singular value kept, relative to the largest
@@ -98,6 +98,7 @@ class Decomposition:
         if len(self.amplitudes) != len(self.frames):
             raise ValueError("one amplitude matrix per frame required")
         rows = len(self.blocks) * self.grid.m
+        check_blocks(self.blocks, self.grid.m, rows)
         for l, (fb, A) in enumerate(zip(self.frames, self.amplitudes)):
             if fb.modes.shape[0] != rows:
                 raise ValueError(f"frame {l} has {fb.modes.shape[0]} mode rows,"
@@ -337,17 +338,17 @@ class ReducedObjective:
         r = resid.ravel(order="K")  # memory order: a view, not a copy
         return float(r @ r), g, amps, resid
 
-    def variable_scale(self, amps) -> np.ndarray:
-        """Diagonal scale s of the flat variables z = vec(W) for the
-        per-frame amplitudes amps, shaped (r_l, n).
+    def variable_metric(self, amps) -> np.ndarray:
+        """Diagonal L-BFGS metric M of the flat variables z = vec(W) for
+        the per-frame amplitudes amps, shaped (r_l, n).
 
         Entry i of column k of W, a mode of frame l, has the coverage
         c = sum_j a_kj^2 ||T(d^l_j) e_i||^2 in every variable block: how
         strongly the residuals see it, and so the diagonal of the
         Gauss-Newton matrix up to the projection.  c is clamped at
         COVERAGE_FLOOR times its maximum, so that entries the shifts never
-        reach stay finite, and s = c^-1/2 / max(c^-1/2) lies in (0, 1].
-        Without a finite positive maximum of c, s is all ones.
+        reach stay finite, and M = min(c) / c lies in (0, 1].  Without a
+        finite positive maximum of c, M is all ones.
         """
         from scipy import sparse  # local: keeps scipy out of start-up
 
@@ -363,7 +364,7 @@ class ReducedObjective:
         if not 0.0 < top < np.inf:
             return np.ones_like(c)
         c = np.maximum(c, COVERAGE_FLOOR * top)
-        return np.sqrt(c.min() / c)
+        return c.min() / c
 
     def relative_error_of(self, value: float) -> float:
         """Map an objective value J to the relative squared error J / ||X||^2."""

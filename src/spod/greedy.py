@@ -14,24 +14,17 @@ eigenvectors, with B scaled so that B^T B neither overflows nor falls
 into slow subnormal arithmetic (the wave pulse tails reach 1e-323; see
 _seed_modes).  The sign of a mode is arbitrary.
 
-Every solve (the initial one and each candidate) runs L-BFGS on the
-scaled variables u = z / s, minimizing J(s * u) with gradient s * g: a
-diagonal (Jacobi) scaling of the L-BFGS start matrix (Nocedal & Wright,
-Numerical Optimization, 2nd ed., sec. 7.2).  s is the coverage scale of
-ReducedObjective.variable_scale for the amplitudes at the solve's start
-point, taken from the start point's own evaluation: an entry that the
-shifts let few residuals see has little curvature and gets a larger
-step.  After every SCALE_REFRESH iterations of the whole solve, short of
-max_iters, s is taken anew from the amplitudes of the solve's last
-evaluation, so that it follows the amplitudes as they move, and the
-L-BFGS state is mapped to the new variables: BFGS is invariant under a
-linear change of variables (Nocedal & Wright, sec. 6.1), so only the
-diagonal start matrix changes, as in Gilbert & Lemarechal (Math.
-Programming 45, 1989).  A refresh costs no evaluation.  The optimizer's
-grad_tol is tested on the scaled gradient: the solve stops once
-|s * dJ/dz| <= grad_tol |s * g0|, g0 the gradient dJ/dz at the start
-point and s the current scale, while a stage's grad_norm is that of
-dJ/dz.
+Every solve (the initial one and each candidate) runs L-BFGS on z with
+the diagonal metric M of ReducedObjective.variable_metric (spod.lbfgs),
+the coverage rule for the amplitudes of the start point's own
+evaluation: an entry that the shifts let few residuals see has little
+curvature and gets a larger step.  After every SCALE_REFRESH iterations
+of the whole solve, short of max_iters, M is taken anew from the
+amplitudes of the solve's last evaluation, so that it follows the
+amplitudes as they move; the iterate, the gradient and the pairs stand,
+and a refresh costs no evaluation.  The solve stops once
+sqrt(dJ/dz.M dJ/dz) <= grad_tol sqrt(g0.M g0), g0 = dJ/dz at the start
+point and M the current metric; a stage's grad_norm is |dJ/dz|.
 
 The candidates of one greedy iteration are solved by successive
 halving.  With N >= 3 candidates and the cap B = max_iters there
@@ -40,7 +33,7 @@ iterations: every surviving candidate runs on to the rung, then the
 better half, ceil(n/2) of n ranked by (error, frame), goes on; the last
 one runs to B, as one or two candidates do (no rung).  The rung at 0
 ranks the candidates by their start point's error, which every solve
-evaluates anyway for its scale, so a candidate dropped there costs
+evaluates anyway for its metric, so a candidate dropped there costs
 one evaluation and no iteration: the lowest rung of a
 successive-halving bracket (Jamieson & Talwalkar, AISTATS 2016; Li et
 al., JMLR 18, 2018).  A candidate whose solve ends
@@ -88,7 +81,7 @@ from .snapshots import SnapshotSet
 # range (the rule then holds to within that rounding) instead of raising
 # under np.errstate(under="raise")
 _SQRT_TINY = float(np.finfo(float).tiny) ** 0.5
-SCALE_REFRESH = 10  # iterations of a solve between refreshes of its scale
+SCALE_REFRESH = 10  # iterations of a solve between refreshes of its metric
 
 
 @dataclass
@@ -203,33 +196,26 @@ def halving_rungs(n_candidates: int, max_iters: int) -> list:
 
 
 class _Solve:
-    """One L-BFGS solve of a problem in the scaled variables u = z / s, run
-    on in segments through minimize, each continuing from state, the
-    SolverState where the last one stopped.  z starts as the packed start
-    point; the first segment evaluates it and takes the scale s from its
-    amplitudes (variable_scale), and after every SCALE_REFRESH iterations
-    of the whole solve (short of max_iters) refresh takes s anew.  z and
-    grad are the iterate and dJ/dz there, state.f is J there, and only a
-    segment that takes a step moves them; g0 is dJ/dz at the start point.
-    prob.n_evals counts every evaluation: prob is the solve's own copy."""
+    """One L-BFGS solve, run on in segments through minimize, each
+    continuing from state, the SolverState where the last one stopped.
+    z is the packed start point until the first segment evaluates it
+    (dJ/dz there is g0) and takes the metric from its amplitudes; then z
+    is state.x.  refresh sets a new metric after every SCALE_REFRESH
+    iterations of the whole solve, short of max_iters.  prob.n_evals
+    counts every evaluation: prob is the solve's own copy."""
 
     def __init__(self, prob: ReducedObjective, init):
         self.prob = prob
         self.z = prob.pack(init)
-        self.state = self.scale = self.grad = self.g0 = self.last = None
+        self.state = self.g0 = self.last = None
         self.iterations, self.seconds = 0, 0.0
 
     def evaluate(self, z):
-        """J, dJ/dz and the amplitudes at z, kept in last with z and the residual."""
+        """J and dJ/dz at z; the amplitudes and residual go to last with z."""
         self.last = None  # freed before this evaluation allocates
         f, g, amps, resid = self.prob.value_gradient_amplitudes(z)
         self.last = z, amps, resid
-        return f, g, amps
-
-    def scaled(self, u):
-        """Value and gradient of u -> J(s * u)."""
-        f, g, _ = self.evaluate(self.scale * u)
-        return f, self.scale * g
+        return f, g
 
     @property
     def ended(self) -> bool:
@@ -244,19 +230,15 @@ class _Solve:
         """Continue the solve until it has run `iterations` in all."""
         t0 = time.perf_counter()
         if self.state is None:
-            f, self.g0, amps = self.evaluate(self.z)
-            self.grad, self.scale = self.g0, self.prob.variable_scale(amps)
-            self.state = start_state(self.z / self.scale, f,
-                                     self.scale * self.g0, opts.grad_tol)
+            f, self.g0 = self.evaluate(self.z)
+            self.state = start_state(self.z, f, self.g0, opts.grad_tol,
+                                     self.prob.variable_metric(self.last[1]))
         while True:  # one segment per stretch between refreshes
             stop = min(iterations,
                        SCALE_REFRESH * (self.iterations // SCALE_REFRESH + 1))
-            u, trace = minimize(self.scaled, self.state,
-                                replace(opts, max_iters=stop - self.iterations))
-            self.state = trace.state
-            if trace.iterations:  # else z stands
-                self.z = self.scale * u
-                self.grad = self.state.g / self.scale
+            trace = minimize(self.evaluate, self.state,
+                             replace(opts, max_iters=stop - self.iterations))[1]
+            self.state, self.z = trace.state, trace.state.x
             self.iterations += trace.iterations
             if self.ended:
                 break
@@ -270,25 +252,17 @@ class _Solve:
         self.seconds += time.perf_counter() - t0
 
     def refresh(self, grad_tol: float):
-        """Take the scale s' from the amplitudes of the last evaluation (at
-        z, unless the line search kept an earlier trial) and map the
-        solver state to u' = z / s': x and every step sigma times s/s', the
-        gradient and every y times s'/s, rho as it is (sigma.y does not
-        change), gamma from the newest mapped pair and the gradient target
-        restated in the new metric, grad_tol |s' * g0|.  z, J and dJ/dz stay
-        as they are: only the metric changes, and no evaluation is made."""
-        scale = self.prob.variable_scale(self.last[1])
-        ratio = self.scale / scale
-        st = self.state
-        pairs = tuple((sigma * ratio, y / ratio, rho) for sigma, y, rho in st.pairs)
+        """Take the metric M anew from the amplitudes of the last evaluation
+        (at z, unless the line search kept an earlier trial), gamma from the
+        newest pair in M and the gradient target grad_tol sqrt(g0.M g0);
+        the iterate, the gradient and the pairs stand, and nothing is evaluated."""
+        metric, st = self.prob.variable_metric(self.last[1]), self.state
         gamma = st.gamma
-        if pairs:
-            sigma, y, _ = pairs[-1]
-            gamma = float(sigma @ y) / float(y @ y)
-        target = grad_tol * float(np.linalg.norm(scale * self.g0))
-        self.state = replace(st, x=st.x * ratio, g=st.g / ratio, pairs=pairs,
-                             gamma=gamma, target=target)
-        self.scale = scale
+        if st.pairs:
+            sigma, y, _ = st.pairs[-1]
+            gamma = float(sigma @ y) / float(y @ (metric * y))
+        target = grad_tol * float(np.sqrt(self.g0 @ (metric * self.g0)))
+        self.state = replace(st, metric=metric, gamma=gamma, target=target)
 
     def fit(self):
         """Amplitudes and residual at the final modes: the last evaluation's
@@ -307,7 +281,7 @@ class _Solve:
             "iterations": self.iterations,
             "evaluations": prob.n_evals,
             "objective": st.f,
-            "grad_norm": float(np.linalg.norm(self.grad)),
+            "grad_norm": float(np.linalg.norm(st.g)),
             "termination": st.termination,
             "converged": st.termination == "gradient",
             "rank_deficient_evals": len(prob.rank_events),

@@ -149,7 +149,8 @@ def _read_layout(header, path, what="header"):
                               f" rows, expected m={m}")
         if any(b.name == name for b in blocks):
             raise FormatError(f"{path}: duplicate block '{name}'")
-        blocks.append(VariableBlock(name, start, start + m))
+        blocks.append(_build(FormatError, path, VariableBlock, name, start,
+                             start + m))
     return grid, tuple(blocks), len(blocks) * m, n, time
 
 
@@ -162,14 +163,8 @@ def _time_values(time, n, path):
 
 
 def _format_layout(grid, blocks, time):
-    """Layout keys as text, in file order.  A block name must read back
-    from the header and from the CSV comments: printable ASCII without
-    spaces, ',' or ':'."""
-    for b in blocks:
-        if not (b.name.isascii() and b.name.isprintable()) or any(
-                c in b.name for c in " ,:"):
-            raise FormatError(f"block name {b.name!r} is not printable ASCII"
-                              " without spaces, ',' or ':'")
+    """Layout keys as text, in file order; every block name reads back,
+    since VariableBlock refuses the others."""
     return {"m": grid.m, "n": len(time), "h": _fmt(grid.h),
             "boundary": grid.boundary,
             "blocks": _join(f"{b.name}:{b.stop - b.start}" for b in blocks),

@@ -1,4 +1,4 @@
-"""Limited-memory BFGS with a strong-Wolfe line search.
+"""Limited-memory BFGS with a strong-Wolfe line search and a diagonal metric.
 
 Implemented here rather than wrapped from a library because the callers
 want a full per-iteration trace (objective, gradient norm, accepted step
@@ -10,6 +10,13 @@ rule (OptimizerOptions).  A solve stopped at its iteration cap can be
 continued from the SolverState its trace holds, and goes on exactly as
 one uninterrupted solve would; start_state builds the state of a solve
 from a start point the caller has already evaluated.
+
+The state holds a positive diagonal metric M (all ones for a fresh
+start): the two-loop recursion starts from gamma M, gamma = s.y / y.M y,
+steepest descent is -M g and every gradient norm is sqrt(g.M g).  That is
+L-BFGS on u = x / sqrt(M) run in x (Nocedal & Wright, Numerical
+Optimization, 2nd ed., secs. 6.1 and 7.2), so a caller may set a new M
+between calls and map nothing (Gilbert & Lemarechal, Math. Prog. 45, 1989).
 """
 from __future__ import annotations
 
@@ -32,8 +39,8 @@ class OptimizerAbort(RuntimeError):
 
 @dataclass(frozen=True)
 class OptimizerOptions:
-    # relative to the start point's gradient norm; a greedy solve takes
-    # both norms in its current scale (spod.greedy)
+    # relative to the start point's gradient norm, both in the metric
+    # norm of the state (a greedy solve refreshes that metric)
     grad_tol: float = 1e-6
     max_iters: int = 500
 
@@ -46,16 +53,16 @@ class OptimizerOptions:
 class SolverState:
     """Where a solve stands at the end of one minimize() call: the iterate,
     its value and gradient, the (s, y, 1/s.y) pairs (oldest first), the
-    initial-Hessian scale gamma and the gradient-norm target, set at the
-    start point (a caller that changes the variables between calls maps
-    all of these).  Only a state whose termination is "iteration cap" goes
-    on when passed back to minimize().  minimize() never writes into these
-    arrays."""
+    positive diagonal metric M, the initial-Hessian scale gamma and the
+    target for the gradient's M-norm, set at the start point.  Only a
+    state whose termination is "iteration cap" goes on when passed back
+    to minimize().  minimize() never writes into these arrays."""
 
     x: np.ndarray
     f: float
     g: np.ndarray
     pairs: tuple
+    metric: np.ndarray
     gamma: float
     target: float
     termination: str
@@ -66,8 +73,9 @@ class OptimizerTrace:
     """Per-iteration history of one minimize() run.
 
     values[k] is the objective at the k-th accepted iterate (values[0] at
-    x0); step_sizes[k] and slopes[k] are the accepted step and the search
-    slope g.p of iteration k, so the sufficient-decrease inequality
+    x0) and grad_norms[k] the M-norm of its gradient; step_sizes[k] and
+    slopes[k] are the accepted step and the search slope g.p of iteration
+    k, so the sufficient-decrease inequality
     values[k+1] <= values[k] + c1*step_sizes[k]*slopes[k] is assertable
     directly from the trace.  A trace covers one call: a continued solve's
     values[0] is the value it resumed from, and its n_evals and iterations
@@ -154,31 +162,38 @@ def _wolfe_search(ev, x, f0, g0, p, alpha0):
     return 0.0, x, f0, g0, False
 
 
-def _two_loop(g, pairs, gamma):
+def _norm(v, metric):
+    """The norm sqrt(v.M v) of v in the diagonal metric M."""
+    return float(np.sqrt(v @ (metric * v)))
+
+
+def _two_loop(g, pairs, gamma, metric):
     q = g.copy()
     coeffs = []
     for s, y, rho in reversed(pairs):
         a = rho * (s @ q)
         coeffs.append(a)
         q -= a * y
-    q *= gamma
+    q *= gamma * metric
     for (s, y, rho), a in zip(pairs, reversed(coeffs)):
         b = rho * (y @ q)
         q += (a - b) * s
     return q
 
 
-def start_state(x, f, g, grad_tol: float) -> SolverState:
+def start_state(x, f, g, grad_tol: float, metric=None) -> SolverState:
     """The state of a solve that has not yet taken a step from x, where the
-    objective is f with gradient g; its gradient target is grad_tol times
-    the norm of g.  Raises OptimizerAbort if f or g is not finite."""
+    objective is f with gradient g, in the diagonal metric M (default all
+    ones); its gradient target is grad_tol times the M-norm of g.  Raises
+    OptimizerAbort if f or g is not finite."""
     f, g = float(f), np.asarray(g, dtype=float)
     if not np.isfinite(f) or not np.all(np.isfinite(g)):
         raise OptimizerAbort(
             "objective returned a non-finite value at the start point"
         )
-    gnorm = float(np.linalg.norm(g))
-    return SolverState(x, f, g, (), 1.0, grad_tol * gnorm, "iteration cap")
+    metric = np.ones_like(g) if metric is None else metric
+    return SolverState(x, f, g, (), metric, 1.0,
+                       grad_tol * _norm(g, metric), "iteration cap")
 
 
 def minimize(fg, x0, opts: OptimizerOptions | None = None):
@@ -213,9 +228,9 @@ def minimize(fg, x0, opts: OptimizerOptions | None = None):
     if not isinstance(x0, SolverState):
         x = np.asarray(x0, dtype=float).copy()
         x0 = start_state(x, *ev(x), opts.grad_tol)
-    x, f, g = x0.x, x0.f, x0.g
+    x, f, g, metric = x0.x, x0.f, x0.g, x0.metric
     trace.values.append(f)
-    trace.grad_norms.append(float(np.linalg.norm(g)))
+    trace.grad_norms.append(_norm(g, metric))
     if x0.termination != "iteration cap":
         trace.termination, trace.state = x0.termination, x0
         return x.copy(), trace
@@ -228,13 +243,11 @@ def minimize(fg, x0, opts: OptimizerOptions | None = None):
         if gnorm <= target:
             status = "gradient"
             break
-        p = _two_loop(g, pairs, gamma) if pairs else g.copy()
-        p = -p
-        slope = float(g @ p)
-        if slope >= 0.0:  # stale curvature info: restart from steepest descent
+        p = -_two_loop(g, pairs, gamma, metric) if pairs else -metric * g
+        if g @ p >= 0.0:  # stale curvature info: restart from steepest descent
             pairs.clear()
-            p = -g
-            slope = float(g @ p)
+            p = -metric * g
+        slope = float(g @ p)
         alpha0 = 1.0 if pairs else min(1.0, 1.0 / max(gnorm, 1e-30))
         alpha, x_new, f_new, g_new, ok = _wolfe_search(ev, x, f, g, p, alpha0)
         if not ok:
@@ -243,16 +256,17 @@ def minimize(fg, x0, opts: OptimizerOptions | None = None):
         s = x_new - x
         y = g_new - g
         sy = float(s @ y)
-        if sy > 1e-12 * np.linalg.norm(s) * np.linalg.norm(y):
+        # the curvature guard of the variables u = x / sqrt(M)
+        if sy > 1e-12 * _norm(s, 1.0 / metric) * _norm(y, metric):
             pairs.append((s, y, 1.0 / sy))
-            gamma = sy / float(y @ y)
+            gamma = sy / float(y @ (metric * y))
         x, f, g = x_new, f_new, g_new
         trace.values.append(f)
-        trace.grad_norms.append(float(np.linalg.norm(g)))
+        trace.grad_norms.append(_norm(g, metric))
         trace.step_sizes.append(alpha)
         trace.slopes.append(slope)
     if status == "iteration cap" and trace.grad_norms[-1] <= target:
         status = "gradient"
     trace.termination = status
-    trace.state = SolverState(x, f, g, tuple(pairs), gamma, target, status)
+    trace.state = SolverState(x, f, g, tuple(pairs), metric, gamma, target, status)
     return x.copy(), trace

@@ -68,15 +68,41 @@ class TimeAxis:
 
 @dataclass(frozen=True)
 class VariableBlock:
-    """Contiguous row range [start, stop) of one variable inside the stack."""
+    """Contiguous row range [start, stop) of one variable inside the stack.
+    The name is printable ASCII without spaces, ',' or ':', so that it
+    reads back from a file header and from the CSV comments."""
 
     name: str
     start: int
     stop: int
 
+    def __post_init__(self):
+        if not (self.name.isascii() and self.name.isprintable()) or any(
+                c in self.name for c in " ,:"):
+            raise ValueError(f"block name {self.name!r} is not printable"
+                             " ASCII without spaces, ',' or ':'")
+
     @property
     def rows(self) -> slice:
         return slice(self.start, self.stop)
+
+
+def check_blocks(blocks, m: int, n_rows: int):
+    """Raise ValueError unless the blocks have distinct names and tile the
+    rows [0, n_rows) in order, m rows each."""
+    names = [blk.name for blk in blocks]
+    if len(set(names)) != len(names):
+        raise ValueError(f"duplicate variable block names in {names}")
+    expect = 0
+    for blk in blocks:
+        if blk.start != expect or blk.stop - blk.start != m:
+            raise ValueError(
+                f"block {blk.name!r} spans [{blk.start}, {blk.stop}), expected "
+                f"[{expect}, {expect + m}) for m={m}"
+            )
+        expect = blk.stop
+    if expect != n_rows:
+        raise ValueError(f"blocks cover {expect} rows but data has {n_rows}")
 
 
 @dataclass
@@ -113,24 +139,7 @@ class SnapshotSet:
                 VariableBlock(f"var{b}", b * self.grid.m, (b + 1) * self.grid.m)
                 for b in range(nv)
             ]
-        self._check_blocks()
-
-    def _check_blocks(self):
-        names = self.block_names()
-        if len(set(names)) != len(names):
-            raise ValueError(f"duplicate variable block names in {names}")
-        expect = 0
-        for blk in self.blocks:
-            if blk.start != expect or blk.stop - blk.start != self.grid.m:
-                raise ValueError(
-                    f"block {blk.name!r} spans [{blk.start}, {blk.stop}), expected "
-                    f"[{expect}, {expect + self.grid.m}) for m={self.grid.m}"
-                )
-            expect = blk.stop
-        if expect != self.data.shape[0]:
-            raise ValueError(
-                f"blocks cover {expect} rows but data has {self.data.shape[0]}"
-            )
+        check_blocks(self.blocks, self.grid.m, self.data.shape[0])
 
     @property
     def n_snapshots(self) -> int:

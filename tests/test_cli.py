@@ -503,6 +503,22 @@ shifts = d0.csv
         assert rc == 2
         assert "missing header key 'shift_boundary'" in capsys.readouterr().err
 
+    def test_decomposition_with_a_spaced_block_name_is_data_error(
+            self, wave_dir, tmp_path, capsys):
+        # a name that every writer refuses fails at the read, not the write
+        assert run_cli(["spod", "--config", str(wave_dir / "run.cfg")]) == 0
+        data = (wave_dir / "out" / "decomposition.bin").read_bytes()
+        bad = tmp_path / "bad.bin"
+        bad.write_bytes(data.replace(b"blocks=density:", b"blocks=den sity:"))
+        capsys.readouterr()
+        rc = run_cli(["reconstruct", str(bad), "--out",
+                      str(tmp_path / "r.snap")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"{bad}: block name 'den sity'" in err  # refused by the reader
+        assert "Traceback" not in err
+        assert not (tmp_path / "r.snap").exists()
+
     def test_export_curves(self, wave_dir, capsys):
         cfg = str(wave_dir / "run.cfg")
         assert run_cli(["spod", "--config", cfg]) == 0

@@ -479,16 +479,18 @@ def brute_force_scale(snaps, shifts, amps):
     return c ** -0.5 / np.max(c ** -0.5)
 
 
-class TestVariableScale:
+class TestVariableMetric:
+    """The L-BFGS metric M is the square of the coverage scale s."""
+
     def test_matches_dense_coverage(self):
         snaps, shifts, rng = random_problem(m=12, n=5, n_s=2, n_blocks=2,
                                             seed=21)
         prob = ReducedObjective(snaps, shifts, [2, 1])
         amps = [rng.standard_normal((2, 5)), rng.standard_normal((1, 5))]
-        s = prob.variable_scale(amps)
-        assert s.shape == (snaps.n_rows * 3,)
-        np.testing.assert_allclose(s, brute_force_scale(snaps, shifts, amps),
-                                   rtol=1e-12)
+        M = prob.variable_metric(amps)
+        assert M.shape == (snaps.n_rows * 3,)
+        s = brute_force_scale(snaps, shifts, amps)
+        np.testing.assert_allclose(M, s * s, rtol=1e-12)
 
     def test_whole_cell_periodic_shifts_scale_each_mode_by_its_amplitudes(self):
         m, n = 16, 6
@@ -500,10 +502,10 @@ class TestVariableScale:
         prob = ReducedObjective(snaps, FrameShifts(d, PER3), [2, 1])
         amps = [rng.standard_normal((2, n)), 3.0 * rng.standard_normal((1, n))]
         # every T(d_j) permutes the nodes, so ||T(d_j) e_i|| = 1
-        per_mode = prob.variable_scale(amps).reshape(3, 2 * m)
+        per_mode = prob.variable_metric(amps).reshape(3, 2 * m)
         for row in per_mode:
             assert np.all(row == row[0])
-        norms = np.concatenate([np.sum(A * A, axis=1) for A in amps]) ** -0.5
+        norms = np.concatenate([np.sum(A * A, axis=1) for A in amps]) ** -1.0
         np.testing.assert_allclose(per_mode[:, 0] / per_mode[0, 0],
                                    norms / norms[0], rtol=1e-12)
         assert per_mode.max() == 1.0
@@ -517,23 +519,23 @@ class TestVariableScale:
         d = (k + np.arange(n) % 3)[None, :] * grid.h
         prob = ReducedObjective(snaps, FrameShifts(d, ShiftSpec("constant", 3)),
                                 [1])
-        s = prob.variable_scale([np.ones((1, n))])
-        assert np.all(np.isfinite(s)) and np.all(s > 0.0) and s.max() == 1.0
-        np.testing.assert_array_equal(s[m - k:], 1.0)
-        assert np.all(s[:m - k - 1] < 1e-3)
+        M = prob.variable_metric([np.ones((1, n))])
+        assert np.all(np.isfinite(M)) and np.all(M > 0.0) and M.max() == 1.0
+        np.testing.assert_array_equal(M[m - k:], 1.0)
+        assert np.all(M[:m - k - 1] < 1e-6)  # s < 1e-3
 
     def test_amplitudes_must_match_the_frames(self):
         # the coverage matrix is filled frame by frame: none may be missing
         snaps, shifts, _ = random_problem(m=8, n=4, seed=23)
         prob = ReducedObjective(snaps, shifts, [1, 1])
         with pytest.raises(ValueError):
-            prob.variable_scale([np.ones((1, 4))])
+            prob.variable_metric([np.ones((1, 4))])
 
-    def test_without_a_positive_coverage_the_scale_is_one(self):
+    def test_without_a_positive_coverage_the_metric_is_one(self):
         snaps, shifts, _ = random_problem(m=8, n=4, seed=23)
         prob = ReducedObjective(snaps, shifts, [1, 1])
         zeros = [np.zeros((1, 4)), np.zeros((1, 4))]
-        np.testing.assert_array_equal(prob.variable_scale(zeros), 1.0)
+        np.testing.assert_array_equal(prob.variable_metric(zeros), 1.0)
 
     def test_amplitudes_come_with_the_value_and_gradient(self):
         snaps, shifts, rng = random_problem(m=10, n=5, seed=24)
@@ -656,3 +658,18 @@ class TestDecompositionType:
             with pytest.raises(ValueError,
                                match=f"frame 1 has {rows} mode rows, expected 8"):
                 Decomposition(frames, amps, shifts, grid, blocks)
+
+    @pytest.mark.parametrize("blocks,match", [
+        ([VariableBlock("u", 0, 5)], r"'u' spans \[0, 5\), expected \[0, 4\)"),
+        ([VariableBlock("u", 4, 8)], r"'u' spans \[4, 8\), expected \[0, 4\)"),
+        ([VariableBlock("u", 0, 4), VariableBlock("u", 4, 8)],
+         "duplicate variable block names"),
+    ])
+    def test_blocks_must_tile_the_grid(self, blocks, match):
+        # the rule SnapshotSet keeps: written, such a decomposition would
+        # not read back (a 5-row block on m = 4 with 5-row modes)
+        grid = Grid1D(4, 0.25, "periodic")
+        rows = max(b.stop for b in blocks)
+        with pytest.raises(ValueError, match=match):
+            Decomposition([FrameBasis(np.ones((rows, 1)))], [np.zeros((1, 3))],
+                          FrameShifts(np.zeros((1, 3)), PER3), grid, blocks)

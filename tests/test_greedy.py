@@ -670,9 +670,9 @@ class TestHalving:
 
 
 class TestScaleRefresh:
-    """Every SCALE_REFRESH iterations a solve takes its scale anew from its
-    last evaluation's amplitudes and maps its L-BFGS state; only the
-    metric changes."""
+    """Every SCALE_REFRESH iterations a solve takes its L-BFGS metric anew
+    from its last evaluation's amplitudes; only the metric, gamma and the
+    gradient target change."""
 
     OPTS = OptimizerOptions(max_iters=30, grad_tol=0.0)
 
@@ -687,35 +687,29 @@ class TestScaleRefresh:
     def test_only_the_metric_changes(self):
         sv = self.solve()
         sv.run_to(10, replace(self.OPTS, max_iters=10))  # no refresh at the cap
-        scale = sv.scale
         assert sv.iterations == 10 and sv.state.termination == "iteration cap"
-        st, z, grad, n_evals = sv.state, sv.z, sv.grad, sv.prob.n_evals
+        st, z, n_evals = sv.state, sv.z, sv.prob.n_evals
+        assert z is st.x
+        metric = sv.prob.variable_metric(sv.last[1])
         sv.refresh(self.OPTS.grad_tol)
         new = sv.state
         assert sv.prob.n_evals == n_evals
-        assert not np.array_equal(sv.scale, scale)
-        ratio = scale / sv.scale
-        assert sv.z is z and sv.grad is grad  # z and dJ/dz bit-equal
-        assert new.f == st.f  # J bit-equal
-        assert np.array_equal(new.x, st.x * ratio)
-        assert np.array_equal(new.g, st.g / ratio)
-        np.testing.assert_allclose(sv.scale * new.x, z, rtol=1e-14)
-        np.testing.assert_allclose(new.g / sv.scale, grad, rtol=1e-14)
-        assert len(new.pairs) == len(st.pairs) == 10
-        for (sigma, y, rho), (sigma0, y0, rho0) in zip(new.pairs, st.pairs):
-            assert np.array_equal(sigma, sigma0 * ratio)
-            assert np.array_equal(y, y0 / ratio)
-            assert rho == rho0
-            assert sigma @ y == pytest.approx(1.0 / rho, rel=1e-12)
+        # x (z), f (J), g (dJ/dz) and the pairs stand as the same objects
+        for name in ("x", "f", "g", "pairs", "termination"):
+            assert getattr(new, name) is getattr(st, name), name
+        assert sv.z is z and len(new.pairs) == 10
+        assert np.array_equal(new.metric, metric)
+        assert not np.array_equal(new.metric, st.metric)
         sigma, y, _ = new.pairs[-1]
-        assert new.gamma == float(sigma @ y) / float(y @ y)
+        assert new.gamma == float(sigma @ y) / float(y @ (metric * y))
+        assert new.gamma != st.gamma
         assert new.target == 0.0 and new.termination == "iteration cap"
         # a segment that takes no step after a refresh leaves z standing, so
         # the last evaluation, made at z, still serves the fit
         sv.state = replace(new, target=np.inf)
         sv.run_to(10, replace(self.OPTS, max_iters=10))
         assert sv.state.termination == "gradient"
-        assert np.array_equal(sv.z, z) and np.array_equal(sv.grad, grad)
+        assert sv.z is z and sv.state.g is st.g
         sv.fit()
         assert sv.prob.n_evals == n_evals
 
@@ -744,11 +738,11 @@ class TestScaleRefresh:
         assert cut.iterations == 30 and cut.state.termination == "iteration cap"
         assert cut_values == whole_values
         assert len(cut_values) == cut.prob.n_evals == whole.prob.n_evals
-        for name in ("z", "grad", "scale"):
-            assert np.array_equal(getattr(cut, name), getattr(whole, name))
+        assert np.array_equal(cut.z, whole.z)
         a, b = cut.state, whole.state
         assert (a.f, a.gamma, a.target) == (b.f, b.gamma, b.target)
-        assert np.array_equal(a.x, b.x) and np.array_equal(a.g, b.g)
+        for name in ("x", "g", "metric"):
+            assert np.array_equal(getattr(a, name), getattr(b, name)), name
         for p, q in zip(a.pairs, b.pairs, strict=True):
             assert all(np.array_equal(u, v) for u, v in zip(p, q))
 
@@ -762,18 +756,21 @@ class TestScaleRefresh:
             return x, trace
 
         monkeypatch.setattr(greedy, "minimize", recording)
-        sv, scales = self.solve(), []
+        sv, metrics = self.solve(), []
         refresh = sv.refresh
 
         def counting(grad_tol):
             refresh(grad_tol)
-            scales.append(sv.scale)
+            metrics.append(sv.state.metric)
 
         sv.refresh = counting
         sv.run_to(30, self.OPTS)
         # segments 0-10, 10-20 and 20-30; no refresh at max_iters
         assert [t.iterations for t in traces] == [10, 10, 10]
-        assert len(scales) == 2
+        assert len(metrics) == 2
+        # the second and third segments ran in the refreshed metrics
+        for trace, metric in zip(traces[1:], metrics, strict=True):
+            assert trace.state.metric is metric
         assert sv.prob.n_evals == sum(t.n_evals for t in traces) + 1
 
     def test_gradient_target_is_the_start_rule_until_the_first_refresh(self):
@@ -784,12 +781,16 @@ class TestScaleRefresh:
         g0 = fresh.value_and_gradient(sv.z)[1]
         sv.run_to(9, opts)
         assert not sv.ended
-        # the target start_state set from the scaled start gradient
-        assert sv.state.target == grad_tol * float(np.linalg.norm(sv.scale * g0))
+
+        def rule():  # grad_tol times the metric norm of g0
+            return grad_tol * float(np.sqrt(g0 @ (sv.state.metric * g0)))
+
+        # the target start_state set from the start gradient and metric
+        assert sv.state.target == rule()
         first = sv.state.target
-        sv.run_to(10, opts)  # refreshed: the same rule in the new scale
+        sv.run_to(10, opts)  # refreshed: the same rule in the new metric
         assert sv.state.target != first
-        assert sv.state.target == grad_tol * float(np.linalg.norm(sv.scale * g0))
+        assert sv.state.target == rule()
 
 
 class TestIncumbentFit:
@@ -878,7 +879,7 @@ class TestIncumbentFit:
         z0 = prob.pack(init)
         assert np.array_equal(sv.z, z0)
         f, g = ReducedObjective(snaps, shifts, counts).value_and_gradient(z0)
-        assert sv.state.f == f and np.array_equal(sv.grad, g)
+        assert sv.state.f == f and np.array_equal(sv.state.g, g)
         assert prob.n_evals == 1
         sv.fit()
         assert prob.n_evals == 1

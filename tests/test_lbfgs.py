@@ -315,9 +315,9 @@ class TestResume:
         # falls right after that step, with one fresh pair in memory
         two_loop, calls = lbfgs._two_loop, [0]
 
-        def uphill_once(g, pairs, gamma):
+        def uphill_once(g, pairs, gamma, metric):
             calls[0] += 1
-            q = two_loop(g, pairs, gamma)
+            q = two_loop(g, pairs, gamma, metric)
             return -q if calls[0] == 4 else q
 
         monkeypatch.setattr(lbfgs, "_two_loop", uphill_once)
@@ -358,6 +358,69 @@ class TestResume:
                             OptimizerOptions(max_iters=3))
         x[:] = 7.0
         assert not np.any(trace.state.x == 7.0)
+
+
+def badly_scaled_quadratic():
+    """|A x - b|^2 / 2 with column norms from 1e-2 to 1e2, and the Jacobi
+    metric M = 1 / diag(A^T A) that undoes that scaling."""
+    rng = np.random.default_rng(6)
+    A = rng.standard_normal((14, 10)) * np.logspace(-2, 2, 10)
+    return quadratic(A, rng.standard_normal(14)), 1.0 / np.sum(A * A, axis=0)
+
+
+class TestMetric:
+    """A diagonal metric M is the change of variables u = x / sqrt(M): the
+    solve in x with metric M makes, iterate for iterate, the evaluations of
+    the solve in u with the identity metric, its reference."""
+
+    @staticmethod
+    def problem(name):
+        """fg, x0, options and metric."""
+        if name == "quadratic":
+            fg, metric = badly_scaled_quadratic()
+            return fg, np.zeros(10), OptimizerOptions(grad_tol=1e-8), metric
+        metric = np.random.default_rng(7).permutation(np.logspace(-1, 1, 10))
+        return (rosenbrock, np.full(10, -1.0),
+                OptimizerOptions(grad_tol=1e-9, max_iters=30), metric)
+
+    @pytest.mark.parametrize("name", ["quadratic", "rosenbrock-10d"])
+    def test_metric_is_a_change_of_variables(self, name):
+        fg, x0, opts, metric = self.problem(name)
+        s = np.sqrt(metric)
+        xs, us = [], []
+
+        def fg_x(x):
+            xs.append(x.copy())
+            return fg(x)
+
+        def fg_u(u):  # the reference: the problem in u, x = s * u
+            us.append(s * u)
+            f, g = fg(s * u)
+            return f, s * g
+
+        f0, g0 = fg(x0)
+        x, tx = minimize(fg_x, lbfgs.start_state(x0, f0, g0, opts.grad_tol,
+                                                 metric), opts)
+        u, tu = minimize(fg_u, lbfgs.start_state(x0 / s, f0, s * g0,
+                                                 opts.grad_tol), opts)
+        assert tx.iterations == tu.iterations > 0
+        assert tx.n_evals == tu.n_evals == len(xs) == len(us)
+        assert tx.termination == tu.termination
+        if name == "quadratic":
+            assert tx.termination == "gradient"
+
+        def close(a, b, rtol=1e-12):  # relative to the largest magnitude
+            a, b = np.asarray(a), np.asarray(b)
+            return np.max(np.abs(a - b)) <= rtol * np.max(np.abs(b))
+
+        assert all(close(a, b) for a, b in zip(xs, us))
+        assert close(x, s * u)
+        for key in ("values", "grad_norms", "slopes"):
+            assert close(getattr(tx, key), getattr(tu, key)), key
+        # a cubic step divides by a difference of slopes: the quadratic's
+        # one such step agrees to 1.1e-11 while its iterate agrees to 1e-14
+        assert close(tx.step_sizes, tu.step_sizes, rtol=1e-10)
+        assert np.array_equal(tx.state.metric, metric)
 
 
 class TestOptions:
