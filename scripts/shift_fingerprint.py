@@ -12,12 +12,14 @@ candidate's iteration and evaluation counts, modes, amplitudes,
 reconstruction, the shift matrix, every frame's back-shifted snapshot
 matrix and the indptr/indices/data of every frame's stacked sparse
 operator shift_operator(d, grid, spec) ("stacked") and of its CSR
-transpose ("stacked_T"), the two operators ReducedObjective holds per
-frame (tests/test_fingerprint.py checks that they are byte-equal); they
-are built from the public shift_operator alone, so the same script runs
-on checkouts before and after a refactoring of the objective.  The
-operators depend only on
-the shifts, the grid and the shift spec, and the bench seeds change the
+transpose ("stacked_T"), the two operators ReducedObjective multiplies
+with per frame: it holds the transpose as a CSR copy, or as the CSC
+view of "stacked" when every row holds one entry, and the CSR form of
+either is "stacked_T" (tests/test_fingerprint.py checks both byte for
+byte).  They are built from the public shift_operator alone, so the
+same script runs on checkouts before and after a refactoring of the
+objective.  The operators depend only on the shifts, the grid and the
+shift spec, and the bench seeds change the
 pulse and front shapes, not the shifts: so a seed's operator arrays are
 saved only when its shifts, grid or spec differ from those of a seed
 already saved, and otherwise its shift matrix ties it to the seed whose

@@ -182,19 +182,24 @@ class ReducedObjective:
     """Reduced objective and gradient for fixed shifts and mode counts.
 
     Holds per frame l the stacked operator ops[l] = shift_operator(d^l),
-    [T(d_1); ...; T(d_n)] of shape (n*m, m), its CSR transpose ops_T[l],
-    and one contiguous copy of X^T, so that repeated evaluations (line
+    [T(d_1); ...; T(d_n)] of shape (n*m, m), its transpose ops_T[l], and
+    one contiguous copy of X^T, so that repeated evaluations (line
     searches) only pay sparse products plus one batched Gram solve of all
     frame matrices K_j (an SVD where it is unsafe, counted in
-    svd_fallback_solves).  The operators and the data depend on the shifts
-    alone: with_counts returns the same problem with other mode counts,
-    sharing both.  Column c of W = [W^1 ... W^L] belongs to frame
-    frame_of[c], frame l owns the columns frame_cols[l], and the flat
-    variables are z = vec(W).  value_and_gradient returns the full squared
-    residual J = sum_j ||X_j - K_j a_j||^2, summed from the explicit
-    residual rather than as ||X||^2 + Jt, which cancels to noise once the
-    fit is close; J is the quantity the optimizer traces and the reduced
-    part Jt is available from evaluate().
+    svd_fallback_solves).  ops_T[l] is the CSC view ops[l].T, sharing its
+    arrays, when every row of ops[l] holds one entry (whole-cell shifts),
+    and a CSR copy otherwise, whose gather beats the view's scatter once
+    rows hold several legs; both add each output entry in ascending row
+    order, so the products are the same to the bit.  The operators and
+    the data depend on the shifts alone: with_counts returns the same
+    problem with other mode counts, sharing both.  Column c of
+    W = [W^1 ... W^L] belongs to frame frame_of[c], frame l owns the
+    columns frame_cols[l], and the flat variables are z = vec(W).
+    value_and_gradient returns the full squared residual
+    J = sum_j ||X_j - K_j a_j||^2, summed from the explicit residual
+    rather than as ||X||^2 + Jt, which cancels to noise once the fit is
+    close; J is the quantity the optimizer traces and the reduced part Jt
+    is available from evaluate().
 
     rank_events collects (eval_index, snapshot, rank) whenever some K_j
     was numerically rank-deficient, since the objective is not smooth
@@ -215,7 +220,8 @@ class ReducedObjective:
         self.m_total = snaps.n_rows
         self.ops = [shift_operator(d_row, snaps.grid, shifts.spec)
                     for d_row in shifts.d]
-        self.ops_T = [T.T.tocsr() for T in self.ops]
+        self.ops_T = [T.T if T.nnz == T.shape[0] else T.T.tocsr()
+                      for T in self.ops]
         self.masks = self._check_masks(masks)
         self.norm2 = float(np.sum(snaps.data * snaps.data))
         if self.norm2 == 0.0:  # relative errors divide by it
@@ -350,14 +356,11 @@ class ReducedObjective:
         reach stay finite, and M = min(c) / c lies in (0, 1].  Without a
         finite positive maximum of c, M is all ones.
         """
-        from scipy import sparse  # local: keeps scipy out of start-up
-
         m = self.grid.m
         C = np.empty((m, self.frame_of.size))  # coverage of one block
         for T, A, cl in zip(self.ops_T, amps, self.frame_cols, strict=True):
             # squared entries for this call only: the objective keeps no copy
-            T2 = sparse.csr_matrix((T.data ** 2, T.indices, T.indptr),
-                                   shape=T.shape)
+            T2 = type(T)((T.data ** 2, T.indices, T.indptr), shape=T.shape)
             C[:, cl] = T2 @ np.repeat(A.T ** 2, m, axis=0)
         c = np.tile(C, (self.n_blocks, 1)).ravel(order="F")
         top = c.max(initial=0.0)

@@ -40,7 +40,8 @@ from .core import Decomposition, FrameBasis, FrameShifts
 from .greedy import GreedyConfig
 from .lbfgs import OptimizerOptions
 from .shifts import ShiftSpec
-from .snapshots import Grid1D, SnapshotSet, TimeAxis, VariableBlock
+from .snapshots import (Grid1D, SnapshotSet, TimeAxis, VariableBlock,
+                        check_blocks)
 from .tracking import STATISTICS, WindowSchedule
 
 
@@ -135,23 +136,18 @@ def _read_layout(header, path, what="header"):
         if time.size != n:
             raise FormatError(
                 f"{path}: time axis has {time.size} entries, expected {n}")
-    blocks = []
+    blocks, rows = [], 0
     for part in header.get("blocks", f"var0:{m}").split(","):
-        start = len(blocks) * m
-        name, _, rows = part.partition(":")
-        name = name.strip()
+        name, _, size = part.partition(":")
         try:
-            rows = int(rows)
+            size = int(size)
         except ValueError:
             raise FormatError(f"{path}: bad block entry '{part}'") from None
-        if rows != m:
-            raise FormatError(f"{path}: block '{name}' has {rows}"
-                              f" rows, expected m={m}")
-        if any(b.name == name for b in blocks):
-            raise FormatError(f"{path}: duplicate block '{name}'")
-        blocks.append(_build(FormatError, path, VariableBlock, name, start,
-                             start + m))
-    return grid, tuple(blocks), len(blocks) * m, n, time
+        blocks.append(_build(FormatError, path, VariableBlock, name.strip(),
+                             rows, rows + size))
+        rows += size
+    _build(FormatError, path, check_blocks, blocks, m, rows)
+    return grid, tuple(blocks), rows, n, time
 
 
 def _time_values(time, n, path):

@@ -17,6 +17,14 @@ steepest descent is -M g and every gradient norm is sqrt(g.M g).  That is
 L-BFGS on u = x / sqrt(M) run in x (Nocedal & Wright, Numerical
 Optimization, 2nd ed., secs. 6.1 and 7.2), so a caller may set a new M
 between calls and map nothing (Gilbert & Lemarechal, Math. Prog. 45, 1989).
+
+A step with curvature pairs first tries alpha = 1.  A step without them
+(the first iteration and every steepest-descent restart) first tries
+min(1, 1/|g|_M, 2f/|g|_M^2) when f > 0: along p = -M g the slope is
+-|g|_M^2, and a quadratic model that stays nonnegative has its minimizer
+at or below 2f/|g|_M^2 (Nocedal & Wright, sec. 3.5).  That cap assumes
+an objective f >= 0, such as a sum of squares; at f <= 0 the first trial
+is min(1, 1/|g|_M).
 """
 from __future__ import annotations
 
@@ -199,8 +207,10 @@ def start_state(x, f, g, grad_tol: float, metric=None) -> SolverState:
 def minimize(fg, x0, opts: OptimizerOptions | None = None):
     """Minimize a smooth function given a value-and-gradient callback.
 
-    fg(x) must return (value, gradient).  Returns (x, trace); on a line
-    search failure the best iterate found so far is returned with
+    fg(x) must return (value, gradient); the first-trial cap of the
+    module docstring assumes value >= 0, and otherwise at worst shortens
+    a trial that the line search then doubles.  Returns (x, trace); on a
+    line search failure the best iterate found so far is returned with
     trace.termination "line search failure"; trace.termination is
     "gradient" once the gradient test stops the solve and "iteration cap"
     when max_iters does.  trace.n_evals counts the calls of fg.  A
@@ -248,7 +258,8 @@ def minimize(fg, x0, opts: OptimizerOptions | None = None):
             pairs.clear()
             p = -metric * g
         slope = float(g @ p)
-        alpha0 = 1.0 if pairs else min(1.0, 1.0 / max(gnorm, 1e-30))
+        cap = -2.0 * f / slope if f > 0.0 else 1.0  # slope -|g|_M^2 at p = -M g
+        alpha0 = 1.0 if pairs else min(1.0, 1.0 / max(gnorm, 1e-30), cap)
         alpha, x_new, f_new, g_new, ok = _wolfe_search(ev, x, f, g, p, alpha0)
         if not ok:
             status = "line search failure"

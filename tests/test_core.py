@@ -422,6 +422,63 @@ class TestObjective:
         assert prob.relative_error_of(-1e-12) == 0.0
 
 
+def whole_cell_problem(boundary, seed):
+    """Two blocks, two frames, shifts of whole cells (some past the end
+    of a non-periodic grid)."""
+    m, n = 16, 6
+    grid = Grid1D(m, 1.0 / m, boundary)
+    rng = np.random.default_rng(seed)
+    snaps = SnapshotSet(rng.standard_normal((2 * m, n)), grid,
+                        np.arange(n, dtype=float),
+                        (VariableBlock("u", 0, m), VariableBlock("v", m, 2 * m)))
+    spec = PER3 if boundary == "periodic" else ShiftSpec("constant", 3)
+    d = rng.integers(-20, 21, size=(2, n)) * grid.h
+    return snaps, FrameShifts(d, spec)
+
+
+def crossing_problem():
+    from spod.generators import CrossingFrontsParams, crossing_fronts
+    return crossing_fronts(CrossingFrontsParams(m=60, n=16))
+
+
+class TestTransposeOperators:
+    """ops_T[l] is the CSC view of ops[l] when every row holds one entry,
+    a CSR copy otherwise; either way the products are the CSR copy's."""
+
+    @pytest.mark.parametrize("case,one_entry", [
+        (lambda: whole_cell_problem("periodic", 31), [True, True]),
+        (lambda: whole_cell_problem("non-periodic", 32), [True, True]),
+        (lambda: random_problem(m=12, n=5, n_blocks=2, seed=33)[:2],
+         [False, False]),
+        # frames 0-3 move with clamped cubic legs, frame 4 stands still
+        (crossing_problem, [False, False, False, False, True]),
+    ], ids=["periodic-whole-cell", "clamped-whole-cell", "multi-leg-cubic",
+            "crossing-fronts"])
+    def test_products_equal_those_of_a_csr_copy(self, case, one_entry):
+        from scipy import sparse
+        snaps, shifts = case()
+        counts = [1] * shifts.n_frames
+        prob = ReducedObjective(snaps, shifts, counts)
+        for T, T_T, view in zip(prob.ops, prob.ops_T, one_entry, strict=True):
+            assert (T.nnz == T.shape[0]) == view
+            if view:  # no copy: the operator's own arrays
+                assert isinstance(T_T, sparse.csc_matrix)
+                for part in ("data", "indices", "indptr"):
+                    assert np.shares_memory(getattr(T_T, part),
+                                            getattr(T, part))
+            else:
+                assert isinstance(T_T, sparse.csr_matrix)
+        ref = prob.with_counts(counts)
+        ref.ops_T = [T.T.tocsr() for T in ref.ops]
+        z = np.random.default_rng(34).standard_normal(
+            snaps.n_rows * shifts.n_frames)
+        f, g, amps, _ = prob.value_gradient_amplitudes(z)
+        f_ref, g_ref, amps_ref, _ = ref.value_gradient_amplitudes(z)
+        assert f == f_ref and g.tobytes() == g_ref.tobytes()
+        assert (prob.variable_metric(amps).tobytes()
+                == ref.variable_metric(amps_ref).tobytes())
+
+
 class TestGradientAssembly:
     # a non-periodic grid gets constant-boundary shifts
     @pytest.mark.parametrize("grid_boundary", ["periodic", "non-periodic"])

@@ -52,11 +52,17 @@ def test_saved_operators_are_the_objectives(monkeypatch):
     snaps, shifts = three_signal_default()
     out = fp.shift_arrays("three-signal", snaps, shifts)
     prob = ReducedObjective(snaps, shifts, [1] * shifts.n_frames)
+    one_entry = []
     for l in range(shifts.n_frames):
-        for op, M in (("stacked", prob.ops[l]), ("stacked_T", prob.ops_T[l])):
+        T, T_T = prob.ops[l], prob.ops_T[l]
+        for op, M in (("stacked", T), ("stacked_T", T_T.tocsr())):
             for part in ("indptr", "indices", "data"):
                 assert fp._bit_equal(getattr(M, part),
                                      out[f"three-signal/{op}{l}.{part}"])
+        if T.nnz == T.shape[0]:  # the transpose is a view of the operator
+            one_entry.append(l)
+            assert np.shares_memory(T_T.data, T.data)
+    assert one_entry == [2]  # beside the two mixed-row frames
 
 
 def test_compare_is_bitwise(monkeypatch, tmp_path, capsys):

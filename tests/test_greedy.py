@@ -349,6 +349,18 @@ class TestGreedyLoop:
         err = relative_error(snaps.data, reconstruct(dec))
         assert rep.error_history[-1] == pytest.approx(err, rel=1e-6, abs=0.0)
 
+    def test_wave_pair_wastes_no_trial_step(self):
+        # the paper's wave pair: the first step's trial is capped at
+        # 2J/|g|^2, so every evaluation after the start one is accepted
+        from spod.generators import WaveParams, wave_shifts, wave_snapshots
+        params = WaveParams()
+        _, rep = spod_decompose(wave_snapshots(params), wave_shifts(params),
+                                GreedyConfig(r0=[1, 1], tol=1e-6))
+        stage, = rep.stages
+        assert stage["termination"] == "gradient"
+        assert stage["evaluations"] == stage["iterations"] + 1
+        assert rep.error_history[-1] <= 1e-6
+
     def test_stage_converged_only_when_the_gradient_test_stops_it(self):
         # a solve stopped by max_iters ends its trace with termination
         # "iteration cap", and its stage must not read as converged

@@ -165,7 +165,10 @@ class TestSnapshotBinary:
             (b"m=2\nn=2\nh=0.5\nboundary=periodic\ntime=-inf,0\nend-header\n",
              "snapshot times must be finite"),
             (b"m=2\nn=1\nh=0.5\nboundary=periodic\nblocks=a:2,a:2\n"
-             b"end-header\n", "duplicate block 'a'"),
+             b"end-header\n",
+             r"duplicate variable block names in \['a', 'a'\]"),
+            (b"m=2\nn=2\nh=0.5\nboundary=periodic\nblocks=a:4\n"
+             b"end-header\n", r"block 'a' spans \[0, 4\), expected \[0, 2\)"),
         ]
         for body, match in cases:
             path = tmp_path / "h.bin"
@@ -210,7 +213,8 @@ class TestSnapshotCsv:
         path = tmp_path / "dup.csv"
         path.write_text("# snapshots m=2 n=1 h=0.5 boundary=periodic"
                         " blocks=a:2,a:2\nrow,snapshot0\n0,1\n1,2\n2,3\n3,4\n")
-        with pytest.raises(FormatError, match="duplicate block 'a'"):
+        with pytest.raises(FormatError,
+                           match="duplicate variable block names"):
             read_snapshots_csv(path)
 
 
@@ -291,7 +295,7 @@ class TestDecompositionFile:
          "'ranks' is not an integer list"),
         (lambda h, p: (h, p[:-8] + struct.pack("<d", np.nan)), "non-finite"),
         (lambda h, p: (h.replace(b"blocks=var0:5", b"blocks=var0:5,var0:5"), p),
-         "duplicate block 'var0'"),
+         "duplicate variable block names"),
     ])
     def test_header_errors(self, tmp_path, edit, match):
         from spod.io import write_decomposition
@@ -723,6 +727,13 @@ def _ini_text(draw):
     return "\n".join(lines) + "\n"
 
 
+def _bit_equal(a, b):
+    """Same shape and the same bytes: tells -0.0 from 0.0."""
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and (
+        a.tobytes() == b.tobytes())
+
+
 def _mutate(data, draw):
     """Apply a few header edits and payload cuts to a binary file."""
     header, sep, payload = data.partition(b"end-header\n")
@@ -746,6 +757,38 @@ def _mutate(data, draw):
         elif op == "nan" and len(payload) >= 8:
             j = 8 * draw(st.integers(0, len(payload) // 8 - 1))
             payload = payload[:j] + struct.pack("<d", np.nan) + payload[j + 8:]
+    return b"\n".join(lines) + b"\n" + sep + payload
+
+
+# header values a reader accepts for some files and not for others
+_LAYOUT_VALUES = {
+    b"h": [b"1e-05", b"inf", b" 2 ", b"0"],
+    b"time": [b"0,1,2,3", b"-1e300,0,0.5,1e300", b"0, 0.25,0.5,1", b"0,0,1,2"],
+    b"blocks": [b" a : 6 ,b:6", b"var0:5", b" u :5", b"x!:6,y~:6", b"a:5,b:1"],
+    b"ranks": [b"1,2", b"3,0", b"0,3"]}
+
+
+def _relayout(data, draw):
+    """Apply a few header edits that often leave a file readable: drop,
+    swap or comment lines, add unknown keys, set layout values."""
+    header, sep, payload = data.partition(b"end-header\n")
+    lines = header.splitlines()
+    for _ in range(draw(st.integers(1, 3))):
+        i = draw(st.integers(0, len(lines) - 1))
+        key = lines[i].partition(b"=")[0]
+        op = draw(st.sampled_from(["drop", "swap", "comment", "unknown",
+                                   "value"]))
+        if op == "drop":
+            del lines[i]
+        elif op == "swap":
+            j = draw(st.integers(0, len(lines) - 1))
+            lines[i], lines[j] = lines[j], lines[i]
+        elif op == "comment":
+            lines.insert(i, b"# " + lines[i])
+        elif op == "unknown":
+            lines.insert(i, b"note=" + key)
+        elif key in _LAYOUT_VALUES:
+            lines[i] = key + b"=" + draw(st.sampled_from(_LAYOUT_VALUES[key]))
     return b"\n".join(lines) + b"\n" + sep + payload
 
 
@@ -838,6 +881,45 @@ class TestLoaderFuzz:
             read(path)
         except FormatError:
             pass
+
+    @given(data=st.data())
+    def test_accepted_snapshot_file_round_trips(self, fuzz_dir, data):
+        # readers accept exactly what writers write: a file that reads
+        # is written back and reads to an equal set
+        path, again = fuzz_dir / "in.snap", fuzz_dir / "again.snap"
+        write_snapshots(_sample_snapshots(), path)
+        edit = data.draw(st.sampled_from([_mutate, _relayout]))
+        path.write_bytes(edit(path.read_bytes(), data.draw))
+        try:
+            snaps = read_snapshots(path)
+        except FormatError:
+            return
+        write_snapshots(snaps, again)
+        back = read_snapshots(again)
+        assert (back.grid, back.blocks) == (snaps.grid, snaps.blocks)
+        assert _bit_equal(back.data, snaps.data)
+        assert _bit_equal(back.time.values, snaps.time.values)
+
+    @given(data=st.data())
+    def test_accepted_decomposition_file_round_trips(self, fuzz_dir, data):
+        path, again = fuzz_dir / "in.dec", fuzz_dir / "again.dec"
+        write_decomposition(_sample_decomposition(), path)
+        edit = data.draw(st.sampled_from([_mutate, _relayout]))
+        path.write_bytes(edit(path.read_bytes(), data.draw))
+        try:
+            dec, times = read_decomposition(path)
+        except FormatError:
+            return
+        write_decomposition(dec, again, times=times)
+        back, back_times = read_decomposition(again)
+        assert (back.grid, back.blocks, back.shifts.spec) == (
+            dec.grid, dec.blocks, dec.shifts.spec)
+        assert _bit_equal(back_times, times)
+        assert _bit_equal(back.shifts.d, dec.shifts.d)
+        assert len(back.frames) == len(dec.frames)
+        for fa, fb, aa, ab in zip(dec.frames, back.frames, dec.amplitudes,
+                                  back.amplitudes):
+            assert _bit_equal(fb.modes, fa.modes) and _bit_equal(ab, aa)
 
     @pytest.mark.parametrize("write,read", [
         (lambda path: write_snapshots_csv(_sample_snapshots(), path),

@@ -149,13 +149,24 @@ def parabola(x):
     return float((x[0] - 50.0) ** 2), 2.0 * (x - 50.0)
 
 
+def first_alpha(f, g, metric):
+    """The first trial step of an iteration without pairs:
+    min(1, 1/|g|_M, 2f/|g|_M^2), the last term only for f > 0."""
+    gg = float(g @ (metric * g))
+    alpha = min(1.0, 1.0 / np.sqrt(gg))
+    return min(alpha, 2.0 * f / gg) if f > 0.0 else alpha
+
+
 class TestLineSearch:
     """Each branch of the strong-Wolfe search, driven through minimize on
     1-d problems whose trial points are known in closed form."""
 
     def test_expansion_accepted_by_curvature(self):
-        # first search: alpha0 = 1/|g| = 0.01 doubles until x = 8 meets the
-        # curvature condition; the second search takes the Newton step
+        # first search: alpha0 = 1/|g| = 0.01, below the cap 2f/|g|^2 =
+        # 0.5, doubles until x = 8 meets the curvature condition; the
+        # second search takes the Newton step
+        f0, g0 = parabola(np.zeros(1))
+        assert first_alpha(f0, g0, np.ones(1)) == 0.01 < 2.0 * f0 / 100.0 ** 2
         fg, points = recorded(parabola)
         x, trace = minimize(fg, np.zeros(1), OptimizerOptions())
         assert points == [0.0, 1.0, 2.0, 4.0, 8.0, 50.0]
@@ -224,6 +235,72 @@ class TestLineSearch:
         assert trace.n_evals == 1 + lbfgs.SEARCH_EVALS
         assert trace.termination == "line search failure"
         assert x[0] == 0.0
+
+
+class TestFirstTrialStep:
+    """Without curvature pairs the first trial point is x - alpha M g with
+    alpha = first_alpha; each case says which term binds (the parabola of
+    TestLineSearch is the case where 1/|g| does)."""
+
+    def test_zero_residual_least_squares_takes_the_cap(self):
+        # f = |A x - b|^2 / 2 vanishes at its minimum: a quadratic along
+        # -M g that stays nonnegative has its minimizer at or below 2f/|g|^2
+        rng = np.random.default_rng(8)
+        A = 3.0 * rng.standard_normal((12, 8))
+        fg = quadratic(A, A @ (0.1 * rng.standard_normal(8)))
+        metric = rng.uniform(0.5, 1.0, 8)
+        x0 = np.zeros(8)
+        f0, g0 = fg(x0)
+        alpha = first_alpha(f0, g0, metric)
+        gg = g0 @ (metric * g0)
+        assert alpha == 2.0 * f0 / gg < 1.0 / np.sqrt(gg)
+        points = []
+
+        def recording(x):
+            points.append(x.copy())
+            return fg(x)
+        minimize(recording, lbfgs.start_state(x0, f0, g0, 1e-6, metric),
+                 OptimizerOptions(max_iters=1))
+        np.testing.assert_allclose(points[0], x0 - alpha * metric * g0,
+                                   rtol=1e-14)
+
+    def test_negative_value_keeps_one_over_the_gradient_norm(self):
+        # f(0) = -20: 2|f|/|g|^2 = 0.004 would bind, and a cap taken at
+        # f < 0 would step backwards; the first trial is x = 0.01 * 100
+        def below(x):
+            f, g = parabola(x)
+            return f - 2520.0, g
+        fg, points = recorded(below)
+        minimize(fg, np.zeros(1), OptimizerOptions(max_iters=1))
+        assert points[:2] == [0.0, 1.0]
+
+    def test_steepest_descent_restart_takes_the_cap(self, monkeypatch):
+        # the two-loop direction forced uphill at iteration 4 clears the
+        # pairs; the restart's first trial is capped like a first step
+        two_loop, calls, seen = lbfgs._two_loop, [0], []
+        evaluated = []
+
+        def uphill_once(g, pairs, gamma, metric):
+            calls[0] += 1
+            q = two_loop(g, pairs, gamma, metric)
+            if calls[0] == 4:
+                seen.append((len(evaluated), g.copy()))
+                return -q
+            return q
+
+        def fg(x):
+            f, g = rosenbrock(x)
+            evaluated.append((x.copy(), f, g))
+            return f, g
+        monkeypatch.setattr(lbfgs, "_two_loop", uphill_once)
+        minimize(fg, np.full(10, -1.0), OptimizerOptions(1e-9, 5))
+        (k, g), = seen
+        x, f = next((x, f) for x, f, gx in evaluated[:k]
+                    if np.array_equal(gx, g))
+        alpha = first_alpha(f, g, np.ones(10))
+        assert alpha == 2.0 * f / (g @ g) < 1.0 / np.sqrt(g @ g)
+        np.testing.assert_allclose(evaluated[k][0], x - alpha * g,
+                                   rtol=1e-14)
 
 
 def random_quadratic():
