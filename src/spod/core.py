@@ -55,6 +55,8 @@ class FrameShifts:
 
     def __post_init__(self):
         d = np.atleast_2d(np.asarray(self.d, dtype=float))
+        if d.ndim != 2:
+            raise ValueError(f"shifts of shape {d.shape}: need one row per frame")
         object.__setattr__(self, "d", d)
 
     @property
@@ -186,11 +188,15 @@ class ReducedObjective:
     one contiguous copy of X^T, so that repeated evaluations (line
     searches) only pay sparse products plus one batched Gram solve of all
     frame matrices K_j (an SVD where it is unsafe, counted in
-    svd_fallback_solves).  ops_T[l] is the CSC view ops[l].T, sharing its
-    arrays, when every row of ops[l] holds one entry (whole-cell shifts),
-    and a CSR copy otherwise, whose gather beats the view's scatter once
-    rows hold several legs; both add each output entry in ascending row
-    order, so the products are the same to the bit.  The operators and
+    svd_fallback_solves).  A frame holds one set of sparse arrays, and
+    ops[l] and ops_T[l] are two views of it.  When every row of the stack
+    holds one entry (whole-cell shifts), ops[l] is its CSR and ops_T[l]
+    the CSC view ops[l].T.  Otherwise ops_T[l] is the CSR of the
+    transpose, whose gather beats a view's scatter once rows hold several
+    legs, and ops[l] is its CSC view, whose forward product costs what
+    the CSR one does.  Every form adds each output entry in ascending
+    index order, so the products are those of CSR copies to the bit;
+    call .tocsr() where CSR arrays are needed.  The operators and
     the data depend on the shifts alone: with_counts returns the same
     problem with other mode counts, sharing both.  Column c of
     W = [W^1 ... W^L] belongs to frame frame_of[c], frame l owns the
@@ -213,19 +219,28 @@ class ReducedObjective:
                 f"shifts cover {shifts.n_snapshots} snapshots, data has "
                 f"{snaps.n_snapshots}"
             )
+        with np.errstate(over="ignore"):  # an overflow is refused below
+            self.norm2 = float(np.sum(snaps.data * snaps.data))
+        if self.norm2 == 0.0:  # relative errors divide by it
+            raise ValueError("snapshot matrix is identically zero")
+        if not np.isfinite(self.norm2):
+            raise ValueError(
+                "snapshot matrix holds NaN or infinite entries"
+                if not np.isfinite(snaps.data).all() else
+                "squared norm of the snapshot matrix overflows; rescale the data")
         self.XT = np.ascontiguousarray(snaps.data.T)  # one row per snapshot
         self.grid = snaps.grid
         self.n_blocks = len(snaps.blocks)
         self.rank_tol = rank_tol
         self.m_total = snaps.n_rows
-        self.ops = [shift_operator(d_row, snaps.grid, shifts.spec)
-                    for d_row in shifts.d]
-        self.ops_T = [T.T if T.nnz == T.shape[0] else T.T.tocsr()
-                      for T in self.ops]
+        self.ops, self.ops_T = [], []
+        for d_row in shifts.d:
+            T = shift_operator(d_row, snaps.grid, shifts.spec)
+            if T.nnz != T.shape[0]:  # legs: keep the CSR of T^T alone
+                T = T.T.tocsr().T
+            self.ops.append(T)
+            self.ops_T.append(T.T)
         self.masks = self._check_masks(masks)
-        self.norm2 = float(np.sum(snaps.data * snaps.data))
-        if self.norm2 == 0.0:  # relative errors divide by it
-            raise ValueError("snapshot matrix is identically zero")
         self._set_counts(mode_counts)
 
     def with_counts(self, mode_counts) -> "ReducedObjective":
@@ -388,7 +403,7 @@ def objective_and_gradient(snaps: SnapshotSet, frames, shifts: FrameShifts):
 
 def reconstruct(dec: Decomposition) -> np.ndarray:
     """Evaluate the decomposition: X~_j = sum_l T(d^l_j) W^l a^l_j."""
-    out = np.zeros((dec.frames[0].modes.shape[0], dec.shifts.n_snapshots))
+    out = np.zeros((len(dec.blocks) * dec.grid.m, dec.shifts.n_snapshots))
     for fb, A, d_row in zip(dec.frames, dec.amplitudes, dec.shifts.d):
         # fb.modes @ A is still in frame coordinates
         out += apply_shift(fb.modes @ A, d_row, dec.grid, dec.shifts.spec)

@@ -71,7 +71,8 @@ import numpy as np
 
 from .core import (RANK_TOL, Decomposition, FrameBasis, FrameShifts,
                    ReducedObjective)
-from .lbfgs import OptimizerAbort, OptimizerOptions, minimize, start_state
+from .lbfgs import (OptimizerAbort, OptimizerOptions, as_count, minimize,
+                    start_state)
 from .shifts import apply_shift
 from .snapshots import SnapshotSet
 
@@ -94,7 +95,10 @@ class GreedyConfig:
     threads: int = 1
 
     def __post_init__(self):
-        self.r0 = [int(v) for v in self.r0]
+        self.r0 = [as_count(v, "r0 entry") for v in self.r0]
+        if self.p_max is not None:
+            self.p_max = as_count(self.p_max, "p_max")
+        self.threads = as_count(self.threads, "threads")
         if any(v < 0 for v in self.r0):
             raise ValueError("initial mode counts must be nonnegative")
         if not any(self.r0):

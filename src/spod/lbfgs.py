@@ -45,6 +45,16 @@ class OptimizerAbort(RuntimeError):
     """Raised when the objective is non-finite at the starting point."""
 
 
+def as_count(value, name: str) -> int:
+    """value as an int; a value that is not a whole number is refused."""
+    try:
+        if int(value) == value:
+            return int(value)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class OptimizerOptions:
     # relative to the start point's gradient norm, both in the metric
@@ -53,6 +63,8 @@ class OptimizerOptions:
     max_iters: int = 500
 
     def __post_init__(self):
+        object.__setattr__(self, "max_iters",
+                           as_count(self.max_iters, "max_iters"))
         if self.max_iters < 0 or not 0.0 <= self.grad_tol < np.inf:
             raise ValueError("need max_iters >= 0 and a finite grad_tol >= 0")
 

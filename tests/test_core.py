@@ -8,7 +8,7 @@ from spod.core import (GRAM_COND_MAX, Decomposition, FrameBasis, FrameShifts,
                        _solve_amplitudes, objective_and_gradient,
                        optimal_amplitudes, reconstruct)
 from spod.generators import three_signal_default
-from spod.shifts import ShiftSpec, dense_shift_matrix
+from spod.shifts import ShiftSpec, dense_shift_matrix, shift_operator
 from spod.snapshots import Grid1D, SnapshotSet, VariableBlock
 
 PER3 = ShiftSpec("periodic", 3)
@@ -441,9 +441,26 @@ def crossing_problem():
     return crossing_fronts(CrossingFrontsParams(m=60, n=16))
 
 
+def operator_arrays(prob):
+    """The distinct arrays that own the memory behind ops and ops_T."""
+    owners = {}
+    for T in prob.ops + prob.ops_T:
+        for part in (T.data, T.indices, T.indptr):
+            while part.base is not None:
+                part = part.base
+            owners[id(part)] = part
+    return list(owners.values())
+
+
+def csr_bytes(M):
+    return M.data.nbytes + M.indices.nbytes + M.indptr.nbytes
+
+
 class TestTransposeOperators:
-    """ops_T[l] is the CSC view of ops[l] when every row holds one entry,
-    a CSR copy otherwise; either way the products are the CSR copy's."""
+    """Each frame holds one set of sparse arrays: the CSR of its stacked
+    operator T when every row holds one entry, the CSR of T^T otherwise,
+    with ops[l] and ops_T[l] two views of it; the products are those of
+    fresh CSR copies of T and T^T to the bit."""
 
     @pytest.mark.parametrize("case,one_entry", [
         (lambda: whole_cell_problem("periodic", 31), [True, True]),
@@ -452,24 +469,29 @@ class TestTransposeOperators:
          [False, False]),
         # frames 0-3 move with clamped cubic legs, frame 4 stands still
         (crossing_problem, [False, False, False, False, True]),
+        # frames 0 and 1 mix rows of one and four entries
+        (three_signal_default, [False, False, True]),
     ], ids=["periodic-whole-cell", "clamped-whole-cell", "multi-leg-cubic",
-            "crossing-fronts"])
+            "crossing-fronts", "three-signal"])
     def test_products_equal_those_of_a_csr_copy(self, case, one_entry):
         from scipy import sparse
         snaps, shifts = case()
         counts = [1] * shifts.n_frames
         prob = ReducedObjective(snaps, shifts, counts)
-        for T, T_T, view in zip(prob.ops, prob.ops_T, one_entry, strict=True):
-            assert (T.nnz == T.shape[0]) == view
-            if view:  # no copy: the operator's own arrays
-                assert isinstance(T_T, sparse.csc_matrix)
-                for part in ("data", "indices", "indptr"):
-                    assert np.shares_memory(getattr(T_T, part),
-                                            getattr(T, part))
-            else:
-                assert isinstance(T_T, sparse.csr_matrix)
+        fresh = [shift_operator(d, snaps.grid, shifts.spec) for d in shifts.d]
+        for T, T_T, S, view in zip(prob.ops, prob.ops_T, fresh, one_entry,
+                                   strict=True):
+            assert (S.nnz == S.shape[0]) == view
+            for part in ("data", "indices", "indptr"):
+                assert np.shares_memory(getattr(T, part), getattr(T_T, part))
+            held, kept = (T, S) if view else (T_T, S.T.tocsr())
+            assert isinstance(held, sparse.csr_matrix)
+            for part in ("data", "indices", "indptr"):
+                assert (getattr(held, part).tobytes()
+                        == getattr(kept, part).tobytes())
         ref = prob.with_counts(counts)
-        ref.ops_T = [T.T.tocsr() for T in ref.ops]
+        ref.ops = fresh
+        ref.ops_T = [S.T.tocsr() for S in fresh]
         z = np.random.default_rng(34).standard_normal(
             snaps.n_rows * shifts.n_frames)
         f, g, amps, _ = prob.value_gradient_amplitudes(z)
@@ -477,6 +499,35 @@ class TestTransposeOperators:
         assert f == f_ref and g.tobytes() == g_ref.tobytes()
         assert (prob.variable_metric(amps).tobytes()
                 == ref.variable_metric(amps_ref).tobytes())
+
+    def test_bytes_held_are_one_csr_per_frame(self):
+        snaps, shifts = crossing_problem()
+        prob = ReducedObjective(snaps, shifts, [1] * shifts.n_frames)
+        one_csr = 0
+        for d in shifts.d:
+            S = shift_operator(d, snaps.grid, shifts.spec)
+            one_csr += csr_bytes(S if S.nnz == S.shape[0] else S.T.tocsr())
+        assert sum(a.nbytes for a in operator_arrays(prob)) == one_csr
+
+    def test_setup_holds_at_most_two_stacks_beyond_what_it_keeps(self):
+        # a stack is dropped before the next frame's is built: the traced
+        # set-up peak stays below the bytes kept plus two of the largest
+        import tracemalloc
+        from spod.generators import crossing_fronts
+        snaps, shifts = crossing_fronts()
+        ReducedObjective(snaps, shifts, [1] * shifts.n_frames)  # imports
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            prob = ReducedObjective(snaps, shifts, [1] * shifts.n_frames)
+            held, peak = (b - start for b in tracemalloc.get_traced_memory())
+        finally:
+            tracemalloc.stop()
+        largest = max(csr_bytes(shift_operator(d, snaps.grid, shifts.spec))
+                      for d in shifts.d)
+        assert held >= prob.XT.nbytes + sum(a.nbytes
+                                            for a in operator_arrays(prob))
+        assert peak < held + 2 * largest
 
 
 class TestGradientAssembly:
@@ -609,6 +660,15 @@ class TestVariableMetric:
 
 
 class TestReconstruct:
+    def test_no_frames_give_zero_matrix(self):
+        # of the shape the blocks and shifts give, with no frame to size it
+        grid = Grid1D(4, 0.25, "periodic")
+        blocks = [VariableBlock("u", 0, 4), VariableBlock("v", 4, 8)]
+        dec = Decomposition([], [], FrameShifts(np.zeros((0, 3)), PER3), grid,
+                            blocks)
+        out = reconstruct(dec)
+        assert out.shape == (8, 3) and not out.any()
+
     def test_zero_amplitudes_give_zero_matrix(self):
         snaps, shifts, rng = random_problem(m=8, n=3, n_s=2, seed=15)
         frames = [FrameBasis(rng.standard_normal((snaps.n_rows, 2)))
@@ -690,6 +750,15 @@ class TestFrameBasis:
         with pytest.raises(ValueError, match=r"has shape \(2,\), expected \(4,\)"):
             ReducedObjective(snaps, FrameShifts(np.zeros((1, 3)), PER3), [2],
                              masks=[np.array([True, False])])
+
+
+class TestFrameShifts:
+    def test_one_row_per_frame(self):
+        assert FrameShifts(np.zeros(3), PER3).d.shape == (1, 3)
+        # refused when built, not first in shift_operator
+        with pytest.raises(ValueError,
+                           match=r"shifts of shape \(2, 3, 1\): need one row"):
+            FrameShifts(np.zeros((2, 3, 1)), PER3)
 
 
 class TestDecompositionType:

@@ -377,19 +377,19 @@ class TestGreedyLoop:
         assert free.stages[0]["converged"] is True
 
     @pytest.mark.parametrize("masked", [False, True])
-    def test_optimizer_failure_reported(self, masked):
-        # the failure returns the seeds; masked, the objective's unpack
-        # zeroes their masked rows
+    def test_optimizer_failure_reported(self, monkeypatch, masked):
+        # a non-finite start evaluation returns the seeds; masked, the
+        # objective's unpack zeroes their masked rows
         snaps, shifts = two_transport_set(m=16, n=4)
-        big = SnapshotSet(snaps.data * 1e200, snaps.grid, snaps.time.values,
-                          snaps.blocks)
+        evaluate = ReducedObjective.value_gradient_amplitudes
+        monkeypatch.setattr(ReducedObjective, "value_gradient_amplitudes",
+                            lambda self, z: (np.nan, *evaluate(self, z)[1:]))
         mask = np.arange(16) < 8
-        with np.errstate(over="ignore", invalid="ignore"):
-            dec, rep = spod_decompose(big, shifts, GreedyConfig(r0=[1, 1]),
-                                      masks=[mask, None] if masked else None)
+        dec, rep = spod_decompose(snaps, shifts, GreedyConfig(r0=[1, 1]),
+                                  masks=[mask, None] if masked else None)
         assert rep.termination == "optimizer failure"
-        assert not rep.converged
-        seeds = initialize_frames(big, shifts, [1, 1])
+        assert not rep.converged and rep.error_history == []
+        seeds = initialize_frames(snaps, shifts, [1, 1])
         assert np.all(seeds[0].modes != 0.0)
         if masked:
             np.testing.assert_array_equal(dec.frames[0].modes[mask], 0.0)
@@ -515,6 +515,31 @@ class TestGreedyLoop:
                 assert frame.modes[mask].size and np.all(frame.modes[mask] == 0.0)
         err = relative_error(snaps.data, reconstruct(dec))
         assert rep.error_history[-1] == pytest.approx(err, rel=1e-9)
+
+    @pytest.mark.parametrize("scale,bad,match", [
+        (1.0, np.nan, "NaN or infinite entries"),
+        (1.0, np.inf, "NaN or infinite entries"),
+        (1e160, None, "squared norm of the snapshot matrix overflows"),
+    ])
+    def test_nonfinite_norm_rejected_before_any_solve(self, monkeypatch,
+                                                      scale, bad, match):
+        # refused before the seeds, whose eigensolve fails on NaN, and before
+        # an overflowing norm could end the run as "optimizer failure"
+        import warnings
+        import spod.greedy
+        calls = []
+        monkeypatch.setattr(spod.greedy, "minimize",
+                            lambda *a, **k: calls.append(a))
+        snaps, shifts = two_transport_set(m=32, n=6)
+        X = snaps.data * scale
+        if bad is not None:
+            X[3, 2] = bad
+        data = SnapshotSet(X, snaps.grid, snaps.time.values, snaps.blocks)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # the norm raises no RuntimeWarning
+            with pytest.raises(ValueError, match=match):
+                spod_decompose(data, shifts, GreedyConfig(r0=[1, 1]))
+        assert calls == []
 
     def test_zero_snapshots_rejected_before_any_solve(self, monkeypatch):
         import spod.greedy
@@ -966,3 +991,21 @@ class TestConfigValidation:
     def test_thread_count_validated(self):
         with pytest.raises(ValueError):
             GreedyConfig(r0=[1], threads=0)
+
+    @pytest.mark.parametrize("kwargs,match", [
+        ({"r0": [1.7, 0.9]}, r"r0 entry must be an integer, got 1\.7"),
+        ({"r0": [1, "2"]}, "r0 entry must be an integer, got '2'"),
+        ({"r0": [1], "p_max": 1.5}, r"p_max must be an integer, got 1\.5"),
+        ({"r0": [1], "threads": 2.5}, r"threads must be an integer, got 2\.5"),
+    ])
+    def test_counts_must_be_integers(self, kwargs, match):
+        # as the config reader requires: truncated, [1.7, 0.9] would run
+        # as [1, 0] and p_max = 1.5 as two greedy iterations
+        with pytest.raises(ValueError, match=match):
+            GreedyConfig(**kwargs)
+
+    def test_integral_counts_become_ints(self):
+        cfg = GreedyConfig(r0=np.array([2.0, 0.0]), p_max=np.int64(3),
+                           threads=1.0)
+        assert cfg.r0 == [2, 0] and cfg.p_max == 3 and cfg.threads == 1
+        assert all(type(v) is int for v in (*cfg.r0, cfg.p_max, cfg.threads))

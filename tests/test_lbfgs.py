@@ -507,3 +507,15 @@ class TestOptions:
         for grad_tol in (np.inf, np.nan):
             with pytest.raises(ValueError):
                 OptimizerOptions(grad_tol=grad_tol)
+
+    @pytest.mark.parametrize("max_iters", [2.5, float("nan"), float("inf"),
+                                           "3", None])
+    def test_iteration_cap_must_be_an_integer(self, max_iters):
+        # refused when built, not first inside the solve, in range()
+        with pytest.raises(ValueError, match="max_iters must be an integer"):
+            OptimizerOptions(max_iters=max_iters)
+
+    def test_integral_iteration_cap_becomes_an_int(self):
+        for max_iters in (3.0, np.int64(3)):
+            opts = OptimizerOptions(max_iters=max_iters)
+            assert opts.max_iters == 3 and type(opts.max_iters) is int
