@@ -13,11 +13,13 @@ reconstruction, the shift matrix, every frame's back-shifted snapshot
 matrix and the indptr/indices/data of every frame's stacked sparse
 operator shift_operator(d, grid, spec) ("stacked") and of its CSR
 transpose ("stacked_T"), the two operators ReducedObjective multiplies
-with per frame: it keeps one of the two and uses the CSC view of it as
-the other (the CSR of the stack when every row holds one entry, of the
-transpose otherwise), and the CSR forms of its ops[l] and ops_T[l] are
-"stacked" and "stacked_T" (tests/test_fingerprint.py checks both byte
-for byte).  They are built from the public shift_operator alone, so the
+with per frame.  For a frame with a fractional shift it keeps the CSR
+of the transpose and uses its CSC view as the stack, so the CSR forms
+of its ops[l] and ops_T[l] are "stacked" and "stacked_T"; for a frame
+of grid-multiple shifts it keeps the node map alone, which equals the
+"stacked" indices, with every "stacked" entry a 1 in a row of its own
+(tests/test_fingerprint.py checks both).  They are built from the
+public shift_operator alone, so the
 same script runs on checkouts before and after a refactoring of the
 objective.  The operators depend only on the shifts, the grid and the
 shift spec, and the bench seeds change the

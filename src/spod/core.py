@@ -38,7 +38,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .shifts import ShiftSpec, apply_shift, shift_operator
+from .shifts import (ShiftSpec, apply_node_map, apply_node_map_transpose,
+                     apply_shift, node_map, shift_operator)
 from .snapshots import Grid1D, SnapshotSet, check_blocks
 
 GRAM_COND_MAX, RANK_MARGIN = 1e4, 1e3
@@ -183,20 +184,21 @@ def optimal_amplitudes(K: np.ndarray, x: np.ndarray) -> np.ndarray:
 class ReducedObjective:
     """Reduced objective and gradient for fixed shifts and mode counts.
 
-    Holds per frame l the stacked operator ops[l] = shift_operator(d^l),
-    [T(d_1); ...; T(d_n)] of shape (n*m, m), its transpose ops_T[l], and
-    one contiguous copy of X^T, so that repeated evaluations (line
-    searches) only pay sparse products plus one batched Gram solve of all
-    frame matrices K_j (an SVD where it is unsafe, counted in
-    svd_fallback_solves).  A frame holds one set of sparse arrays, and
-    ops[l] and ops_T[l] are two views of it.  When every row of the stack
-    holds one entry (whole-cell shifts), ops[l] is its CSR and ops_T[l]
-    the CSC view ops[l].T.  Otherwise ops_T[l] is the CSR of the
-    transpose, whose gather beats a view's scatter once rows hold several
-    legs, and ops[l] is its CSC view, whose forward product costs what
-    the CSR one does.  Every form adds each output entry in ascending
-    index order, so the products are those of CSR copies to the bit;
-    call .tocsr() where CSR arrays are needed.  The operators and
+    Holds per frame l the stacked operator [T(d_1); ...; T(d_n)] of shape
+    (n*m, m) as ops[l], its transpose as ops_T[l], and one contiguous copy
+    of X^T, so that repeated evaluations (line searches) only pay operator
+    products plus one batched Gram solve of all frame matrices K_j (an SVD
+    where it is unsafe, counted in svd_fallback_solves).  A frame holds
+    one set of arrays.  When every shift of the frame is a grid multiple,
+    ops[l] and ops_T[l] are both its node_map, the n*m intp source nodes
+    of the rows: the forward product is the gather apply_node_map, the
+    transpose the bincount apply_node_map_transpose, and scipy is never
+    imported.  Otherwise ops_T[l] is the CSR of the transpose of
+    shift_operator(d^l), and ops[l] is its CSC view, whose forward product
+    costs what the CSR one does.  Every form adds each output entry in
+    ascending index order, so the products are those of CSR copies to
+    the bit; call .tocsr() on a sparse form where CSR arrays are
+    needed.  The operators and
     the data depend on the shifts alone: with_counts returns the same
     problem with other mode counts, sharing both.  Column c of
     W = [W^1 ... W^L] belongs to frame frame_of[c], frame l owns the
@@ -235,11 +237,14 @@ class ReducedObjective:
         self.m_total = snaps.n_rows
         self.ops, self.ops_T = [], []
         for d_row in shifts.d:
-            T = shift_operator(d_row, snaps.grid, shifts.spec)
-            if T.nnz != T.shape[0]:  # legs: keep the CSR of T^T alone
-                T = T.T.tocsr().T
-            self.ops.append(T)
-            self.ops_T.append(T.T)
+            nodes = node_map(d_row, snaps.grid, shifts.spec)
+            if nodes is None:  # fractional shifts: the CSR of T^T alone
+                T_T = shift_operator(d_row, snaps.grid, shifts.spec).T.tocsr()
+                self.ops.append(T_T.T)
+                self.ops_T.append(T_T)
+            else:
+                self.ops.append(nodes)
+                self.ops_T.append(nodes)
         self.masks = self._check_masks(masks)
         self._set_counts(mode_counts)
 
@@ -319,11 +324,17 @@ class ReducedObjective:
         W = self._stack(modes_list)
         self.n_evals += 1
         (n, m_total), R, nb, m = self.XT.shape, W.shape[1], self.n_blocks, self.grid.m
+        # one gather target for all node-map products, allocated below K: a
+        # fresh array per product lifted the heap top to glibc's trim
+        # threshold, and each evaluation refaulted 8 MB of the wave pair
+        maps = any(isinstance(T, np.ndarray) for T in self.ops)
+        Tw = np.empty(n * m) if maps else None
         K = np.empty((n, R, nb, m))  # mode-major: K[j, c, k] = T(d_j) W[block k, c]
         for c, k in np.ndindex(R, nb):
-            T = self.ops[self.frame_of[c]]
-            K[:, c, k] = (T @ W[k * m:(k + 1) * m, c]).reshape(n, m)
-        del W  # freed before the solve: alive, it left glibc's heap 0.7 MB larger
+            T, w = self.ops[self.frame_of[c]], W[k * m:(k + 1) * m, c]
+            K[:, c, k] = (apply_node_map(T, w, out=Tw) if isinstance(T, np.ndarray)
+                          else T @ w).reshape(n, m)
+        del W, Tw  # freed before the solve: alive, W left glibc's heap 0.7 MB larger
         A, resid, b, ranks, n_svd = _solve_amplitudes(
             K.reshape(n, R, m_total), self.XT, self.rank_tol)
         del K  # freed before the gradient allocates its products
@@ -338,7 +349,10 @@ class ReducedObjective:
             G, Z = np.empty((m_total, R), order="F"), np.empty((n, m))
             for c, k in np.ndindex(R, nb):
                 np.multiply(resid_blocks[:, k], A[:, c, None], out=Z)
-                G[k * m:(k + 1) * m, c] = self.ops_T[self.frame_of[c]] @ Z.ravel()
+                T_T, z = self.ops_T[self.frame_of[c]], Z.ravel()
+                G[k * m:(k + 1) * m, c] = (
+                    apply_node_map_transpose(T_T, z, m)
+                    if isinstance(T_T, np.ndarray) else T_T @ z)
             G *= -2.0  # before masking, so that masked entries are +0.0
             for mk, cl in zip(self.masks, self.frame_cols):
                 if mk is not None:
@@ -374,9 +388,12 @@ class ReducedObjective:
         m = self.grid.m
         C = np.empty((m, self.frame_of.size))  # coverage of one block
         for T, A, cl in zip(self.ops_T, amps, self.frame_cols, strict=True):
-            # squared entries for this call only: the objective keeps no copy
-            T2 = type(T)((T.data ** 2, T.indices, T.indptr), shape=T.shape)
-            C[:, cl] = T2 @ np.repeat(A.T ** 2, m, axis=0)
+            a2 = np.repeat(A.T ** 2, m, axis=0)
+            if isinstance(T, np.ndarray):  # a node map: its entries square to 1
+                C[:, cl] = apply_node_map_transpose(T, a2, m)
+            else:  # squared entries for this call only: no copy is kept
+                C[:, cl] = type(T)((T.data ** 2, T.indices, T.indptr),
+                                   shape=T.shape) @ a2
         c = np.tile(C, (self.n_blocks, 1)).ravel(order="F")
         top = c.max(initial=0.0)
         if not 0.0 < top < np.inf:

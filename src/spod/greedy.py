@@ -63,7 +63,6 @@ modes, else those of one more, value-only, evaluation.
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
 from typing import Optional
 
@@ -328,6 +327,8 @@ def spod_decompose(snaps: SnapshotSet, shifts: FrameShifts, config: GreedyConfig
             sv.run_to(iterations, config.optimizer)
         todo = [sv for sv in solves if not sv.ended]
         if config.threads > 1 and len(todo) > 1:
+            # local: keeps concurrent.futures out of start-up
+            from concurrent.futures import ThreadPoolExecutor
             with ThreadPoolExecutor(max_workers=config.threads) as pool:
                 list(pool.map(step, todo))
         else:

@@ -60,7 +60,8 @@ _MAX_CELLS = 2.0 ** 62  # largest |d / h|: offsets stay inside int64
 
 def _stencils(d, grid: Grid1D, spec: ShiftSpec):
     """Integer offsets (k,) and Lagrange weights (k, n_weights) of T(d)
-    for every shift of the 1-d sequence d, plus the mask of grid multiples.
+    for every shift of d, one shift or a 1-d sequence of k, plus the mask
+    of grid multiples.
 
     Each shift is split as g = k + rho with rho in [0, 1), where g is the
     shift in mesh units along the sampling direction of the boundary
@@ -69,6 +70,9 @@ def _stencils(d, grid: Grid1D, spec: ShiftSpec):
     shifts carry the rho = 0 weights, a single 1 among exact zeros.
     """
     d = np.asarray(d, dtype=float)
+    if d.ndim > 1:
+        raise ValueError(f"shifts of shape {d.shape}: need one shift or a 1-d sequence")
+    d = d.reshape(-1)
     g = d / grid.h if spec.boundary == "periodic" else -d / grid.h
     bad = ~(np.abs(g) <= _MAX_CELLS)  # nan compares false
     if bad.any():
@@ -120,7 +124,7 @@ def apply_shift(v, d, grid: Grid1D, spec: ShiftSpec):
         raise ValueError(f"array of shape {v.shape} is not a stack of m={m} row blocks")
     if d.ndim > 1 or d.ndim == 1 and (v.ndim < 2 or d.size != v.shape[-1]):
         raise ValueError(f"shifts of shape {d.shape} for an array of shape {v.shape}")
-    offset, weights, _ = _stencils(d.reshape(-1), grid, spec)
+    offset, weights, _ = _stencils(d, grid, spec)
     mid = math.prod(v.shape[1:-1] if d.ndim else v.shape[1:])
     blocks = v.reshape(v.shape[0] // m, m * mid * d.size)
     itype = np.int32 if blocks.shape[1] < 2 ** 31 else np.int64  # flat indices
@@ -141,17 +145,58 @@ def apply_shift(v, d, grid: Grid1D, spec: ShiftSpec):
 
 
 def apply_shift_transpose(v, d: float, grid: Grid1D, spec: ShiftSpec):
-    """Apply the exact transpose of the map realized by apply_shift."""
+    """Apply the exact transpose of the map realized by apply_shift to a
+    vector or to the columns of a 2-d array of m rows: the scatter of
+    node_map(d) for a grid multiple, else the CSR transpose of
+    shift_operator(d)."""
     v = np.asarray(v, dtype=float)
-    if v.shape[0] != grid.m:
-        raise ValueError(f"vector has {v.shape[0]} rows, grid has m={grid.m}")
-    return shift_operator(d, grid, spec).T @ v
+    if v.ndim not in (1, 2) or v.shape[0] != grid.m:
+        raise ValueError(f"array of shape {v.shape} is not a vector or a 2-d"
+                         f" array of m={grid.m} rows")
+    nodes = node_map(d, grid, spec)
+    if nodes is None:
+        return shift_operator(d, grid, spec).T @ v
+    return apply_node_map_transpose(nodes, v, grid.m)
+
+
+def node_map(d, grid: Grid1D, spec: ShiftSpec):
+    """The source node of every row of the stack [T(d_1); ...; T(d_k)],
+    as k*m intp indices, if every shift of d (one shift or a 1-d
+    sequence of k) is a grid multiple; None otherwise.  Such a stack has
+    a single 1 in each row, at the node given here: these are the
+    indices of shift_operator(d, grid, spec), whose products
+    apply_node_map and apply_node_map_transpose reproduce to the bit
+    without scipy."""
+    offset, weights, exact = _stencils(d, grid, spec)
+    if not exact.all():
+        return None
+    return _node_indices(offset, 1, grid.m, spec.boundary).astype(np.intp).ravel()
+
+
+def apply_node_map(nodes, v, out=None) -> np.ndarray:
+    """T v for the stack T whose rows read the nodes of v given by
+    node_map, written to out if given.  The +0.0 maps -0.0 to +0.0, as the
+    CSR sum from zero does; the nodes lie in [0, m), so mode="clip" moves
+    none of them and spares the copy of out that mode="raise" makes."""
+    return np.take(np.add(v, 0.0), nodes, axis=0, out=out, mode="clip")
+
+
+def apply_node_map_transpose(nodes, z, m: int) -> np.ndarray:
+    """T^T z for the stack T of node_map, z a vector or a 2-d array of
+    len(nodes) rows: the rows of z added to their nodes in row order,
+    starting from +0.0, as the CSR product of T^T adds them."""
+    if z.ndim == 1:
+        return np.bincount(nodes, weights=z, minlength=m)
+    out = np.empty((m, z.shape[1]))
+    for q, col in enumerate(z.T):
+        out[:, q] = np.bincount(nodes, weights=col, minlength=m)
+    return out
 
 
 def dense_shift_matrix(d: float, grid: Grid1D, spec: ShiftSpec) -> np.ndarray:
     """Materialize T(d) as a dense (m, m) array.  Meant for tests and
     small problems; the solvers use the sparse form below."""
-    offset, weights, _ = _stencils([d], grid, spec)
+    offset, weights, _ = _stencils(d, grid, spec)
     idx = _node_indices(offset[0], weights.shape[1], grid.m, spec.boundary)
     M = np.zeros((grid.m, grid.m))
     np.add.at(M, (np.arange(grid.m)[:, None], idx), weights[0])  # legs in order
@@ -164,11 +209,8 @@ def shift_operator(d, grid: Grid1D, spec: ShiftSpec) -> sparse.csr_matrix:
     [T(d_1); ...; T(d_k)].  Grid multiples store one entry per row."""
     from scipy import sparse  # local: keeps scipy out of start-up
 
-    d = np.asarray(d, dtype=float)
-    if d.ndim > 1:
-        raise ValueError(f"shifts of shape {d.shape}: need one shift or a 1-d sequence")
-    offset, weights, exact = _stencils(d.reshape(-1), grid, spec)
-    m, k, legs = grid.m, d.size, weights.shape[1]
+    offset, weights, exact = _stencils(d, grid, spec)
+    m, k, legs = grid.m, offset.size, weights.shape[1]
     idx = _node_indices(offset, legs, m, spec.boundary)
     vals = np.broadcast_to(weights[:, None, :], idx.shape)
     itype = np.int32 if idx.size < 2 ** 31 else np.int64  # row pointers

@@ -565,6 +565,7 @@ _COLD_START = textwrap.dedent("""
     from spod import io
     from spod.cli import run_cli
 
+    assert "concurrent.futures" not in sys.modules, "spod.cli loaded a thread pool"
     out = sys.argv[1]
     snap = os.path.join(out, "wave.snap")
     assert run_cli(["generate", "wave", "--out", out, "--n", "8"]) == 0
@@ -581,14 +582,31 @@ _COLD_START = textwrap.dedent("""
                     "--out", recon]) == 0
     assert run_cli(["error", snap, recon]) == 0
     assert "scipy" not in sys.modules, "scipy loaded before any solve"
-    spod.shift_operator(0.5, snaps.grid, spod.ShiftSpec())
-    assert "scipy" in sys.modules, "building an operator did not load scipy"
+
+    def spod_run(name, shifts):
+        # a greedy run on one shift file per frame
+        lines = ["[input]", f"snapshots = {snap}", "[spod]", "r0 = 1,1",
+                 "p_max = 0", "[output]", f"directory = {out}/{name}"]
+        for l, row in enumerate(shifts):
+            io.write_shifts(row, os.path.join(out, f"{name}{l}.csv"))
+            lines += [f"[frame.{l}]", f"shifts = {name}{l}.csv"]
+        with open(os.path.join(out, f"{name}.cfg"), "w") as f:
+            f.write("\\n".join(lines) + "\\n")
+        assert run_cli(["spod", "--config", os.path.join(out, f"{name}.cfg")]) == 0
+
+    known = io.read_shifts(os.path.join(out, "true_shifts.csv"))
+    assert np.all(known / snaps.grid.h % 1.0 == 0.0)
+    spod_run("whole", known)  # node maps alone
+    assert "scipy" not in sys.modules, "a whole-cell solve loaded scipy"
+    spod_run("half", known + 0.5 * snaps.grid.h)
+    assert "scipy.sparse" in sys.modules, "a fractional solve did not load scipy"
 """)
 
 
-def test_commands_without_a_solve_start_without_scipy(tmp_path):
+def test_cold_start_loads_scipy_only_for_fractional_shifts(tmp_path):
     # scipy costs about half of a cold start; only the CSR shift operators
-    # need it, so the other commands must not import it
+    # of fractional shifts need it, so no other command and no solve on
+    # whole-cell shifts may import it, and the CLI loads no thread pool
     src = os.path.join(os.path.dirname(os.path.dirname(
         os.path.abspath(__file__))), "src")
     env = dict(os.environ, PYTHONPATH=src)

@@ -8,7 +8,9 @@ from spod.core import (GRAM_COND_MAX, Decomposition, FrameBasis, FrameShifts,
                        _solve_amplitudes, objective_and_gradient,
                        optimal_amplitudes, reconstruct)
 from spod.generators import three_signal_default
-from spod.shifts import ShiftSpec, dense_shift_matrix, shift_operator
+from spod.shifts import (ShiftSpec, apply_node_map, apply_node_map_transpose,
+                         apply_shift_transpose, dense_shift_matrix, node_map,
+                         shift_operator)
 from spod.snapshots import Grid1D, SnapshotSet, VariableBlock
 
 PER3 = ShiftSpec("periodic", 3)
@@ -445,7 +447,9 @@ def operator_arrays(prob):
     """The distinct arrays that own the memory behind ops and ops_T."""
     owners = {}
     for T in prob.ops + prob.ops_T:
-        for part in (T.data, T.indices, T.indptr):
+        parts = (T,) if isinstance(T, np.ndarray) else (T.data, T.indices,
+                                                         T.indptr)
+        for part in parts:
             while part.base is not None:
                 part = part.base
             owners[id(part)] = part
@@ -457,12 +461,12 @@ def csr_bytes(M):
 
 
 class TestTransposeOperators:
-    """Each frame holds one set of sparse arrays: the CSR of its stacked
-    operator T when every row holds one entry, the CSR of T^T otherwise,
-    with ops[l] and ops_T[l] two views of it; the products are those of
-    fresh CSR copies of T and T^T to the bit."""
+    """Each frame holds one set of arrays.  A frame whose shifts are all
+    grid multiples holds its node map alone, as both ops[l] and ops_T[l];
+    any other frame holds the CSR of T^T, with ops[l] its CSC view.  The
+    products are those of fresh CSR copies of T and T^T to the bit."""
 
-    @pytest.mark.parametrize("case,one_entry", [
+    @pytest.mark.parametrize("case,whole_cell", [
         (lambda: whole_cell_problem("periodic", 31), [True, True]),
         (lambda: whole_cell_problem("non-periodic", 32), [True, True]),
         (lambda: random_problem(m=12, n=5, n_blocks=2, seed=33)[:2],
@@ -473,22 +477,24 @@ class TestTransposeOperators:
         (three_signal_default, [False, False, True]),
     ], ids=["periodic-whole-cell", "clamped-whole-cell", "multi-leg-cubic",
             "crossing-fronts", "three-signal"])
-    def test_products_equal_those_of_a_csr_copy(self, case, one_entry):
+    def test_products_equal_those_of_a_csr_copy(self, case, whole_cell):
         from scipy import sparse
         snaps, shifts = case()
         counts = [1] * shifts.n_frames
         prob = ReducedObjective(snaps, shifts, counts)
         fresh = [shift_operator(d, snaps.grid, shifts.spec) for d in shifts.d]
-        for T, T_T, S, view in zip(prob.ops, prob.ops_T, fresh, one_entry,
-                                   strict=True):
-            assert (S.nnz == S.shape[0]) == view
+        for T, T_T, S, nodes in zip(prob.ops, prob.ops_T, fresh, whole_cell,
+                                    strict=True):
+            if nodes:  # a single 1 per row, at the node the map holds
+                assert T is T_T and T.dtype == np.intp
+                assert np.array_equal(S.indptr, np.arange(S.shape[0] + 1))
+                assert np.all(S.data == 1.0) and np.array_equal(T, S.indices)
+                continue
+            S_T = S.T.tocsr()
             for part in ("data", "indices", "indptr"):
                 assert np.shares_memory(getattr(T, part), getattr(T_T, part))
-            held, kept = (T, S) if view else (T_T, S.T.tocsr())
-            assert isinstance(held, sparse.csr_matrix)
-            for part in ("data", "indices", "indptr"):
-                assert (getattr(held, part).tobytes()
-                        == getattr(kept, part).tobytes())
+                assert getattr(T_T, part).tobytes() == getattr(S_T, part).tobytes()
+            assert isinstance(T_T, sparse.csr_matrix)
         ref = prob.with_counts(counts)
         ref.ops = fresh
         ref.ops_T = [S.T.tocsr() for S in fresh]
@@ -500,14 +506,46 @@ class TestTransposeOperators:
         assert (prob.variable_metric(amps).tobytes()
                 == ref.variable_metric(amps_ref).tobytes())
 
-    def test_bytes_held_are_one_csr_per_frame(self):
+    @pytest.mark.parametrize("boundary", ["periodic", "non-periodic"])
+    def test_node_map_products_equal_csr_products(self, boundary):
+        # shifts up to 40 cells on 16 nodes: clamped rows past the end read
+        # an edge node; inputs hold -0.0, NaN and inf.  Not -inf: where
+        # inf - inf makes a NaN that meets another NaN, which of the two
+        # a sum keeps varies between compiled loops
+        snaps, shifts = whole_cell_problem(boundary, 35)
+        grid, m = snaps.grid, snaps.grid.m
+        d = np.concatenate([shifts.d[0], [40 * grid.h, -40 * grid.h]])
+        S = shift_operator(d, grid, shifts.spec)
+        nodes = node_map(d, grid, shifts.spec)
+        rng = np.random.default_rng(36)
+        special = [-0.0, 0.0, np.nan, np.inf, np.nan]
+        V = rng.standard_normal((m, 3))
+        V[:5, 0] = special
+        Z = rng.standard_normal((S.shape[0], 3))
+        Z[rng.permutation(S.shape[0])[:5], 1] = special
+        Z[:, 2] = -0.0
+        for v, z in [(V[:, 0], Z[:, 1]), (V, Z), (V[:, :0], Z[:, :0])]:
+            assert apply_node_map(nodes, v).tobytes() == (S @ v).tobytes()
+            assert (apply_node_map_transpose(nodes, z, m).tobytes()
+                    == (S.T @ z).tobytes() == (S.T.tocsr() @ z).tobytes())
+        one = shift_operator(d[0], grid, shifts.spec)
+        assert (apply_shift_transpose(V, d[0], grid, shifts.spec).tobytes()
+                == (one.T @ V).tobytes() == (one.T.tocsr() @ V).tobytes())
+        assert node_map(d + 0.5 * grid.h, grid, shifts.spec) is None
+        assert node_map(np.append(d, 0.5 * grid.h), grid, shifts.spec) is None
+
+    def test_bytes_held_are_one_array_set_per_frame(self):
+        # the CSR of T^T for a moving frame, the node map for the
+        # stationary one: half the bytes of its CSR
         snaps, shifts = crossing_problem()
         prob = ReducedObjective(snaps, shifts, [1] * shifts.n_frames)
-        one_csr = 0
+        held = 0
         for d in shifts.d:
             S = shift_operator(d, snaps.grid, shifts.spec)
-            one_csr += csr_bytes(S if S.nnz == S.shape[0] else S.T.tocsr())
-        assert sum(a.nbytes for a in operator_arrays(prob)) == one_csr
+            exact = np.all(d == 0.0)
+            held += (S.shape[0] * np.dtype(np.intp).itemsize if exact
+                     else csr_bytes(S.T.tocsr()))
+        assert sum(a.nbytes for a in operator_arrays(prob)) == held
 
     def test_setup_holds_at_most_two_stacks_beyond_what_it_keeps(self):
         # a stack is dropped before the next frame's is built: the traced

@@ -44,8 +44,9 @@ def test_three_signal_run_saves_mixed_row_operators(monkeypatch, tmp_path,
 
 
 def test_saved_operators_are_the_objectives(monkeypatch):
-    # the fingerprint checks the operators the solver multiplies with, in
-    # CSR form whichever orientation a frame keeps
+    # the fingerprint checks the operators the solver multiplies with: the
+    # CSR forms of a fractional frame's two views, and for a whole-cell
+    # frame the indices of a stack of single 1s, which its node map holds
     from spod import three_signal_default
     from spod.core import ReducedObjective
 
@@ -53,17 +54,25 @@ def test_saved_operators_are_the_objectives(monkeypatch):
     snaps, shifts = three_signal_default()
     out = fp.shift_arrays("three-signal", snaps, shifts)
     prob = ReducedObjective(snaps, shifts, [1] * shifts.n_frames)
-    one_entry = []
+    whole_cell = []
     for l in range(shifts.n_frames):
         T, T_T = prob.ops[l], prob.ops_T[l]
+        saved = {f"{op}.{part}": out[f"three-signal/{op}{l}.{part}"]
+                 for op in ("stacked", "stacked_T")
+                 for part in ("indptr", "indices", "data")}
+        if isinstance(T, np.ndarray):
+            assert T is T_T  # one copy per frame
+            rows = np.arange(saved["stacked.indptr"].size)
+            assert np.array_equal(saved["stacked.indptr"], rows)
+            assert np.all(saved["stacked.data"] == 1.0)
+            assert np.array_equal(saved["stacked.indices"], T)
+            whole_cell.append(l)
+            continue
         for op, M in (("stacked", T.tocsr()), ("stacked_T", T_T.tocsr())):
             for part in ("indptr", "indices", "data"):
-                assert fp._bit_equal(getattr(M, part),
-                                     out[f"three-signal/{op}{l}.{part}"])
+                assert fp._bit_equal(getattr(M, part), saved[f"{op}.{part}"])
         assert np.shares_memory(T_T.data, T.data)  # one copy per frame
-        if T.nnz == T.shape[0]:
-            one_entry.append(l)
-    assert one_entry == [2]  # beside the two mixed-row frames
+    assert whole_cell == [2]  # beside the two mixed-row frames
 
 
 def test_compare_is_bitwise(monkeypatch, tmp_path, capsys):

@@ -435,20 +435,29 @@ class TestGreedyLoop:
         text = json.dumps(rep.to_dict())
         assert "error_history" in text
 
-    def test_one_operator_build_per_frame(self, monkeypatch):
+    @pytest.mark.parametrize("cells", [0.0, 0.5])
+    def test_one_operator_build_per_frame(self, monkeypatch, cells):
+        # every frame asks for its node map once; only fractional frames
+        # then build a CSR
         import spod.core
         snaps, shifts = two_transport_set()
-        calls = []
-        build = spod.core.shift_operator
+        shifts = FrameShifts(shifts.d + cells * snaps.grid.h, shifts.spec)
+        calls = {"node_map": 0, "shift_operator": 0}
 
-        def counting(*args, **kwargs):
-            calls.append(args)
-            return build(*args, **kwargs)
+        def counting(name):
+            build = getattr(spod.core, name)
 
-        monkeypatch.setattr(spod.core, "shift_operator", counting)
+            def call(*args):
+                calls[name] += 1
+                return build(*args)
+            return call
+
+        for name in calls:
+            monkeypatch.setattr(spod.core, name, counting(name))
         _, rep = spod_decompose(snaps, shifts, GreedyConfig(r0=[1, 0], tol=1e-4))
         assert rep.chosen_frames  # candidate solves ran, each on its own objective
-        assert len(calls) == shifts.n_frames
+        assert calls == {"node_map": shifts.n_frames,
+                         "shift_operator": shifts.n_frames if cells else 0}
 
     def test_stage_grad_norm_is_the_unscaled_gradient(self):
         snaps, shifts = three_transport_set(m=32, n=10)

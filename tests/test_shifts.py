@@ -260,6 +260,10 @@ class TestOperators:
             apply_shift(np.ones(g.m), np.zeros(g.m), g, PER3)
         with pytest.raises(ValueError):
             apply_shift(np.ones((g.m + 1, 3)), 0.0, g, PER3)
+        # the transpose takes a vector or the columns of an (m, k) array
+        for v, d in [(np.ones((g.m, 2, 2)), 0.0), (np.ones(g.m + 1), 0.5 * g.h)]:
+            with pytest.raises(ValueError, match="is not a vector or a 2-d"):
+                apply_shift_transpose(v, d, g, PER3)
         with pytest.raises(ValueError):
             shift_operator(np.zeros((2, 3)), g, PER3)
 
