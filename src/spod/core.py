@@ -38,8 +38,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .shifts import (ShiftSpec, apply_node_map, apply_node_map_transpose,
-                     apply_shift, node_map, shift_operator)
+from .shifts import (ShiftSpec, apply_shift, apply_stack, apply_stack_transpose,
+                     node_map, shift_operator)
 from .snapshots import Grid1D, SnapshotSet, check_blocks
 
 GRAM_COND_MAX, RANK_MARGIN = 1e4, 1e3
@@ -191,18 +191,18 @@ class ReducedObjective:
     where it is unsafe, counted in svd_fallback_solves).  A frame holds
     one set of arrays.  When every shift of the frame is a grid multiple,
     ops[l] and ops_T[l] are both its node_map, the n*m intp source nodes
-    of the rows: the forward product is the gather apply_node_map, the
-    transpose the bincount apply_node_map_transpose, and scipy is never
-    imported.  Otherwise ops_T[l] is the CSR of the transpose of
-    shift_operator(d^l), and ops[l] is its CSC view, whose forward product
-    costs what the CSR one does.  Every form adds each output entry in
-    ascending index order, so the products are those of CSR copies to
-    the bit; call .tocsr() on a sparse form where CSR arrays are
-    needed.  The operators and
-    the data depend on the shifts alone: with_counts returns the same
-    problem with other mode counts, sharing both.  Column c of
-    W = [W^1 ... W^L] belongs to frame frame_of[c], frame l owns the
-    columns frame_cols[l], and the flat variables are z = vec(W).
+    of the rows: the forward product is a gather, the transpose a
+    bincount, and scipy is never imported.  Otherwise ops_T[l] is the CSR
+    of the transpose of shift_operator(d^l), and ops[l] is its CSC view,
+    whose forward product costs what the CSR one does.  apply_stack and
+    apply_stack_transpose take either form.  Every form adds each output
+    entry in ascending index order, so the products are those of CSR
+    copies to the bit; call .tocsr() on a sparse form where CSR arrays
+    are needed.  The operators and the data depend on the shifts alone:
+    with_counts returns the same problem with other mode counts, sharing
+    both.  Column c of W = [W^1 ... W^L] belongs to frame frame_of[c],
+    frame l owns the columns frame_cols[l], and the flat variables are
+    z = vec(W).
     value_and_gradient returns the full squared residual
     J = sum_j ||X_j - K_j a_j||^2, summed from the explicit residual
     rather than as ||X||^2 + Jt, which cancels to noise once the fit is
@@ -327,13 +327,11 @@ class ReducedObjective:
         # one gather target for all node-map products, allocated below K: a
         # fresh array per product lifted the heap top to glibc's trim
         # threshold, and each evaluation refaulted 8 MB of the wave pair
-        maps = any(isinstance(T, np.ndarray) for T in self.ops)
-        Tw = np.empty(n * m) if maps else None
+        Tw = np.empty(n * m)
         K = np.empty((n, R, nb, m))  # mode-major: K[j, c, k] = T(d_j) W[block k, c]
         for c, k in np.ndindex(R, nb):
-            T, w = self.ops[self.frame_of[c]], W[k * m:(k + 1) * m, c]
-            K[:, c, k] = (apply_node_map(T, w, out=Tw) if isinstance(T, np.ndarray)
-                          else T @ w).reshape(n, m)
+            K[:, c, k] = apply_stack(self.ops[self.frame_of[c]],
+                                     W[k * m:(k + 1) * m, c], out=Tw).reshape(n, m)
         del W, Tw  # freed before the solve: alive, W left glibc's heap 0.7 MB larger
         A, resid, b, ranks, n_svd = _solve_amplitudes(
             K.reshape(n, R, m_total), self.XT, self.rank_tol)
@@ -349,10 +347,8 @@ class ReducedObjective:
             G, Z = np.empty((m_total, R), order="F"), np.empty((n, m))
             for c, k in np.ndindex(R, nb):
                 np.multiply(resid_blocks[:, k], A[:, c, None], out=Z)
-                T_T, z = self.ops_T[self.frame_of[c]], Z.ravel()
-                G[k * m:(k + 1) * m, c] = (
-                    apply_node_map_transpose(T_T, z, m)
-                    if isinstance(T_T, np.ndarray) else T_T @ z)
+                G[k * m:(k + 1) * m, c] = apply_stack_transpose(
+                    self.ops_T[self.frame_of[c]], Z.ravel(), m)
             G *= -2.0  # before masking, so that masked entries are +0.0
             for mk, cl in zip(self.masks, self.frame_cols):
                 if mk is not None:
@@ -388,12 +384,8 @@ class ReducedObjective:
         m = self.grid.m
         C = np.empty((m, self.frame_of.size))  # coverage of one block
         for T, A, cl in zip(self.ops_T, amps, self.frame_cols, strict=True):
-            a2 = np.repeat(A.T ** 2, m, axis=0)
-            if isinstance(T, np.ndarray):  # a node map: its entries square to 1
-                C[:, cl] = apply_node_map_transpose(T, a2, m)
-            else:  # squared entries for this call only: no copy is kept
-                C[:, cl] = type(T)((T.data ** 2, T.indices, T.indptr),
-                                   shape=T.shape) @ a2
+            C[:, cl] = apply_stack_transpose(T, np.repeat(A.T ** 2, m, axis=0), m,
+                                             squared=True)
         c = np.tile(C, (self.n_blocks, 1)).ravel(order="F")
         top = c.max(initial=0.0)
         if not 0.0 < top < np.inf:

@@ -146,17 +146,12 @@ def apply_shift(v, d, grid: Grid1D, spec: ShiftSpec):
 
 def apply_shift_transpose(v, d: float, grid: Grid1D, spec: ShiftSpec):
     """Apply the exact transpose of the map realized by apply_shift to a
-    vector or to the columns of a 2-d array of m rows: the scatter of
-    node_map(d) for a grid multiple, else the CSR transpose of
-    shift_operator(d)."""
+    vector or to the columns of a 2-d array of m rows."""
     v = np.asarray(v, dtype=float)
     if v.ndim not in (1, 2) or v.shape[0] != grid.m:
         raise ValueError(f"array of shape {v.shape} is not a vector or a 2-d"
                          f" array of m={grid.m} rows")
-    nodes = node_map(d, grid, spec)
-    if nodes is None:
-        return shift_operator(d, grid, spec).T @ v
-    return apply_node_map_transpose(nodes, v, grid.m)
+    return shift_operator(d, grid, spec).T @ v
 
 
 def node_map(d, grid: Grid1D, spec: ShiftSpec):
@@ -164,32 +159,44 @@ def node_map(d, grid: Grid1D, spec: ShiftSpec):
     as k*m intp indices, if every shift of d (one shift or a 1-d
     sequence of k) is a grid multiple; None otherwise.  Such a stack has
     a single 1 in each row, at the node given here: these are the
-    indices of shift_operator(d, grid, spec), whose products
-    apply_node_map and apply_node_map_transpose reproduce to the bit
-    without scipy."""
+    indices of shift_operator(d, grid, spec), whose products apply_stack
+    and apply_stack_transpose reproduce to the bit without scipy."""
     offset, weights, exact = _stencils(d, grid, spec)
     if not exact.all():
         return None
     return _node_indices(offset, 1, grid.m, spec.boundary).astype(np.intp).ravel()
 
 
-def apply_node_map(nodes, v, out=None) -> np.ndarray:
-    """T v for the stack T whose rows read the nodes of v given by
-    node_map, written to out if given.  The +0.0 maps -0.0 to +0.0, as the
-    CSR sum from zero does; the nodes lie in [0, m), so mode="clip" moves
-    none of them and spares the copy of out that mode="raise" makes."""
-    return np.take(np.add(v, 0.0), nodes, axis=0, out=out, mode="clip")
+def apply_stack(op, v, out=None) -> np.ndarray:
+    """op v for a stacked operator op, a node_map or a sparse matrix.
+
+    A node map gathers the nodes of v into out if given.  The +0.0 maps
+    -0.0 to +0.0, as the CSR sum from zero does; the nodes lie in [0, m),
+    so mode="clip" moves none of them and spares the copy of out that
+    mode="raise" makes.  A sparse product ignores out."""
+    if isinstance(op, np.ndarray):
+        return np.take(np.add(v, 0.0), op, axis=0, out=out, mode="clip")
+    return op @ v
 
 
-def apply_node_map_transpose(nodes, z, m: int) -> np.ndarray:
-    """T^T z for the stack T of node_map, z a vector or a 2-d array of
-    len(nodes) rows: the rows of z added to their nodes in row order,
-    starting from +0.0, as the CSR product of T^T adds them."""
+def apply_stack_transpose(op_T, z, m: int, squared: bool = False) -> np.ndarray:
+    """T^T z for a stacked operator T of m columns, z a vector or a 2-d
+    array with one row per row of T.  op_T is T's node_map or a sparse
+    form of T^T; squared uses T with every entry squared.
+
+    A node map adds the rows of z to their nodes in row order, starting
+    from +0.0, as the CSR product of T^T adds them; its entries, all 1,
+    square to themselves."""
+    if not isinstance(op_T, np.ndarray):
+        if squared:  # for this call only: no copy is kept
+            op_T = type(op_T)((op_T.data ** 2, op_T.indices, op_T.indptr),
+                              shape=op_T.shape)
+        return op_T @ z
     if z.ndim == 1:
-        return np.bincount(nodes, weights=z, minlength=m)
+        return np.bincount(op_T, weights=z, minlength=m)
     out = np.empty((m, z.shape[1]))
     for q, col in enumerate(z.T):
-        out[:, q] = np.bincount(nodes, weights=col, minlength=m)
+        out[:, q] = np.bincount(op_T, weights=col, minlength=m)
     return out
 
 

@@ -8,9 +8,8 @@ from spod.core import (GRAM_COND_MAX, Decomposition, FrameBasis, FrameShifts,
                        _solve_amplitudes, objective_and_gradient,
                        optimal_amplitudes, reconstruct)
 from spod.generators import three_signal_default
-from spod.shifts import (ShiftSpec, apply_node_map, apply_node_map_transpose,
-                         apply_shift_transpose, dense_shift_matrix, node_map,
-                         shift_operator)
+from spod.shifts import (ShiftSpec, apply_stack, apply_stack_transpose,
+                         dense_shift_matrix, node_map, shift_operator)
 from spod.snapshots import Grid1D, SnapshotSet, VariableBlock
 
 PER3 = ShiftSpec("periodic", 3)
@@ -525,12 +524,12 @@ class TestTransposeOperators:
         Z[rng.permutation(S.shape[0])[:5], 1] = special
         Z[:, 2] = -0.0
         for v, z in [(V[:, 0], Z[:, 1]), (V, Z), (V[:, :0], Z[:, :0])]:
-            assert apply_node_map(nodes, v).tobytes() == (S @ v).tobytes()
-            assert (apply_node_map_transpose(nodes, z, m).tobytes()
-                    == (S.T @ z).tobytes() == (S.T.tocsr() @ z).tobytes())
-        one = shift_operator(d[0], grid, shifts.spec)
-        assert (apply_shift_transpose(V, d[0], grid, shifts.spec).tobytes()
-                == (one.T @ V).tobytes() == (one.T.tocsr() @ V).tobytes())
+            assert apply_stack(nodes, v).tobytes() == (S @ v).tobytes()
+            for squared in (False, True):  # the entries, all 1, square to 1
+                assert (apply_stack_transpose(nodes, z, m, squared).tobytes()
+                        == apply_stack_transpose(S.T.tocsr(), z, m,
+                                                 squared).tobytes()
+                        == (S.T @ z).tobytes())
         assert node_map(d + 0.5 * grid.h, grid, shifts.spec) is None
         assert node_map(np.append(d, 0.5 * grid.h), grid, shifts.spec) is None
 
