@@ -29,7 +29,6 @@ from spod import (
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--tol", type=float, default=0.01)
-    ap.add_argument("--threads", type=int, default=1)
     ap.add_argument("--outdir", default="results/crossing_fronts")
     args = ap.parse_args()
 
@@ -46,7 +45,7 @@ def main() -> None:
     print(f"tracked front vs generating path: {dev:.2f} mesh widths")
 
     config = GreedyConfig(r0=[1, 1, 1, 1, 0], tol=args.tol,
-                          p_max=snaps.n_snapshots, threads=args.threads)
+                          p_max=snaps.n_snapshots)
     t0 = time.perf_counter()
     dec, report = spod_decompose(snaps, shifts, config)
     seconds = time.perf_counter() - t0

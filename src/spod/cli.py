@@ -72,8 +72,6 @@ def _build_parser() -> _Parser:
 
     s = sub.add_parser("spod", help="greedy shifted decomposition from a config")
     s.add_argument("--config", required=True)
-    s.add_argument("--threads", type=int, default=None,
-                   help="override the candidate parallelism degree")
     s.set_defaults(func=_cmd_spod)
 
     r = sub.add_parser("reconstruct", help="decomposition -> snapshot file")
@@ -211,10 +209,6 @@ def _frame_masks(cfg, snaps):
 
 def _cmd_spod(args) -> int:
     cfg = io.load_config(args.config)
-    if args.threads is not None:
-        if args.threads < 1:
-            raise _Usage(f"--threads must be at least 1, got {args.threads}")
-        cfg.greedy.threads = args.threads
     snaps = io.read_snapshots(cfg.snapshots)
     if cfg.scale_variables:
         snaps, factors = scale_variables(snaps)

@@ -106,8 +106,8 @@ class GreedyConfig:
             raise ValueError("tolerance must be positive")
         if self.p_max is not None and self.p_max < 0:
             raise ValueError("iteration cap must be nonnegative")
-        if self.threads < 1:
-            raise ValueError("thread count must be at least 1")
+        if self.threads != 1:
+            raise ValueError("threads must be 1: candidates are solved one at a time")
         if not 0.0 <= self.rank_tol < 1.0:
             raise ValueError(f"rank_tol must lie in [0, 1), got {self.rank_tol}")
 
@@ -321,20 +321,6 @@ def spod_decompose(snaps: SnapshotSet, shifts: FrameShifts, config: GreedyConfig
         )
         return dec, report
 
-    def run_round(solves, iterations):
-        """Run every solve that has not ended on to the given count."""
-        def step(sv):
-            sv.run_to(iterations, config.optimizer)
-        todo = [sv for sv in solves if not sv.ended]
-        if config.threads > 1 and len(todo) > 1:
-            # local: keeps concurrent.futures out of start-up
-            from concurrent.futures import ThreadPoolExecutor
-            with ThreadPoolExecutor(max_workers=config.threads) as pool:
-                list(pool.map(step, todo))
-        else:
-            for sv in todo:
-                step(sv)
-
     seeds = base.unpack(base.pack(  # unpack zeroes the masked rows
         [f.modes for f in initialize_frames(snaps, shifts, config.r0)]))
     incumbent = _Solve(base.with_counts(config.r0), seeds)
@@ -364,7 +350,8 @@ def spod_decompose(snaps: SnapshotSet, shifts: FrameShifts, config: GreedyConfig
         alive = list(range(shifts.n_frames))
         try:
             for rung in halving_rungs(len(alive), max_iters) + [max_iters]:
-                run_round([solves[i] for i in alive], rung)
+                for i in alive:  # a solve that has ended stays as it is
+                    solves[i].run_to(rung, config.optimizer)
                 alive.sort(key=lambda i: (solves[i].error, i))
                 for i in alive[(len(alive) + 1) // 2:]:
                     solves[i].last = None  # dropped: its fit is never read

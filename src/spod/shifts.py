@@ -101,6 +101,12 @@ def _stencils(d, grid: Grid1D, spec: ShiftSpec):
     return k - 1, w, exact
 
 
+def _check_one_shift(d):
+    """Refuse d unless it is one shift, as the (m, m) helpers take."""
+    if np.size(d) != 1:
+        raise ValueError(f"shifts of shape {np.shape(d)}: need one shift")
+
+
 def _node_indices(offset, n_weights: int, m: int, boundary: str) -> np.ndarray:
     """Source node indices in int32, wrapped or clamped, shaped offset.shape +
     (m, n_weights): leg q of row i reads node i + offset + q.  The offsets
@@ -151,6 +157,7 @@ def apply_shift_transpose(v, d: float, grid: Grid1D, spec: ShiftSpec):
     if v.ndim not in (1, 2) or v.shape[0] != grid.m:
         raise ValueError(f"array of shape {v.shape} is not a vector or a 2-d"
                          f" array of m={grid.m} rows")
+    _check_one_shift(d)
     return shift_operator(d, grid, spec).T @ v
 
 
@@ -203,6 +210,7 @@ def apply_stack_transpose(op_T, z, m: int, squared: bool = False) -> np.ndarray:
 def dense_shift_matrix(d: float, grid: Grid1D, spec: ShiftSpec) -> np.ndarray:
     """Materialize T(d) as a dense (m, m) array.  Meant for tests and
     small problems; the solvers use the sparse form below."""
+    _check_one_shift(d)
     offset, weights, _ = _stencils(d, grid, spec)
     idx = _node_indices(offset[0], weights.shape[1], grid.m, spec.boundary)
     M = np.zeros((grid.m, grid.m))

@@ -296,19 +296,17 @@ class TestGreedyLoop:
         assert sum(rep.r_final) == 6
         assert calls == [0] + [0, 1, 2] * 4
 
-    def test_threaded_run_is_deterministic(self):
+    def test_rerun_is_deterministic(self):
         cases = [(two_transport_set(m=48, n=12, seed=3), [1, 0],
                   OptimizerOptions(max_iters=500), False),
-                 # three frames: the halving rounds run in the pool
+                 # three frames: the candidates pass the halving rungs
                  (three_transport_set(), [1, 0, 0],
                   OptimizerOptions(max_iters=20), False),
                  (three_transport_set(), [1, 0, 0],
                   OptimizerOptions(max_iters=500, grad_tol=1e-3), True)]
         for (snaps, shifts), r0, opts, ends_early in cases:
-            runs = [spod_decompose(snaps, shifts, GreedyConfig(
-                r0=r0, tol=1e-4, threads=threads, p_max=2, optimizer=opts))
-                for threads in (1, 2, 3)]
-            (dec1, rep1), others = runs[0], runs[1:]
+            config = GreedyConfig(r0=r0, tol=1e-4, p_max=2, optimizer=opts)
+            dec1, rep1 = spod_decompose(snaps, shifts, config)
             assert rep1.chosen_frames
             if ends_early:
                 # both candidates left after the start-point rung end
@@ -318,14 +316,15 @@ class TestGreedyLoop:
                 rung = halving_rungs(3, opts.max_iters)[-1]
                 assert max(rep1.candidate_iterations[0]) < rung
                 assert rep1.stages[1]["termination"] == "gradient"
-            for dec, rep in others:
-                assert rep.chosen_frames == rep1.chosen_frames
-                assert rep.r_final == rep1.r_final
-                assert rep.error_history == rep1.error_history
-                assert rep.candidate_errors == rep1.candidate_errors
-                assert rep.candidate_iterations == rep1.candidate_iterations
-                for f, f1 in zip(dec.frames, dec1.frames):
-                    assert np.array_equal(f.modes, f1.modes)
+            dec, rep = spod_decompose(snaps, shifts, config)
+            assert rep.chosen_frames == rep1.chosen_frames
+            assert rep.r_final == rep1.r_final
+            assert rep.error_history == rep1.error_history
+            assert rep.candidate_errors == rep1.candidate_errors
+            assert rep.candidate_iterations == rep1.candidate_iterations
+            assert rep.candidate_evaluations == rep1.candidate_evaluations
+            for f, f1 in zip(dec.frames, dec1.frames):
+                assert np.array_equal(f.modes, f1.modes)
 
     def test_amplitudes_reproduce_final_error(self):
         from spod.core import reconstruct
@@ -997,9 +996,11 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="rank_tol"):
             GreedyConfig(r0=[1], rank_tol=rank_tol)
 
-    def test_thread_count_validated(self):
-        with pytest.raises(ValueError):
-            GreedyConfig(r0=[1], threads=0)
+    @pytest.mark.parametrize("threads", [0, 2, 2.0, -3])
+    def test_threads_must_be_one(self, threads):
+        with pytest.raises(ValueError, match="threads must be 1: candidates"
+                                             " are solved one at a time"):
+            GreedyConfig(r0=[1], threads=threads)
 
     @pytest.mark.parametrize("kwargs,match", [
         ({"r0": [1.7, 0.9]}, r"r0 entry must be an integer, got 1\.7"),

@@ -518,7 +518,7 @@ scale_variables = yes
 r0 = 2,1
 tol = 0.003
 p_max = 7
-threads = 4
+threads = 1
 boundary = constant
 degree = 1
 
@@ -544,7 +544,7 @@ directory = out
         assert cfg.greedy.r0 == [2, 1]
         assert cfg.greedy.tol == 0.003
         assert cfg.greedy.p_max == 7
-        assert cfg.greedy.threads == 4
+        assert cfg.greedy.threads == 1
         assert cfg.scale_variables is True
         assert cfg.boundary == "constant"
         assert cfg.degree == 1
@@ -610,7 +610,10 @@ track = var0
         (_valid_with("spod", "tol = -1"), "tolerance must be positive"),
         ("[input]\nsnapshots = x\n[spod]\nr0 = 0\n[frame.0]\ntrack = v\n",
          "at least one mode"),
-        (_valid_with("spod", "threads = 0"), "thread count must be at least 1"),
+        (_valid_with("spod", "threads = 0"),
+         r"\[spod\]: threads must be 1: candidates are solved one at a time"),
+        (_valid_with("spod", "threads = 2"),
+         r"\[spod\]: threads must be 1: candidates are solved one at a time"),
         (_valid_with("spod", "degree = 2"), "interpolation degree 2"),
         (_valid_with("spod", "boundary = foo"), "unknown operator boundary"),
         (_valid_with("frame.1", "smooth = x"),
@@ -664,19 +667,21 @@ track = var0
             load_config(tmp_path / "nope.cfg")
 
     def test_manifest_round_trip(self, tmp_path):
-        # every key away from its default, so that none can be dropped
+        # every key away from its default, so that none can be dropped,
+        # but threads, whose one accepted value is its default
         optimizer = OptimizerOptions(grad_tol=1e-9, max_iters=77)
         cfg = RunConfig(
             snapshots=str(tmp_path / "snaps.bin"),
             frames=[FrameConfig(shifts_path=str(tmp_path / "d.csv")),
                     FrameConfig(track_block="density", statistic="peak",
                                 windows="0:2@0:8", smooth=2, mask=("u",))],
-            greedy=GreedyConfig(r0=[2, 1], tol=0.005, p_max=9, threads=2,
+            greedy=GreedyConfig(r0=[2, 1], tol=0.005, p_max=9, threads=1,
                                 rank_tol=1e-7, optimizer=optimizer),
             boundary="constant", degree=1, scale_variables=True,
             output_dir=str(tmp_path / "out"))
         manifest = tmp_path / "manifest.cfg"
         write_manifest(cfg, manifest)
+        assert "threads = 1\n" in manifest.read_text()
         back = load_config(manifest)
         assert back == cfg
         assert back.snapshots == cfg.snapshots

@@ -1,5 +1,7 @@
 """Shift operators: stencils, worked examples, adjoints, exactness."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -266,6 +268,13 @@ class TestOperators:
                 apply_shift_transpose(v, d, g, PER3)
         with pytest.raises(ValueError):
             shift_operator(np.zeros((2, 3)), g, PER3)
+        # the (m, m) helpers take one shift, not T of the first of several
+        for d in ([0.1, 0.3], np.zeros(0)):
+            match = re.escape(f"shifts of shape {np.shape(d)}: need one shift")
+            with pytest.raises(ValueError, match=match):
+                dense_shift_matrix(d, g, PER3)
+            with pytest.raises(ValueError, match=match):
+                apply_shift_transpose(np.ones(g.m), d, g, PER3)
 
     def test_zero_columns_keep_their_shape(self):
         g = grid(m=9)
