@@ -7,12 +7,23 @@ error drops to the tolerance or the iteration cap is hit.  The initial
 modes are the leading left singular vectors of each frame's back-shifted
 snapshots; a candidate starts from the incumbent plus one new mode, the
 leading left singular vector of the frame's back-shifted residual.  Both
-come from _seed_modes by the method of snapshots (Sirovich, Q. Appl.
-Math. 45, 1987): one eigensolve of the snapshot Gram matrix B^T B of
-the back-shifted matrix B, then the thin SVD of B V, V its top
-eigenvectors, with B scaled so that B^T B neither overflows nor falls
-into slow subnormal arithmetic (the wave pulse tails reach 1e-323; see
-_seed_modes).  The sign of a mode is arbitrary.
+come from _seed_modes, with the back-shifted matrix B scaled so that no
+product of its entries overflows or falls into slow subnormal arithmetic
+(the wave pulse tails reach 1e-323; see _seed_modes).  A one-mode seed,
+which every candidate and every r0 entry of 1 asks for, is first sought
+by power iteration (Halko, Martinsson & Tropp, SIAM Review 53, 2011):
+a few products with B and B^T from v = ones/sqrt(n), kept only once a
+residual bound with a Frobenius-norm gap certifies its angle to the
+leading singular vector below 1e-12 (_leading_vector).  Otherwise, and
+for r > 1, the seed comes by the method of snapshots (Sirovich, Q. Appl.
+Math. 45, 1987): one eigensolve of the snapshot Gram matrix B^T B, then
+the thin SVD of B V, V its top eigenvectors.  On the wave-pair benchmark
+(seeds 0-10) both initial seeds are certified after one step.  Every
+crossing-fronts seed falls back (seeds 0-40 and the acceptance
+configuration), and so do the three-signal seeds: the initial ones have
+sigma_2/sigma_1 of 0.34-0.79, too slow a decay for four steps, and the
+candidates' residuals have |B|_F^2 - sigma_1^2 of 1.1-2.9 sigma_1^2, so
+the certificate has no positive gap.  The sign of a mode is arbitrary.
 
 Every solve (the initial one and each candidate) runs L-BFGS on z with
 the diagonal metric M of ReducedObjective.variable_metric (spod.lbfgs),
@@ -47,9 +58,10 @@ the iterations between refreshes over the whole solve, not per call, and
 is continued exactly as one uninterrupted solve would go on, so whenever
 the candidate that wins at B survives the rungs, every output is the one
 of solving all candidates to B.  Halving
-can in principle drop a candidate that would overtake the survivor after
-its rung; on the crossing-fronts benchmark seeds 0-10 and the acceptance
-configuration (max_iters = 500) it does not, as the README records.
+can drop a candidate that would overtake the survivor after its rung
+(24 of the 76 sub-problems of scripts/candidate_rule_study.py); on the
+crossing-fronts benchmark seeds 0-10 and the acceptance configuration
+(max_iters = 500) it does not, as the README records.
 
 A run builds one ReducedObjective, which holds the frame masks and whose
 unpack, the path of every seed and iterate, zeroes the masked rows; its
@@ -81,6 +93,10 @@ from .snapshots import SnapshotSet
 # range (the rule then holds to within that rounding) instead of raising
 # under np.errstate(under="raise")
 _SQRT_TINY = float(np.finfo(float).tiny) ** 0.5
+# a one-mode seed by power iteration: at most _POWER_STEPS steps, kept once
+# its certified angle to the leading singular vector is below _ANGLE_TOL
+_POWER_STEPS = 4
+_ANGLE_TOL = 1e-12
 SCALE_REFRESH = 10  # iterations of a solve between refreshes of its metric
 
 
@@ -145,9 +161,12 @@ def back_shifted_matrix(data: np.ndarray, shifts: FrameShifts, frame: int,
 def _seed_modes(data: np.ndarray, snaps: SnapshotSet, shifts: FrameShifts,
                 frame: int, r: int) -> np.ndarray:
     """The leading r left singular vectors of the frame's
-    back_shifted_matrix B of data: the left singular vectors of the thin
-    product B V, V the top r eigenvectors of B^T B, for every shape of B.
-    They are orthonormal even when r exceeds rank(B).
+    back_shifted_matrix B of data.  At r = 1 that is _leading_vector's
+    certified power iteration when it succeeds.  Otherwise, and for
+    r > 1, they are the left singular vectors of the thin product B V,
+    V the top r eigenvectors of B^T B, for every shape of B; a refused
+    power attempt leaves B as it was, so this result does not depend on
+    it.  They are orthonormal even when r exceeds rank(B).
 
     B is divided by its largest magnitude, after its entries below
     _SQRT_TINY times that magnitude are set to zero: every kept entry of
@@ -155,15 +174,52 @@ def _seed_modes(data: np.ndarray, snaps: SnapshotSet, shifts: FrameShifts,
     matrix underflows into subnormal arithmetic.  The Gram norm is at
     least 1, and each of its entries moves by at most k sqrt(tiny) (k
     the length of the inner products; 3e-151 at k = 2048), far below the
-    backward error of eigh, eps times that norm.  data is not changed."""
+    backward error of eigh, eps times that norm.  The power path works on
+    the same cut and scaled B.  data is not changed."""
     B = back_shifted_matrix(data, shifts, frame, snaps.grid, len(snaps.blocks))
     peak = max(B.max(), -B.min())  # no full-size |B|
     if peak > 0:
         cut = _SQRT_TINY * float(peak)
         B[(B < cut) & (B > -cut)] = 0.0
         B /= peak
+    if r == 1:
+        u = _leading_vector(B)
+        if u is not None:
+            return u[:, None]
     V = np.linalg.eigh(B.T @ B)[1][:, :-r - 1:-1]
     return np.linalg.svd(B @ V, full_matrices=False)[0]
+
+
+def _leading_vector(B: np.ndarray) -> Optional[np.ndarray]:
+    """The leading left singular vector of B by power iteration from
+    v = ones/sqrt(n), or None when _POWER_STEPS steps do not certify it.
+
+    A step takes u = B v / sigma, sigma = |B v|, and z = B^T u; then
+    B^T B v - sigma^2 v = sigma (z - sigma v).  Since sigma <= sigma_1,
+    every singular value but the first is at most
+    s = sqrt(|B|_F^2 - sigma^2), so the other eigenvalues of B^T B lie at
+    least (sigma - s)(sigma + s) from sigma^2, and the angle of v to the
+    leading right singular vector has a sine of at most res/gap,
+    res = |z - sigma v| and gap = sigma - s (a residual bound in the
+    manner of Wedin, BIT 12, 1972); the angle of u = B v / sigma to the
+    leading left one is no larger.  u is returned once gap > 0 and
+    res <= _ANGLE_TOL gap."""
+    n = B.shape[1]
+    v = np.full(n, n ** -0.5)
+    fro2 = np.linalg.norm(B) ** 2
+    for _ in range(_POWER_STEPS):
+        w = B @ v
+        sigma = np.linalg.norm(w)
+        if not sigma > 0:  # B v = 0, or not finite
+            return None
+        u = w / sigma
+        z = B.T @ u
+        res = np.linalg.norm(z - sigma * v)
+        gap = sigma - np.sqrt(max(fro2 - sigma * sigma, 0.0))
+        if gap > 0 and res <= _ANGLE_TOL * gap:
+            return u
+        v = z / np.linalg.norm(z)
+    return None
 
 
 def initialize_frames(snaps: SnapshotSet, shifts: FrameShifts, r0) -> list:

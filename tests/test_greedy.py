@@ -1,5 +1,6 @@
 """Greedy mode addition: initialization, candidate selection, reports."""
 
+import itertools
 from dataclasses import replace
 
 import numpy as np
@@ -137,6 +138,33 @@ def seed_case(m, n, rank=None, seed=0):
     return SnapshotSet(X, grid, np.arange(n, dtype=float)), FrameShifts(d, PER3)
 
 
+def eigensolve_seed(data, snaps, shifts, frame, r):
+    """The seed by the eigensolve path of _seed_modes, restated: the cut
+    and scale of the back-shifted matrix B, the top r eigenvectors V of
+    B^T B, and the left singular vectors of B V."""
+    B = back_shifted_matrix(data, shifts, frame, snaps.grid, len(snaps.blocks))
+    peak = np.abs(B).max()
+    if peak > 0:
+        cut = float(np.finfo(float).tiny) ** 0.5 * float(peak)
+        B[np.abs(B) < cut] = 0.0
+        B /= peak
+    V = np.linalg.eigh(B.T @ B)[1][:, :-r - 1:-1]
+    return np.linalg.svd(B @ V, full_matrices=False)[0]
+
+
+@pytest.fixture
+def eigh_calls(monkeypatch):
+    """A list that grows by one at every np.linalg.eigh call."""
+    calls, eigh = [], np.linalg.eigh
+
+    def counted(a, *args, **kwargs):
+        calls.append(a.shape)
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    return calls
+
+
 class TestSeedModes:
     # the seed rule against the SVD of the back-shifted matrix: a tall
     # (m_total >= n) and a wide case
@@ -193,17 +221,84 @@ class TestSeedModes:
         cut = np.sqrt(np.finfo(float).tiny) * peak
         assert np.any((data != 0.0) & (np.abs(data) < 1e-300 * factor))
         flushed = np.where(np.abs(data) < cut, 0.0, data)
-        for frame in range(shifts.n_frames):
+        # r = 1 takes the power iteration, r = 2 the eigensolve
+        for frame, r in itertools.product(range(shifts.n_frames), (1, 2)):
             with np.errstate(under="raise"):
-                W = _seed_modes(data, snaps, shifts, frame, 2)
+                W = _seed_modes(data, snaps, shifts, frame, r)
             # the rule equals zeroing the small entries beforehand ...
             np.testing.assert_array_equal(
-                W, _seed_modes(flushed, snaps, shifts, frame, 2))
+                W, _seed_modes(flushed, snaps, shifts, frame, r))
             # ... and keeps the leading singular vector of the raw data
             B = back_shifted_matrix(data, shifts, frame, snaps.grid, 2)
             u = np.linalg.svd(B, full_matrices=False)[0][:, :1]
             np.testing.assert_allclose(W[:, :1] @ W[:, :1].T, u @ u.T,
                                        rtol=0, atol=1e-12)
+
+    def test_wave_seed_by_power_iteration(self, eigh_calls):
+        # the wave pair's sigma_2/sigma_1 is about 0.16: a few power steps
+        # certify the leading vector, and no Gram matrix is solved
+        from spod.generators import WaveParams, wave_shifts, wave_snapshots
+        params = WaveParams(m=512, n=128)
+        snaps, shifts = wave_snapshots(params), wave_shifts(params)
+        for frame in range(shifts.n_frames):
+            W = _seed_modes(snaps.data, snaps, shifts, frame, 1)
+            B = back_shifted_matrix(snaps.data, shifts, frame, snaps.grid, 2)
+            u = np.linalg.svd(B, full_matrices=False)[0][:, 0]
+            assert W.shape == (snaps.n_rows, 1)
+            assert abs(np.linalg.norm(W) - 1.0) < 1e-14
+            assert abs(W[:, 0] @ u) >= 1.0 - 1e-12
+        assert eigh_calls == []
+
+    @pytest.mark.parametrize("case", ["start orthogonal", "equal top pair",
+                                      "zero"])
+    def test_refused_certificate_falls_back_to_the_eigensolve(self, case,
+                                                              eigh_calls):
+        rng = np.random.default_rng(3)
+        m, n = 48, 16
+        if case == "start orthogonal":
+            # columns (-1)^j p + q, q nearly orthogonal to p and half its
+            # norm: sigma_2/sigma_1 = 1/2, and the leading right singular
+            # vector, near (-1)^j/sqrt(n), is within 1.4e-4 of orthogonal
+            # to the start ones/sqrt(n), so four steps stay near the second
+            p, q = rng.standard_normal((2, m))
+            q -= (q @ p) / (p @ p) * p
+            q *= 0.5 * np.linalg.norm(p) / np.linalg.norm(q)
+            q += 1e-4 * p
+            X = np.outer(p, (-1.0) ** np.arange(n)) + q[:, None]
+        elif case == "equal top pair":
+            # sigma_1 = sigma_2: there is no gap to certify
+            U = np.linalg.qr(rng.standard_normal((m, 3)))[0]
+            V = np.linalg.qr(rng.standard_normal((n, 3)))[0]
+            X = U @ np.diag([1.0, 1.0, 0.5]) @ V.T
+        else:
+            X = np.zeros((m, n))
+        # one frame with zero shifts: the back-shifted matrix is X itself
+        snaps = SnapshotSet(X, Grid1D(m, 1.0 / m, "periodic"),
+                            np.arange(n, dtype=float))
+        shifts = FrameShifts(np.zeros((1, n)), PER3)
+        W = _seed_modes(snaps.data, snaps, shifts, 0, 1)
+        assert len(eigh_calls) == 1
+        np.testing.assert_array_equal(
+            W, eigensolve_seed(snaps.data, snaps, shifts, 0, 1))
+
+    def test_crossing_fronts_candidates_fall_back(self, eigh_calls):
+        # the candidates' residuals have no certified leading vector
+        # within the steps, so their seeds stay those of the eigensolve
+        from spod.generators import CrossingFrontsParams, crossing_fronts
+        snaps, shifts = crossing_fronts(CrossingFrontsParams(m=200, n=60))
+        r0 = [1, 1, 1, 1, 0]
+        config = GreedyConfig(r0=r0, tol=0.01, p_max=0,
+                              optimizer=OptimizerOptions(max_iters=30))
+        modes = [f.modes for f in spod_decompose(snaps, shifts,
+                                                 config)[0].frames]
+        resid = ReducedObjective(snaps, shifts, r0).evaluate(
+            modes, need_gradient=False)[3]
+        del eigh_calls[:]
+        for i in range(shifts.n_frames):
+            np.testing.assert_array_equal(
+                _seed_modes(resid, snaps, shifts, i, 1),
+                eigensolve_seed(resid, snaps, shifts, i, 1))
+        assert len(eigh_calls) == 2 * shifts.n_frames
 
 
 class TestInitialize:
