@@ -206,12 +206,12 @@ class ReducedObjective:
     value_and_gradient returns the full squared residual
     J = sum_j ||X_j - K_j a_j||^2, summed from the explicit residual
     rather than as ||X||^2 + Jt, which cancels to noise once the fit is
-    close; J is the quantity the optimizer traces and the reduced part Jt
+    close; J is the quantity the optimizer minimizes and the reduced part Jt
     is available from evaluate().
 
-    rank_events collects (eval_index, snapshot, rank) whenever some K_j
-    was numerically rank-deficient, since the objective is not smooth
-    across such rank changes.
+    n_evals counts the evaluations and rank_deficient_solves the snapshot
+    solves whose K_j was numerically rank-deficient (the objective is not
+    smooth across such rank changes); with_counts starts both at zero.
     """
 
     def __init__(self, snaps: SnapshotSet, shifts: FrameShifts, mode_counts,
@@ -266,7 +266,7 @@ class ReducedObjective:
         cols = np.cumsum([0] + self.mode_counts)
         self.frame_cols = [slice(a, b) for a, b in zip(cols, cols[1:])]
         self.n_evals = 0
-        self.rank_events = []
+        self.rank_deficient_solves = 0
         self.svd_fallback_solves = 0
 
     def _check_masks(self, masks):
@@ -337,8 +337,7 @@ class ReducedObjective:
             K.reshape(n, R, m_total), self.XT, self.rank_tol)
         del K  # freed before the gradient allocates its products
         self.svd_fallback_solves += n_svd
-        for j in np.flatnonzero(ranks < min(m_total, R)):
-            self.rank_events.append((self.n_evals, int(j), int(ranks[j])))
+        self.rank_deficient_solves += int(np.count_nonzero(ranks < min(m_total, R)))
 
         grads = None
         if need_gradient:

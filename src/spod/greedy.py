@@ -343,7 +343,7 @@ class _Solve:
             "grad_norm": float(np.linalg.norm(st.g)),
             "termination": st.termination,
             "converged": st.termination == "gradient",
-            "rank_deficient_evals": len(prob.rank_events),
+            "rank_deficient_evals": prob.rank_deficient_solves,
             "svd_fallback_solves": prob.svd_fallback_solves,
             "seconds": self.seconds,
         }

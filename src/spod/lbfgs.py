@@ -1,15 +1,17 @@
 """Limited-memory BFGS with a strong-Wolfe line search and a diagonal metric.
 
-Implemented here rather than wrapped from a library because the callers
-want a full per-iteration trace (objective, gradient norm, accepted step
-size, search slope) plus a stopping rule relative to the initial gradient
-norm; external L-BFGS wrappers hide those internals behind their own
-tolerances.  The Wolfe constants, the memory, the step cap and the search
-budget are the module constants below; a caller sets only the stopping
-rule (OptimizerOptions).  A solve stopped at its iteration cap can be
-continued from the SolverState its trace holds, and goes on exactly as
-one uninterrupted solve would; start_state builds the state of a solve
-from a start point the caller has already evaluated.
+Implemented here rather than wrapped from a library because a solve
+must stop and resume exactly, run in a diagonal metric the caller may
+change between calls, and stop at a gradient norm relative to that at
+the start point; external L-BFGS wrappers hide those internals behind
+their own tolerances.  The Wolfe constants, the memory, the step cap and
+the search budget are the module constants below; a caller sets only the
+stopping rule (OptimizerOptions).  A solve stopped at its iteration cap
+can be continued from the SolverState its trace holds, and goes on
+exactly as one uninterrupted solve would; start_state builds the state
+of a solve from a start point the caller has already evaluated.  A call
+reports counts (OptimizerTrace), not histories: a caller that wants the
+iterates steps the solve one iteration per call.
 
 The state holds a positive diagonal metric M (all ones for a fresh
 start): the two-loop recursion starts from gamma M, gamma = s.y / y.M y,
@@ -90,30 +92,19 @@ class SolverState:
 
 @dataclass
 class OptimizerTrace:
-    """Per-iteration history of one minimize() run.
+    """What one minimize() call did: the iterations it took, the calls of
+    fg it made, and state, where it ended.  A trace covers one call: a
+    continued solve counts only that call's work.  minimize sets state on
+    every return, also for an empty variable vector, and termination is
+    read from it."""
 
-    values[k] is the objective at the k-th accepted iterate (values[0] at
-    x0) and grad_norms[k] the M-norm of its gradient; step_sizes[k] and
-    slopes[k] are the accepted step and the search slope g.p of iteration
-    k, so the sufficient-decrease inequality
-    values[k+1] <= values[k] + c1*step_sizes[k]*slopes[k] is assertable
-    directly from the trace.  A trace covers one call: a continued solve's
-    values[0] is the value it resumed from, and its n_evals and iterations
-    count only that call's work.  state is where the call ended; minimize
-    sets it on every return, also for an empty variable vector.
-    """
-
-    values: list = field(default_factory=list)
-    grad_norms: list = field(default_factory=list)
-    step_sizes: list = field(default_factory=list)
-    slopes: list = field(default_factory=list)
-    termination: str = ""
+    iterations: int = 0
     n_evals: int = 0
     state: SolverState | None = field(default=None, repr=False)
 
     @property
-    def iterations(self) -> int:
-        return len(self.step_sizes)
+    def termination(self) -> str:
+        return self.state.termination
 
 
 def _cubic_step(lo, f_lo, g_lo, hi, f_hi, g_hi):
@@ -142,7 +133,7 @@ def _wolfe_search(ev, x, f0, g0, p, alpha0):
     (Nocedal & Wright, Alg. 3.5-3.6): hi is None while the step doubles
     from alpha0, and each later trial is a cubic step inside the bracket.
 
-    Returns (alpha, x_new, f_new, g_new, ok).  ok is False only when no
+    Returns (x_new, f_new, g_new, ok).  ok is False only when no
     step satisfying the sufficient-decrease condition was found; a step
     meeting sufficient decrease but not the curvature condition within the
     evaluation budget is still returned with ok=True (the caller guards
@@ -164,7 +155,7 @@ def _wolfe_search(ev, x, f0, g0, p, alpha0):
             hi, f_hi, gs_hi = alpha, f, gs
             continue
         if abs(gs) <= -CURVATURE * slope0:
-            return alpha, x + alpha * p, f, g, True
+            return x + alpha * p, f, g, True
         if (gs * (hi - lo) if bracketed else gs) >= 0.0:
             hi, f_hi, gs_hi = lo, f_lo, gs_lo  # the minimizer lies behind alpha
         lo, f_lo, gs_lo, g_lo = alpha, f, gs, g
@@ -178,8 +169,8 @@ def _wolfe_search(ev, x, f0, g0, p, alpha0):
     # line once a bracket exists
     bound = f0 if hi is None else f0 + SUFFICIENT_DECREASE * lo * slope0
     if lo > 0.0 and f_lo < bound:
-        return lo, x + lo * p, f_lo, g_lo, True
-    return 0.0, x, f0, g0, False
+        return x + lo * p, f_lo, g_lo, True
+    return x, f0, g0, False
 
 
 def _norm(v, metric):
@@ -225,9 +216,10 @@ def minimize(fg, x0, opts: OptimizerOptions | None = None):
     line search failure the best iterate found so far is returned with
     trace.termination "line search failure"; trace.termination is
     "gradient" once the gradient test stops the solve and "iteration cap"
-    when max_iters does.  trace.n_evals counts the calls of fg.  A
-    non-finite value or gradient at the starting point raises; non-finite
-    trial points during the search are retreated from automatically.
+    when max_iters does.  trace.iterations counts the accepted steps and
+    trace.n_evals the calls of fg.  A non-finite value or gradient at the
+    starting point raises; non-finite trial points during the search are
+    retreated from automatically.
 
     x0 is a start point, or the trace.state of an earlier call: that solve
     then runs up to opts.max_iters more iterations with the iterates,
@@ -251,17 +243,15 @@ def minimize(fg, x0, opts: OptimizerOptions | None = None):
         x = np.asarray(x0, dtype=float).copy()
         x0 = start_state(x, *ev(x), opts.grad_tol)
     x, f, g, metric = x0.x, x0.f, x0.g, x0.metric
-    trace.values.append(f)
-    trace.grad_norms.append(_norm(g, metric))
     if x0.termination != "iteration cap":
-        trace.termination, trace.state = x0.termination, x0
+        trace.state = x0
         return x.copy(), trace
     pairs = deque(x0.pairs, maxlen=MEMORY)  # the oldest pair drops out
     gamma, target = x0.gamma, x0.target
+    gnorm = _norm(g, metric)
 
     status = "iteration cap"
     for _ in range(opts.max_iters):
-        gnorm = trace.grad_norms[-1]
         if gnorm <= target:
             status = "gradient"
             break
@@ -272,7 +262,7 @@ def minimize(fg, x0, opts: OptimizerOptions | None = None):
         slope = float(g @ p)
         cap = -2.0 * f / slope if f > 0.0 else 1.0  # slope -|g|_M^2 at p = -M g
         alpha0 = 1.0 if pairs else min(1.0, 1.0 / max(gnorm, 1e-30), cap)
-        alpha, x_new, f_new, g_new, ok = _wolfe_search(ev, x, f, g, p, alpha0)
+        x_new, f_new, g_new, ok = _wolfe_search(ev, x, f, g, p, alpha0)
         if not ok:
             status = "line search failure"
             break
@@ -284,12 +274,9 @@ def minimize(fg, x0, opts: OptimizerOptions | None = None):
             pairs.append((s, y, 1.0 / sy))
             gamma = sy / float(y @ (metric * y))
         x, f, g = x_new, f_new, g_new
-        trace.values.append(f)
-        trace.grad_norms.append(_norm(g, metric))
-        trace.step_sizes.append(alpha)
-        trace.slopes.append(slope)
-    if status == "iteration cap" and trace.grad_norms[-1] <= target:
+        gnorm = _norm(g, metric)
+        trace.iterations += 1
+    if status == "iteration cap" and gnorm <= target:
         status = "gradient"
-    trace.termination = status
     trace.state = SolverState(x, f, g, tuple(pairs), metric, gamma, target, status)
     return x.copy(), trace

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from spod.core import (GRAM_COND_MAX, Decomposition, FrameBasis, FrameShifts,
+from spod.core import (GRAM_COND_MAX, RANK_TOL, Decomposition, FrameBasis,
+                       FrameShifts,
                        ReducedObjective, _least_squares,
                        _solve_amplitudes, objective_and_gradient,
                        optimal_amplitudes, reconstruct)
@@ -40,6 +41,14 @@ def brute_force_frame_matrix(snaps, shifts, modes_list, j):
     if not cols:
         return np.zeros((snaps.n_rows, 0))
     return np.column_stack(cols)
+
+
+def frame_ranks(snaps, shifts, modes_list):
+    """The numerical rank of each brute-force K_j, as the amplitude solve
+    finds it."""
+    K = np.stack([brute_force_frame_matrix(snaps, shifts, modes_list, j).T
+                  for j in range(snaps.n_snapshots)])
+    return _solve_amplitudes(K, snaps.data.T, RANK_TOL)[3].tolist()
 
 
 class TestAmplitudes:
@@ -201,16 +210,18 @@ class TestGramSolve:
         snaps, shifts, rng = random_problem(m=10, n=4, n_s=2, seed=23)
         d = shifts.d.copy()
         d[1, 2] = d[0, 2]  # K_2 alone has two equal columns
-        prob = ReducedObjective(snaps, FrameShifts(d, shifts.spec), [1, 1])
+        shifts = FrameShifts(d, shifts.spec)
+        prob = ReducedObjective(snaps, shifts, [1, 1])
         w = rng.standard_normal((snaps.n_rows, 1))
+        assert frame_ranks(snaps, shifts, [w, w]) == [2, 2, 1, 2]
         prob.evaluate([w, w], need_gradient=False)
         prob.evaluate([w, w])
-        assert prob.svd_fallback_solves == 2
-        assert prob.rank_events == [(1, 2, 1), (2, 2, 1)]
+        assert prob.svd_fallback_solves == prob.rank_deficient_solves == 2
         fresh = prob.with_counts([1, 1])
-        assert fresh.svd_fallback_solves == 0 and prob.svd_fallback_solves == 2
+        assert fresh.svd_fallback_solves == fresh.rank_deficient_solves == 0
+        assert prob.svd_fallback_solves == prob.rank_deficient_solves == 2
         fresh.evaluate([w, rng.standard_normal((snaps.n_rows, 1))])
-        assert fresh.svd_fallback_solves == 0
+        assert fresh.svd_fallback_solves == fresh.rank_deficient_solves == 0
 
 
 class TestObjective:
@@ -275,13 +286,14 @@ class TestObjective:
         assert grads[0].shape == frames[0].modes.shape
         assert amps[0].shape == (1, snaps.n_snapshots)
 
-    def test_rank_events_recorded_for_deficient_bases(self):
+    def test_rank_deficient_solves_counted_for_deficient_bases(self):
         snaps, shifts, rng = random_problem(m=10, n=4, n_s=1, seed=11)
         w = rng.standard_normal((snaps.n_rows, 1))
         modes = [np.hstack([w, w])]  # duplicate mode: K_j rank 1 of 2
+        assert frame_ranks(snaps, shifts, modes) == [1] * snaps.n_snapshots
         prob = ReducedObjective(snaps, shifts, [2])
         prob.evaluate(modes, need_gradient=False)
-        assert len(prob.rank_events) == snaps.n_snapshots
+        assert prob.rank_deficient_solves == snaps.n_snapshots
 
     def test_batched_projection_matches_per_snapshot_pinv(self):
         # frames share their mode, and their shifts agree at snapshot 3
@@ -295,7 +307,8 @@ class TestObjective:
         frames = [FrameBasis(w), FrameBasis(w.copy())]
         prob = ReducedObjective(snaps, shifts, [1, 1])
         Jt, _, amps, resid = prob.evaluate([f.modes for f in frames])
-        assert prob.rank_events == [(1, 3, 1)]
+        assert frame_ranks(snaps, shifts, [w, w]) == [2, 2, 2, 1, 2, 2]
+        assert prob.rank_deficient_solves == 1
 
         ref_a = np.empty((2, snaps.n_snapshots))
         ref_r = np.empty_like(snaps.data)
@@ -390,13 +403,13 @@ class TestObjective:
         base = ReducedObjective(snaps, shifts, [2, 1], masks=[mask, None])
         w = rng.standard_normal((snaps.n_rows, 1))
         base.evaluate([np.hstack([w, w]), w], need_gradient=False)
-        assert base.n_evals == 1 and base.rank_events
+        assert base.n_evals == 1 and base.rank_deficient_solves > 0
 
         prob = base.with_counts([1, 2])
         assert prob.ops is base.ops and prob.ops_T is base.ops_T
         assert prob.XT is base.XT
         assert prob.masks is base.masks
-        assert prob.n_evals == 0 and prob.rank_events == []
+        assert prob.n_evals == 0 and prob.rank_deficient_solves == 0
         assert prob.mode_counts == [1, 2] and base.mode_counts == [2, 1]
         z = rng.standard_normal(3 * snaps.n_rows)
         fresh = ReducedObjective(snaps, shifts, [1, 2], masks=[mask, None])

@@ -1,10 +1,13 @@
 """Quasi-Newton minimizer: convergence, trace contract, failure modes."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from spod import lbfgs
-from spod.lbfgs import OptimizerAbort, OptimizerOptions, SolverState, minimize
+from spod.lbfgs import (OptimizerAbort, OptimizerOptions, OptimizerTrace,
+                        SolverState, minimize)
 
 
 def quadratic(A, b):
@@ -20,6 +23,50 @@ def rosenbrock(x):
     g[:-1] = -400.0 * x[:-1] * (x[1:] - x[:-1] ** 2) - 2.0 * (1 - x[:-1])
     g[1:] += 200.0 * (x[1:] - x[:-1] ** 2)
     return f, g
+
+
+def cusp(x):
+    """sqrt|x| in 1-d: every trial step from 0 rises above f(0) = 0."""
+    a = abs(x[0])
+    g = 0.5 * np.sign(x[0]) / np.sqrt(a) if a else 1.0
+    return float(np.sqrt(a)), np.array([g])
+
+
+def iterates(fg, x0, opts):
+    """The states of the solve minimize(fg, x0, opts) at its start point and
+    after each iteration, stepped one minimize call per iteration (a resumed
+    solve goes on as the uninterrupted one, TestResume)."""
+    trace = minimize(fg, x0, dataclasses.replace(opts, max_iters=0))[1]
+    states = [trace.state]
+    while len(states) <= opts.max_iters and trace.termination == "iteration cap":
+        trace = minimize(fg, trace.state, OptimizerOptions(max_iters=1))[1]
+        if trace.iterations:
+            states.append(trace.state)
+    return states
+
+
+def slopes(states):
+    """g_k.(x_{k+1} - x_k) of each iteration: its accepted step times the
+    slope g_k.p_k of its search."""
+    return [float(a.g @ (b.x - a.x)) for a, b in zip(states, states[1:])]
+
+
+def same(a, b):
+    """a and b hold the same bits: type, shape and every byte."""
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def assert_same_state(a, b):
+    """Every SolverState field of a and b agrees bit for bit."""
+    for fd in dataclasses.fields(SolverState):
+        u, v = getattr(a, fd.name), getattr(b, fd.name)
+        if fd.name == "pairs":
+            assert len(u) == len(v)
+            assert all(same(p, q) for pu, pv in zip(u, v)
+                       for p, q in zip(pu, pv)), fd.name
+        else:
+            assert same(u, v), fd.name
 
 
 class TestConvergence:
@@ -52,28 +99,29 @@ class TestConvergence:
 
 
 class TestTraceContract:
-    def test_sufficient_decrease_assertable(self):
-        # every accepted step satisfies the Armijo inequality, which the
-        # trace must expose: f_{k+1} <= f_k + c1 * alpha_k * slope_k
-        x, trace = minimize(rosenbrock, np.array([-1.2, 1.0]),
-                            OptimizerOptions(max_iters=300))
+    def test_sufficient_decrease_holds_at_every_iterate(self):
+        # every accepted step satisfies the Armijo inequality
+        # f_{k+1} <= f_k + c1 g_k.(x_{k+1} - x_k)
+        opts = OptimizerOptions(max_iters=300)
+        x, trace = minimize(rosenbrock, np.array([-1.2, 1.0]), opts)
+        states = iterates(rosenbrock, np.array([-1.2, 1.0]), opts)
+        assert len(states) == trace.iterations + 1
+        assert_same_state(states[-1], trace.state)
         c1 = lbfgs.SUFFICIENT_DECREASE
-        assert len(trace.values) == trace.iterations + 1
-        assert len(trace.step_sizes) == trace.iterations
-        assert len(trace.slopes) == trace.iterations
-        for k in range(trace.iterations):
-            bound = trace.values[k] + c1 * trace.step_sizes[k] * trace.slopes[k]
-            assert trace.values[k + 1] <= bound + 1e-12 * abs(trace.values[k])
+        for a, b, slope in zip(states, states[1:], slopes(states)):
+            assert b.f <= a.f + c1 * slope + 1e-12 * abs(a.f)
 
     def test_values_decrease(self):
-        _, trace = minimize(rosenbrock, np.array([0.5, 2.0]),
-                            OptimizerOptions(max_iters=100))
-        assert all(b <= a for a, b in zip(trace.values, trace.values[1:]))
+        states = iterates(rosenbrock, np.array([0.5, 2.0]),
+                          OptimizerOptions(max_iters=100))
+        assert len(states) > 2
+        assert all(b.f <= a.f for a, b in zip(states, states[1:]))
 
     def test_slopes_are_descent(self):
-        _, trace = minimize(rosenbrock, np.array([2.0, -1.0]),
-                            OptimizerOptions(max_iters=100))
-        assert all(s < 0 for s in trace.slopes)
+        states = iterates(rosenbrock, np.array([2.0, -1.0]),
+                          OptimizerOptions(max_iters=100))
+        assert len(states) > 2
+        assert all(s < 0 for s in slopes(states))
 
     def test_eval_count(self):
         calls = [0]
@@ -85,6 +133,32 @@ class TestTraceContract:
 
         _, trace = minimize(fg, np.zeros(2), OptimizerOptions())
         assert trace.n_evals == calls[0]
+
+    def test_trace_holds_counts_and_its_state(self):
+        assert [fd.name for fd in dataclasses.fields(OptimizerTrace)] == [
+            "iterations", "n_evals", "state"]
+        _, trace = minimize(rosenbrock, np.array([-1.2, 1.0]),
+                            OptimizerOptions(max_iters=3))
+        assert not any(isinstance(getattr(trace, fd.name), list)
+                       for fd in dataclasses.fields(OptimizerTrace))
+        with pytest.raises(AttributeError):
+            trace.termination = "gradient"
+
+    def test_termination_is_read_from_the_state(self):
+        at_minimum = quadratic(np.eye(3), np.zeros(3))
+        ended = minimize(cusp, np.zeros(1), OptimizerOptions())[1].state
+        cases = [
+            (at_minimum, np.zeros(3), OptimizerOptions(), "gradient"),
+            (rosenbrock, np.array([-1.2, 1.0]), OptimizerOptions(max_iters=3),
+             "iteration cap"),
+            (cusp, np.zeros(1), OptimizerOptions(), "line search failure"),
+            (cusp, ended, OptimizerOptions(), "line search failure"),
+            (lambda x: (0.0, x), np.zeros(0), OptimizerOptions(), "gradient"),
+        ]
+        for fg, x0, opts, ending in cases:
+            trace = minimize(fg, x0, opts)[1]
+            assert trace.termination == ending
+            assert trace.termination is trace.state.termination
 
 
 class TestTermination:
@@ -170,8 +244,9 @@ class TestLineSearch:
         fg, points = recorded(parabola)
         x, trace = minimize(fg, np.zeros(1), OptimizerOptions())
         assert points == [0.0, 1.0, 2.0, 4.0, 8.0, 50.0]
-        assert trace.n_evals == 6
-        assert trace.step_sizes == [0.08, 1.0]
+        assert trace.n_evals == 6 and trace.iterations == 2
+        states = iterates(parabola, np.zeros(1), OptimizerOptions())
+        assert [st.x[0] for st in states] == [0.0, 8.0, 50.0]
         assert x[0] == 50.0
         assert trace.termination == "gradient"
 
@@ -185,6 +260,7 @@ class TestLineSearch:
             return float(r), (x - 50.0) / r
         fg, points = recorded(cone)
         x, trace = minimize(fg, np.zeros(1), OptimizerOptions(max_iters=1))
+        assert trace.iterations == 1
         # the doubling passes the minimum at x ~ 64 with a lower value and
         # a positive slope: the bracket is (64, 32), and the cubic steps
         # inside it end at one that meets both Wolfe conditions
@@ -194,15 +270,17 @@ class TestLineSearch:
         assert f_over < cone(np.array([points[6]]))[0] and g_over[0] > 0.0
         assert 32.0 < x[0] < 64.0
         np.testing.assert_allclose(x[0], x_end, atol=1e-4)
-        np.testing.assert_allclose(trace.step_sizes, [step], atol=1e-4)
+        # the one step from x = 0 along p = -g(0)
+        np.testing.assert_allclose(x[0] / -cone(np.zeros(1))[1][0], step,
+                                   atol=1e-4)
         assert trace.termination == "iteration cap"
 
     def test_retreat_from_non_finite_region(self):
-        def fg(x):
+        def walled(x):
             if x[0] < 10.0:
                 return parabola(x)
             return np.inf, np.full_like(x, np.nan)
-        fg, points = recorded(fg)
+        fg, points = recorded(walled)
         x, trace = minimize(fg, np.zeros(1), OptimizerOptions(max_iters=3))
         # the second search overshoots into the wall at x = 50 and zooms
         # back towards x = 10, which the third search cannot pass
@@ -212,7 +290,9 @@ class TestLineSearch:
         assert trace.iterations == 2
         np.testing.assert_allclose(x[0], 10.0, atol=1e-6)
         assert x[0] < 10.0
-        assert all(b < a for a, b in zip(trace.values, trace.values[1:]))
+        states = iterates(walled, np.zeros(1), OptimizerOptions(max_iters=3))
+        assert len(states) == 3
+        assert all(b.f < a.f for a, b in zip(states, states[1:]))
 
     def test_unbounded_descent_keeps_last_step(self):
         # the slope never flattens: each search spends its budget doubling
@@ -221,16 +301,14 @@ class TestLineSearch:
             return -float(x[0]), -np.ones_like(x)
         _, trace = minimize(fg, np.zeros(1), OptimizerOptions(max_iters=2))
         assert trace.n_evals == 1 + 2 * lbfgs.SEARCH_EVALS
-        assert trace.step_sizes == [2.0 ** 29, 2.0 ** 29]
         assert trace.termination == "iteration cap"
+        # p = -g = 1 at every iterate: each step is 2**29 long
+        states = iterates(fg, np.zeros(1), OptimizerOptions(max_iters=2))
+        assert [st.x[0] for st in states] == [0.0, 2.0 ** 29, 2.0 ** 30]
 
     def test_cusp_fails_after_budget(self):
         # every trial step rises above f(0) = 0: no sufficient decrease
-        def fg(x):
-            a = abs(x[0])
-            g = 0.5 * np.sign(x[0]) / np.sqrt(a) if a else 1.0
-            return float(np.sqrt(a)), np.array([g])
-        x, trace = minimize(fg, np.zeros(1), OptimizerOptions())
+        x, trace = minimize(cusp, np.zeros(1), OptimizerOptions())
         assert trace.iterations == 0
         assert trace.n_evals == 1 + lbfgs.SEARCH_EVALS
         assert trace.termination == "line search failure"
@@ -309,40 +387,24 @@ def random_quadratic():
 
 
 def counting(fg):
-    """fg plus a one-element list counting its calls."""
-    calls = [0]
+    """fg plus the list of (copies of) the points it was called at."""
+    calls = []
 
     def wrapped(x):
-        calls[0] += 1
+        calls.append(x.copy())
         return fg(x)
     return wrapped, calls
 
 
-def split_solve(fg, x0, opts, k1):
-    """The solve cut after k1 iterations and resumed to opts.max_iters: the
-    end point and the two traces joined as one (the resumed trace's
-    values[0] repeats the point it resumed from)."""
-    x, first = minimize(fg, x0, OptimizerOptions(opts.grad_tol, k1))
-    assert isinstance(first.state, SolverState)
-    x, second = minimize(fg, first.state,
-                         OptimizerOptions(123.0, opts.max_iters - k1))
-    assert second.values[0] == first.values[-1]
-    assert second.grad_norms[0] == first.grad_norms[-1]
-    joined = {
-        "values": first.values + second.values[1:],
-        "grad_norms": first.grad_norms + second.grad_norms[1:],
-        "step_sizes": first.step_sizes + second.step_sizes,
-        "slopes": first.slopes + second.slopes,
-        "n_evals": first.n_evals + second.n_evals,
-        "termination": second.termination,
-    }
-    return x, joined
+def same_calls(a, b):
+    return len(a) == len(b) and all(same(x, y) for x, y in zip(a, b))
 
 
 class TestResume:
     """A solve cut after k1 iterations and resumed goes on bit for bit as
-    the uninterrupted solve; grad_tol is the first call's (the resumed
-    call's 123.0 would stop it at once)."""
+    the uninterrupted solve: the same calls of fg, in the same order, and
+    the same end state.  grad_tol is the first call's (the resumed call's
+    123.0 would stop it at once)."""
 
     PROBLEMS = {
         "rosenbrock-10d": (rosenbrock, np.full(10, -1.0),
@@ -357,13 +419,17 @@ class TestResume:
         fg, x0, opts = self.PROBLEMS[name]
         fg, calls = counting(fg)
         x_ref, ref = minimize(fg, x0, opts)
-        calls_ref = calls[0]
-        x, joined = split_solve(fg, x0, opts, k1)
-        assert np.array_equal(x, x_ref)
-        for key in ("values", "grad_norms", "step_sizes", "slopes"):
-            assert joined[key] == getattr(ref, key), key
-        assert joined["n_evals"] == ref.n_evals == calls[0] - calls_ref
-        assert joined["termination"] == ref.termination
+        calls_ref = calls[:]
+        del calls[:]
+        x, first = minimize(fg, x0, OptimizerOptions(opts.grad_tol, k1))
+        assert first.iterations == k1 and first.termination == "iteration cap"
+        x, second = minimize(fg, first.state,
+                             OptimizerOptions(123.0, opts.max_iters - k1))
+        assert same(x, x_ref)
+        assert same_calls(calls, calls_ref)
+        assert_same_state(second.state, ref.state)
+        assert first.iterations + second.iterations == ref.iterations
+        assert first.n_evals + second.n_evals == ref.n_evals == len(calls)
 
     @pytest.mark.parametrize("name", sorted(PROBLEMS))
     def test_start_state_is_the_fresh_start(self, name):
@@ -372,14 +438,15 @@ class TestResume:
         fg, x0, opts = self.PROBLEMS[name]
         fg, calls = counting(fg)
         x_ref, ref = minimize(fg, x0, opts)
+        calls_ref = calls[1:]
         state = lbfgs.start_state(x0.copy(), *fg(x0), opts.grad_tol)
-        calls[0] = 0
+        del calls[:]
         x, trace = minimize(fg, state, opts)
-        assert np.array_equal(x, x_ref)
-        for key in ("values", "grad_norms", "step_sizes", "slopes",
-                    "termination"):
-            assert getattr(trace, key) == getattr(ref, key), key
-        assert trace.n_evals == calls[0] == ref.n_evals - 1
+        assert same(x, x_ref)
+        assert same_calls(calls, calls_ref)
+        assert_same_state(trace.state, ref.state)
+        assert trace.iterations == ref.iterations
+        assert trace.n_evals == len(calls) == ref.n_evals - 1
 
     def test_start_state_rejects_a_nonfinite_start(self):
         for f, g in ((float("nan"), np.zeros(2)), (1.0, np.array([0.0, np.inf]))):
@@ -398,36 +465,34 @@ class TestResume:
             return -q if calls[0] == 4 else q
 
         monkeypatch.setattr(lbfgs, "_two_loop", uphill_once)
+        fg, points = counting(rosenbrock)
         opts = OptimizerOptions(grad_tol=1e-9, max_iters=30)
-        x_ref, ref = minimize(rosenbrock, np.full(10, -1.0), opts)
+        x_ref, ref = minimize(fg, np.full(10, -1.0), opts)
+        points_ref = points[:]
         calls[0] = 0
-        x, first = minimize(rosenbrock, np.full(10, -1.0),
-                            OptimizerOptions(1e-9, 5))
+        del points[:]
+        x, first = minimize(fg, np.full(10, -1.0), OptimizerOptions(1e-9, 5))
         assert calls[0] == 4
         assert len(first.state.pairs) == 1  # cleared, then the restart's pair
-        x, second = minimize(rosenbrock, first.state, OptimizerOptions(1e-9, 25))
-        assert np.array_equal(x, x_ref)
-        assert first.step_sizes + second.step_sizes == ref.step_sizes
-        assert first.values + second.values[1:] == ref.values
+        x, second = minimize(fg, first.state, OptimizerOptions(1e-9, 25))
+        assert same(x, x_ref)
+        assert same_calls(points, points_ref)
+        assert_same_state(second.state, ref.state)
+        assert first.iterations + second.iterations == ref.iterations
         assert first.n_evals + second.n_evals == ref.n_evals
 
     def test_ended_solves_resume_without_calls(self):
-        def cusp(x):
-            a = abs(x[0])
-            g = 0.5 * np.sign(x[0]) / np.sqrt(a) if a else 1.0
-            return float(np.sqrt(a)), np.array([g])
         cases = [(quadratic(np.eye(3), np.ones(3)), np.zeros(3), "gradient"),
                  (cusp, np.zeros(1), "line search failure")]
         for fg, x0, ending in cases:
             fg, calls = counting(fg)
             x, trace = minimize(fg, x0, OptimizerOptions(max_iters=50))
             assert trace.termination == ending
-            before = calls[0]
+            before = len(calls)
             x2, again = minimize(fg, trace.state, OptimizerOptions(max_iters=50))
-            assert calls[0] == before
+            assert len(calls) == before
             assert again.n_evals == 0 and again.iterations == 0
-            assert again.termination == ending
-            assert again.values == trace.values[-1:]
+            assert again.state is trace.state
             assert np.array_equal(x2, x)
 
     def test_returned_point_is_not_the_state(self):
@@ -476,10 +541,10 @@ class TestMetric:
             return f, s * g
 
         f0, g0 = fg(x0)
-        x, tx = minimize(fg_x, lbfgs.start_state(x0, f0, g0, opts.grad_tol,
-                                                 metric), opts)
-        u, tu = minimize(fg_u, lbfgs.start_state(x0 / s, f0, s * g0,
-                                                 opts.grad_tol), opts)
+        start_x = lbfgs.start_state(x0, f0, g0, opts.grad_tol, metric)
+        start_u = lbfgs.start_state(x0 / s, f0, s * g0, opts.grad_tol)
+        x, tx = minimize(fg_x, start_x, opts)
+        u, tu = minimize(fg_u, start_u, opts)
         assert tx.iterations == tu.iterations > 0
         assert tx.n_evals == tu.n_evals == len(xs) == len(us)
         assert tx.termination == tu.termination
@@ -492,12 +557,20 @@ class TestMetric:
 
         assert all(close(a, b) for a, b in zip(xs, us))
         assert close(x, s * u)
-        for key in ("values", "grad_norms", "slopes"):
-            assert close(getattr(tx, key), getattr(tu, key)), key
+        # iterate for iterate: the values, the gradients' norms in each
+        # solve's metric, the steps and their slopes g_k.(x_{k+1} - x_k)
+        px, pu = iterates(fg_x, start_x, opts), iterates(fg_u, start_u, opts)
+        assert len(px) == len(pu) == tx.iterations + 1
+        assert close([st.f for st in px], [st.f for st in pu])
+        assert close([np.sqrt(st.g @ (metric * st.g)) for st in px],
+                     [np.linalg.norm(st.g) for st in pu])
+        assert close(slopes(px), slopes(pu))
         # a cubic step divides by a difference of slopes: the quadratic's
         # one such step agrees to 1.1e-11 while its iterate agrees to 1e-14
-        assert close(tx.step_sizes, tu.step_sizes, rtol=1e-10)
+        assert close(np.diff([st.x for st in px], axis=0),
+                     s * np.diff([st.x for st in pu], axis=0), rtol=1e-10)
         assert np.array_equal(tx.state.metric, metric)
+        assert close(tx.state.target, tu.state.target)
 
 
 class TestOptions:
